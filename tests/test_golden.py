@@ -1,0 +1,109 @@
+"""Golden outputs: estimate samples and full frostman JSON, compared exactly.
+
+The files under tests/golden/ pin the numbers the CLI printed before the
+dyadic solvers were rebuilt on a shared cell tree; any change to summation
+order or tie-breaking shows up here as an inequality, not a tolerance.
+
+Regenerate (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from dimspect import CarpetSpec, carpet_points
+from dimspect.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _sequence_text() -> str:
+    """{0} u {1/k : k <= 80}, one coordinate per line."""
+    return "\n".join(repr(1.0 / k) for k in range(1, 81)) + "\n0.0\n"
+
+
+def _carpet_text() -> str:
+    """The worked 2x3 carpet at depth 5: 243 points in the unit square."""
+    spec = CarpetSpec.create(2, 3, [(0, 0), (0, 2), (1, 1)])
+    return "\n".join(f"{x!r} {y!r}" for x, y in carpet_points(spec, 5).points) + "\n"
+
+
+def _shifted_cloud_text() -> str:
+    """120 seeded points in [2, 3.5] x [-1, 0], outside the unit box."""
+    rnd = random.Random(3)
+    return "\n".join(
+        f"{2.0 + 1.5 * rnd.random()!r} {-rnd.random()!r}" for _ in range(120)
+    ) + "\n"
+
+
+ESTIMATE_CASES = {
+    "estimate_1d": (_sequence_text, ["--grid", "0,0.5,1", "--deltas", "1e-2,1e-3,1e-4"]),
+    "estimate_2d": (_carpet_text, ["--grid", "0,0.5,1", "--deltas", "0.2,0.1,0.05"]),
+}
+FROSTMAN_CASES = {
+    "frostman_1d": (
+        _sequence_text,
+        ["--s", "0.3", "--delta", "0.01", "--theta", "0.5", "--seed", "7"],
+    ),
+    "frostman_2d": (
+        _carpet_text,
+        ["--s", "0.8", "--delta", "0.05", "--theta", "0.5", "--seed", "0"],
+    ),
+    "frostman_shifted": (
+        _shifted_cloud_text,
+        ["--s", "1.2", "--delta", "0.1", "--theta", "0.5", "--seed", "1"],
+    ),
+}
+
+
+def _run(command: str, make_points, args, workdir: Path) -> str:
+    points = workdir / "points.txt"
+    points.write_text(make_points())
+    out = workdir / "out.txt"
+    extra = ["--format", "json"] if command == "estimate" else []
+    code = main([command, "--points", str(points), *args, *extra, "--out", str(out)])
+    assert code == 0
+    return out.read_text()
+
+
+def _samples(text: str) -> dict:
+    doc = json.loads(text)
+    return {"ambient_n": doc["ambient_n"], "samples": doc["samples"]}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATE_CASES))
+def test_estimate_samples_match_golden(name, tmp_path):
+    make_points, args = ESTIMATE_CASES[name]
+    got = _samples(_run("estimate", make_points, args, tmp_path))
+    expected = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(FROSTMAN_CASES))
+def test_frostman_json_matches_golden(name, tmp_path):
+    make_points, args = FROSTMAN_CASES[name]
+    got = _run("frostman", make_points, args, tmp_path)
+    assert got == (GOLDEN / f"{name}.json").read_text()
+
+
+def regenerate() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for name, (make_points, args) in ESTIMATE_CASES.items():
+            doc = _samples(_run("estimate", make_points, args, workdir))
+            (GOLDEN / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
+        for name, (make_points, args) in FROSTMAN_CASES.items():
+            (GOLDEN / f"{name}.json").write_text(_run("frostman", make_points, args, workdir))
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())
