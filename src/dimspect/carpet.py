@@ -133,28 +133,9 @@ def entropy(spec: CarpetSpec) -> float:
     return mcmullen_weights(spec).entropy_H
 
 
-def _entropy_displayed(spec: CarpetSpec) -> float:
-    # Equivalent closed form -m**-d * sum a**(L-1) ((L-1) log a - d log m);
-    # kept separate so tests can cross-check the two routes.
-    der = mcmullen_weights(spec)
-    md = spec.m**der.d
-    return -math.fsum(
-        a ** (der.L - 1.0) * ((der.L - 1.0) * math.log(a) - der.d * math.log(spec.m))
-        for a in der.a_ell
-    ) / md
-
-
 def row_depth(k: int, L: float) -> int:
     """Number of row symbols fixed by a level-k approximate square: floor(k*L)."""
     return int(math.floor(k * L))
-
-
-def rectangle_measure(derived: CarpetDerived, word) -> float:
-    """Measure of the level-k rectangle addressed by a digit word: product of weights."""
-    measure = 1.0
-    for digit in word:
-        measure *= derived.weight(tuple(digit))
-    return measure
 
 
 def approx_square_measure(spec: CarpetSpec, word) -> float:
@@ -178,21 +159,6 @@ def approx_square_measure(spec: CarpetSpec, word) -> float:
     log_mu = -k * der.d * math.log(spec.m)
     log_mu += der.L * math.fsum(math.log(a) for a in a_seq)
     log_mu -= math.fsum(math.log(a) for a in a_seq[:l_k])
-    return math.exp(log_mu)
-
-
-def _approx_square_measure_alt(spec: CarpetSpec, word) -> float:
-    # Same quantity via the rectangle-count route:
-    # m**(-k d) * prod_j a_j**(L-1) * prod_{j > l(k)} a_j.
-    word = [tuple(digit) for digit in word]
-    der = mcmullen_weights(spec)
-    digit_index = {digit: i for i, digit in enumerate(spec.digits)}
-    a_seq = [der.a_ell[digit_index[digit]] for digit in word]
-    k = len(word)
-    l_k = row_depth(k, der.L)
-    log_mu = -k * der.d * math.log(spec.m)
-    log_mu += (der.L - 1.0) * math.fsum(math.log(a) for a in a_seq)
-    log_mu += math.fsum(math.log(a) for a in a_seq[l_k:])
     return math.exp(log_mu)
 
 

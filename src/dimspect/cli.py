@@ -1,16 +1,16 @@
 """Command-line front end: ingestion, orchestration, CSV/JSON output.
 
-Exit codes: 0 ok, 2 usage or parse failure, 3 internal invariant
-violation, 4 numeric-range refusal.  All randomness sits behind --seed
-(default 0) and identical invocations produce byte-identical files.
-DIMSPECT_THREADS caps parallelism across (theta, delta) cells.
+Exit codes: 0 ok, 2 usage, parse or I/O failure (a file that cannot be
+read, decoded as UTF-8 or written), 3 internal invariant violation,
+4 numeric-range refusal.  The only randomness is the probe sampling of frostman, behind
+its --seed (default 0); identical invocations produce byte-identical
+files.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .carpet import CarpetSpec, carpet_points, carpet_spectrum
@@ -96,11 +96,16 @@ def parse_points_text(text: str) -> PointCloud:
 def read_points(path: str) -> PointCloud:
     if path == "-":
         return parse_points_text(sys.stdin.read())
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_points_text(fh.read())
-    except OSError as exc:
-        raise ValidationError(f"cannot read points file {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_points_text(fh.read())
+
+
+def read_carpet_spec(path: str) -> CarpetSpec:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return CarpetSpec.from_json_dict(json.load(fh))
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"malformed carpet JSON: {exc}") from exc
 
 
 def spectrum_to_csv(spectrum: DimensionSpectrum, metadata: dict | None = None) -> str:
@@ -143,14 +148,6 @@ def _emit_spectrum(spectrum, args, metadata: dict | None = None) -> None:
         _write(args.out, spectrum_to_csv(spectrum, metadata))
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("DIMSPECT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_sequence(args) -> int:
     grid = parse_grid(args.grid)
     _emit_spectrum(sequence_spectrum(args.p, grid), args)
@@ -158,14 +155,7 @@ def cmd_sequence(args) -> int:
 
 
 def cmd_carpet(args) -> int:
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read carpet spec {args.spec}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed carpet JSON: {exc}") from exc
-    spec = CarpetSpec.from_json_dict(obj)
+    spec = read_carpet_spec(args.spec)
     grid = parse_grid(args.grid)
     spectrum = carpet_spectrum(spec, grid, assouad_dim=args.assouad)
     _emit_spectrum(spectrum, args)
@@ -182,13 +172,11 @@ def cmd_estimate(args) -> int:
         deltas,
         threshold=args.threshold,
         scale_menu_size=args.menu,
-        max_workers=_max_workers(),
     )
     metadata = {
         "deltas": ",".join(_fmt(d) for d in deltas),
         "threshold": _fmt(args.threshold),
         "menu_size": args.menu,
-        "seed": args.seed,
         "quantifiers": "min/max of drift-corrected exponents over the two smallest admissible deltas",
     }
     _emit_spectrum(spectrum, args, metadata)
@@ -234,12 +222,7 @@ def cmd_gen(args) -> int:
     elif args.family == "carpet-points":
         if args.spec is None:
             raise ValidationError("gen --family carpet-points needs --spec")
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            try:
-                spec = CarpetSpec.from_json_dict(json.load(fh))
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"malformed carpet JSON: {exc}") from exc
-        cloud = carpet_points(spec, args.depth)
+        cloud = carpet_points(read_carpet_spec(args.spec), args.depth)
         header = f"# family: carpet-points depth={args.depth}"
     else:
         raise ValidationError(f"unknown family {args.family!r}")
@@ -280,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--deltas", default="1e-2,1e-3,1e-4")
     p_est.add_argument("--threshold", type=float, default=1.0)
     p_est.add_argument("--menu", type=int, default=16, help="diameter menu size")
-    p_est.add_argument("--seed", type=int, default=0)
     add_output(p_est)
     p_est.set_defaults(func=cmd_estimate)
 
@@ -320,7 +302,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"dimspect: invariant violation: {exc}", file=sys.stderr)
         return INVARIANT_EXIT
-    except (ValidationError, DimspectError) as exc:
+    except (ValidationError, DimspectError, OSError, UnicodeDecodeError) as exc:
         print(f"dimspect: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -97,11 +97,6 @@ class ScaleRange:
         return self.delta
 
 
-def scale_bounds(rng: ScaleRange) -> tuple[float, float]:
-    """Return the admissible diameter band (lo, hi) of a ScaleRange."""
-    return rng.lo, rng.hi
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """Finite set of points in R^n (n in {1,2,3}) with its bounding box.

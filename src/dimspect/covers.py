@@ -1,10 +1,12 @@
 """Restricted-cover optimization: minimal-cost covers with diameters in a band.
 
 Two optimizers: an exact dynamic program over interval covers drawn from a
-geometric diameter menu (1-D), and an exact recursion over dyadic-cube
-covers anchored at the bounding box (any ambient dimension).  Both return
-the full cover, not just its cost, so admissibility and coverage can be
-checked directly.
+geometric diameter menu (1-D), and an exact bottom-up pass over dyadic-cube
+covers (any ambient dimension) on _DyadicTree, the dyadic cell tree the
+Frostman cap cascade shares; covers anchor it at the bounding box.  Both
+return the full cover, not just its cost, so admissibility and coverage
+can be checked directly; cover_cost_function gives a cell's s -> cost,
+built once per cell.
 """
 
 from __future__ import annotations
@@ -210,11 +212,89 @@ def optimal_cover_1d(
     return RestrictedCover.build(sets, rng, s)
 
 
-def _dyadic_depth_range(
-    rng: ScaleRange, scale: float, n: int
-) -> tuple[int, int]:
-    """Admissible dyadic levels [j_top, j_bot] for diameters scale*sqrt(n)*2**-j."""
-    root_diam = scale * math.sqrt(n)
+class _DyadicTree:
+    """Occupied dyadic cells of a point cloud on levels top..bottom, built once.
+
+    A point x lies in the level-j cell with integer code
+    floor((x - origin) / scale * 2**j), clamped to 2**j - 1.  cells[i]
+    holds the cells of level top + i in depth-first order (the top level
+    lexicographic, then grouped by parent with siblings lexicographic), and
+    parents[i] maps each cell of level top + i + 1 to its parent's row in
+    cells[i].  Dyadic covers anchor the tree at the bounding box
+    (_bbox_tree); the Frostman cap cascade at the unit box when the points
+    lie in it (frostman._rescale).
+    """
+
+    def __init__(self, points: PointCloud, origin, scale: float, top: int, bottom: int):
+        self.n, self.scale, self.top, self.bottom = points.dimension_n, scale, top, bottom
+        side = 2**bottom
+        codes = (np.asarray(points.points) - np.asarray(origin)) / scale * side
+        leaves, first = np.unique(
+            np.minimum(codes.astype(np.int64), side - 1), axis=0, return_index=True
+        )
+        self.cells, self.parents = [leaves], []
+        for _ in range(bottom - top):
+            up, parent = np.unique(self.cells[0] >> 1, axis=0, return_inverse=True)
+            self.cells.insert(0, up)
+            self.parents.insert(0, parent.reshape(-1))
+        # np.unique leaves each level lexicographic; a stable sort by the
+        # reordered parent rows makes it depth-first, top-down.
+        order = np.arange(len(self.cells[0]))
+        for i in range(1, len(self.cells)):
+            row = np.empty_like(order)
+            row[order] = np.arange(len(order))
+            parent = row[self.parents[i - 1]]
+            order = np.argsort(parent, kind="stable")
+            self.cells[i], self.parents[i - 1] = self.cells[i][order], parent[order]
+        self.first_point = first[order]  # row in points of each bottom cell's least point
+
+    def diameter(self, level: int) -> float:
+        return self.scale * math.sqrt(self.n) * 2.0**-level
+
+    def leaf_starts(self) -> list[np.ndarray]:
+        """Per level, the first bottom-level row of each cell's (contiguous) descendants."""
+        starts = [np.arange(len(self.cells[-1]))]
+        for parent in reversed(self.parents):
+            starts.insert(0, starts[0][np.flatnonzero(np.diff(parent, prepend=-1))])
+        return starts
+
+    def chosen(self, s: float) -> tuple[list[float], list[np.ndarray]]:
+        """diam**s per level and the rows an optimal cover takes whole.
+
+        Bottom-up, a cell costs min(diam**s, sum of its children's costs in
+        row order); ties go to the larger cube.  Top-down, a cell is taken
+        if diam**s is the smaller and no ancestor was taken.
+        """
+        powers = [self.diameter(self.top + i) ** s for i in range(len(self.cells))]
+        cost = np.full(len(self.cells[-1]), powers[-1])
+        takes = [np.ones(len(cost), dtype=bool)]
+        for i in range(len(self.parents) - 1, -1, -1):
+            split = np.bincount(self.parents[i], weights=cost)
+            takes.insert(0, powers[i] <= split)
+            cost = np.where(takes[0], powers[i], split)
+        rows, open_ = [np.flatnonzero(takes[0])], ~takes[0]
+        for parent, take in zip(self.parents, takes[1:]):
+            open_ = open_[parent]
+            rows.append(np.flatnonzero(open_ & take))
+            open_ &= ~take
+        return powers, rows
+
+    def cost(self, s: float) -> float:
+        """cover_cost of the optimal cover at s, without building its sets."""
+        powers, rows = self.chosen(s)
+        return math.fsum(np.repeat(powers, [len(r) for r in rows]))
+
+
+def _bbox_tree(points: PointCloud, rng: ScaleRange) -> _DyadicTree:
+    """The tree of optimal_cover_dyadic: bounding-box anchor, levels admissible for rng.
+
+    Level j has diameter scale * sqrt(n) * 2**-j.
+    """
+    mins, maxs = points.bbox
+    scale = max(hi - lo for lo, hi in zip(mins, maxs))
+    if scale <= 0.0:
+        scale = 1.0
+    root_diam = scale * math.sqrt(points.dimension_n)
     lo, hi = rng.lo, rng.hi
 
     j_top = 0
@@ -233,7 +313,7 @@ def _dyadic_depth_range(
     # A band narrower than one dyadic step contains no dyadic diameter:
     # snap to the single level just below hi.
     j_bot = max(j_bot, j_top)
-    return j_top, j_bot
+    return _DyadicTree(points, mins, scale, j_top, j_bot)
 
 
 def optimal_cover_dyadic(
@@ -244,72 +324,42 @@ def optimal_cover_dyadic(
     Exact over the dyadic family: cost(cube) = min(diam**s, sum over
     occupied children), evaluated bottom-up over levels whose diameters
     lie in the band.  theta=0 means unrestricted: levels run down to
-    MAX_DEPTH / MIN_SCALE, whichever binds first.
+    MAX_DEPTH / MIN_SCALE, whichever binds first.  Sets come in
+    depth-first order, siblings lexicographic.
     """
     n = points.dimension_n
     if not 0.0 <= s <= n:  # s = 0 minimizes the set count
         raise ValidationError(f"s must lie in [0, {n}], got {s}")
-    mins, maxs = points.bbox
-    scale = max(hi - lo for lo, hi in zip(mins, maxs))
-    if scale <= 0.0:
-        scale = 1.0
-    j_top, j_bot = _dyadic_depth_range(rng, scale, n)
-
-    def diam(level: int) -> float:
-        return scale * math.sqrt(n) * 2.0**-level
-
-    # Integer cell coordinates at the deepest level; ancestors via shifts
-    # so the hierarchy is exact.
-    top = 2**j_bot
-    scaled = (np.asarray(points.points) - np.asarray(mins)) / scale
-    grid_idx = np.minimum((scaled * top).astype(np.int64), top - 1)
-    cells_bot = [tuple(map(int, row)) for row in grid_idx]
-
-    def solve(level: int, ids: list[int]) -> tuple[float, int, list[tuple[int, tuple[int, ...]]]]:
-        cell = tuple(c >> (j_bot - level) for c in cells_bot[ids[0]])
-        take = (diam(level) ** s, 1, [(level, cell)])
-        if level == j_bot:
-            return take
-        groups: dict[tuple[int, ...], list[int]] = {}
-        shift = j_bot - level - 1
-        for i in ids:
-            groups.setdefault(tuple(c >> shift for c in cells_bot[i]), []).append(i)
-        split_cost, split_count, split_sets = 0.0, 0, []
-        for key in sorted(groups):
-            c_cost, c_count, c_sets = solve(level + 1, groups[key])
-            split_cost += c_cost
-            split_count += c_count
-            split_sets.extend(c_sets)
-        # ties go to the single larger cube
-        if (take[0], take[1]) <= (split_cost, split_count):
-            return take
-        return split_cost, split_count, split_sets
-
-    groups_top: dict[tuple[int, ...], list[int]] = {}
-    shift = j_bot - j_top
-    for i in range(len(points.points)):
-        groups_top.setdefault(
-            tuple(c >> shift for c in cells_bot[i]), []
-        ).append(i)
-    chosen: list[tuple[int, tuple[int, ...]]] = []
-    for key in sorted(groups_top):
-        chosen.extend(solve(j_top, groups_top[key])[2])
-
-    sets = []
-    for level, cell in chosen:
-        side = scale * 2.0**-level
-        center = tuple(lo + (c + 0.5) * side for c, lo in zip(cell, mins))
-        sets.append(
-            CoverSet(
+    tree = _bbox_tree(points, rng)
+    _, rows = tree.chosen(s)
+    picks = []  # (first bottom-level row, set): sorting gives depth-first order
+    for i, (start, r) in enumerate(zip(tree.leaf_starts(), rows)):
+        side = tree.scale * 2.0 ** -(tree.top + i)
+        for key, cell in zip(start[r].tolist(), tree.cells[i][r].tolist()):
+            center = tuple(lo + (c + 0.5) * side for c, lo in zip(cell, points.bbox[0]))
+            cube = CoverSet(
                 kind="interval" if n == 1 else "cube",
                 center=center,
                 side=side,
-                diameter=diam(level),
+                diameter=tree.diameter(tree.top + i),
             )
-        )
-    return RestrictedCover.build(
-        sets, rng, s, effective_lo=min(rng.lo, diam(j_bot)), effective_hi=rng.hi
-    )
+            picks.append((key, cube))
+    sets = [cube for _, cube in sorted(picks, key=lambda pick: pick[0])]
+    effective_lo = min(rng.lo, tree.diameter(tree.bottom))
+    return RestrictedCover.build(sets, rng, s, effective_lo=effective_lo, effective_hi=rng.hi)
+
+
+def cover_cost_function(points: PointCloud, rng: ScaleRange, scale_menu_size: int = 16):
+    """One (delta, theta) cell's s -> optimal cover cost, its structure built once.
+
+    1-D with theta > 0: the interval DP over the geometric menu, as in
+    optimal_cover_1d.  Otherwise the dyadic tree, giving the cost
+    optimal_cover_dyadic reports.
+    """
+    if points.dimension_n == 1 and rng.theta > 0.0:
+        menu = geometric_menu(rng.lo, rng.hi, scale_menu_size)
+        return _IntervalDP(points.coords(0), menu).cost
+    return _bbox_tree(points, rng).cost
 
 
 def refine_cover(

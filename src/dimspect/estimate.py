@@ -12,7 +12,6 @@ surrogate for the "some delta" vs "all small delta" quantifiers.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import (
@@ -24,7 +23,7 @@ from .core import (
     ValidationError,
     check_theta,
 )
-from .covers import _IntervalDP, geometric_menu, guarded_ceil, optimal_cover_dyadic
+from .covers import cover_cost_function, guarded_ceil
 
 BISECTION_TOL = 1e-3
 TRUNCATION_SAFETY = 4
@@ -38,15 +37,6 @@ class CriticalExponent:
     theta: float
     s_star: float
     cost_at_s_star: float
-
-
-def _cost_function(points: PointCloud, rng: ScaleRange, scale_menu_size: int):
-    if points.dimension_n == 1 and rng.theta > 0.0:
-        dp = _IntervalDP(
-            points.coords(0), geometric_menu(rng.lo, rng.hi, scale_menu_size)
-        )
-        return dp.cost
-    return lambda s: optimal_cover_dyadic(points, rng, s).cost
 
 
 def critical_exponent(
@@ -66,7 +56,7 @@ def critical_exponent(
     if threshold <= 0.0:
         raise ValidationError(f"threshold must be positive, got {threshold}")
     rng = ScaleRange(delta, check_theta(theta))
-    cost = _cost_function(points, rng, scale_menu_size)
+    cost = cover_cost_function(points, rng, scale_menu_size)
     n = float(points.dimension_n)
     if cost(0.0) <= threshold * (1.0 + 1e-12):
         return CriticalExponent(delta, theta, 0.0, cost(0.0))
@@ -110,7 +100,6 @@ def estimate_spectrum(
     delta_sequence,
     threshold: float = 1.0,
     scale_menu_size: int = 16,
-    max_workers: int = 1,
 ) -> DimensionSpectrum:
     """Estimated spectrum of a point cloud over a theta grid.
 
@@ -130,27 +119,16 @@ def estimate_spectrum(
     if any(a <= b for a, b in zip(deltas, deltas[1:])):
         raise ValidationError("delta sequence must be strictly decreasing")
 
-    cells = []
+    solved: dict[tuple[float, float], CriticalExponent] = {}
     for theta in thetas:
         for delta in deltas:
             try:
                 ScaleRange(delta, theta)
             except ScaleRangeTooDeepError:
                 continue
-            cells.append((theta, delta))
-    solved: dict[tuple[float, float], CriticalExponent] = {}
-
-    def solve(cell: tuple[float, float]) -> CriticalExponent:
-        theta, delta = cell
-        return critical_exponent(points, delta, theta, threshold, scale_menu_size)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for cell, result in zip(cells, pool.map(solve, cells)):
-                solved[cell] = result
-    else:
-        for cell in cells:
-            solved[cell] = solve(cell)
+            solved[(theta, delta)] = critical_exponent(
+                points, delta, theta, threshold, scale_menu_size
+            )
 
     n = float(points.dimension_n)
     samples = []

@@ -15,6 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     AtomicMeasure,
     PointCloud,
@@ -23,7 +25,7 @@ from .core import (
     ValidationError,
     check_theta,
 )
-from .covers import guarded_ceil
+from .covers import _DyadicTree, guarded_ceil
 
 # Band ratios below this certify too narrow a range of scales to mean much.
 WEAK_BAND_RATIO = 10.0
@@ -91,8 +93,11 @@ def build_frostman_measure(
     2**(-m-1) < delta**(1/theta) <= 2**-m; the cascade stops at level m-l
     where l is the largest integer with 2**-(m-l) * sqrt(n) <= delta.  Each
     occupied base cube contributes one atom at its lexicographically least
-    point.  The reported constant is twice the worst sampled ratio
-    mu(B(x,r)) / r**s (radius form), a safety factor over the probes.
+    point.  The cubes come from covers._DyadicTree, the tree dyadic covers
+    use, anchored here at the unit box when the points lie in it and at
+    the bounding box otherwise (_rescale).  The reported constant is twice
+    the worst sampled ratio mu(B(x,r)) / r**s (radius form), a safety
+    factor over the probes.
     """
     if not s > 0.0:
         raise ValidationError(f"exponent s must be positive, got {s}")
@@ -122,46 +127,35 @@ def build_frostman_measure(
         )
 
     origin, scale = _rescale(points)
-    top = 2**m
-    cells: dict[tuple[int, ...], int] = {}
-    reps: list[tuple[float, ...]] = []
-    cell_idx: list[tuple[int, ...]] = []
-    for p in points.points:  # lexicographic order: first point per cube is least
-        idx = tuple(
-            min(int((c - o) / scale * top), top - 1) for c, o in zip(p, origin)
-        )
-        if idx not in cells:
-            cells[idx] = len(reps)
-            reps.append(p)
-            cell_idx.append(idx)
-    masses = [2.0 ** (-m * s)] * len(reps)
-
+    tree = _DyadicTree(points, origin, scale, stop, m)
+    starts = tree.leaf_starts()
+    # masses of the base cubes, in tree order
+    masses = np.full(len(tree.first_point), 2.0 ** (-m * s))
     for level in range(m - 1, stop - 1, -1):
-        shift = m - level
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for i, idx in enumerate(cell_idx):
-            groups.setdefault(tuple(c >> shift for c in idx), []).append(i)
         cap = 2.0 ** (-level * s)
-        for members in groups.values():
-            total = math.fsum(masses[i] for i in members)
+        # a cube's base cubes form one run; np.split returns views, so
+        # scaling a run scales masses
+        for members in np.split(masses, starts[level - stop][1:]):
+            total = math.fsum(members)
             if total > cap:
-                factor = cap / total
-                for i in members:
-                    masses[i] *= factor
+                members *= cap / total
 
+    # atoms in the order their least points appear in the sorted cloud
+    order = np.argsort(tree.first_point)
+    reps = [points.points[i] for i in tree.first_point[order]]
+    masses = masses[order]
     level_masses: dict[int, dict[tuple[int, ...], float]] = {}
-    for level in range(stop, m + 1):
-        shift = m - level
-        agg: dict[tuple[int, ...], float] = {}
-        for i, idx in enumerate(cell_idx):
-            key = tuple(c >> shift for c in idx)
-            agg[key] = agg.get(key, 0.0) + masses[i]
-        level_masses[level] = agg
+    for level, start, cells in zip(range(stop, m + 1), starts, tree.cells):
+        cube = np.repeat(np.arange(len(start)), np.diff(start, append=len(masses)))[order]
+        sums = np.bincount(cube, weights=masses)
+        _, first_seen = np.unique(cube, return_index=True)
+        seen = np.argsort(first_seen)
+        level_masses[level] = dict(
+            zip(map(tuple, cells[seen].tolist()), sums[seen].tolist())
+        )
 
     norm = math.fsum(masses)
-    measure = AtomicMeasure.from_atoms(
-        (reps[i], masses[i] / norm) for i in range(len(reps))
-    )
+    measure = AtomicMeasure.from_atoms(zip(reps, (masses / norm).tolist()))
     cascade = DyadicCascade(
         s=s, base_level=m, stop_level=stop, norm=norm, level_masses=level_masses
     )

@@ -3,10 +3,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dimspect import CarpetSpec
+from dimspect import CarpetSpec, PointCloud
 
 
 @pytest.fixture
@@ -22,3 +23,21 @@ def random_carpet(rnd: random.Random, max_m: int = 3, max_n: int = 6) -> CarpetS
     cells = [(p, q) for p in range(m) for q in range(n)]
     count = rnd.randint(2, len(cells))
     return CarpetSpec.create(m, n, rnd.sample(cells, count))
+
+
+@st.composite
+def point_clouds(draw, max_points: int = 30) -> PointCloud:
+    """Clouds in R^1..R^3 at a random offset and spread.
+
+    Coordinates mix arbitrary floats with points on a 1/16 grid, so that
+    dyadic cells share boundaries and exact cost ties occur.
+    """
+    n = draw(st.integers(1, 3))
+    offset = draw(st.sampled_from([0.0, -1.0, 2.5]))
+    spread = draw(st.sampled_from([1.0, 0.05, 3.0]))
+    coord = st.one_of(
+        st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
+        st.integers(0, 16).map(lambda k: k / 16.0),
+    ).map(lambda u: offset + spread * u)
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=max_points))
+    return PointCloud.from_points(pts, dimension_n=n)

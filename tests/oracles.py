@@ -1,14 +1,24 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and reference implementations used by the test suite.
 
 The carpet oracles recompute every closed form with 60-digit mpmath
-arithmetic from the raw digit set; the cover oracle enumerates all
+arithmetic from the raw digit set; the menu oracle enumerates all
 partition-based interval covers.  Neither shares code with the library
-paths they check.
+paths they check.  The reference implementations are the straightforward
+loop forms of vectorized library code (the recursive dyadic solver, the
+dict-grouped cap cascade) and second closed-form routes to carpet
+quantities; the library must match them exactly or to rounding.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath as mp
+import numpy as np
+
+from dimspect import CoverSet, RestrictedCover, mcmullen_weights
+from dimspect.carpet import row_depth
+from dimspect.covers import _bbox_tree
 
 mp.mp.dps = 60
 
@@ -48,8 +58,6 @@ def brute_force_menu_cost(xs, menu, s: float) -> float:
     admissible menu diameter per run (for s > 0 the cheapest admissible
     diameter per run is the smallest one).
     """
-    import math
-
     xs = sorted(xs)
     n = len(xs)
     best = None
@@ -78,3 +86,147 @@ def brute_force_menu_cost(xs, menu, s: float) -> float:
     if best is None:
         raise AssertionError("no feasible cover in brute force")
     return best[0]
+
+
+def recursive_dyadic_cover(points, rng, s: float):
+    """Reference dyadic solver: the top-down recursion with per-call grouping.
+
+    cost(cube) = min(diam**s, sum over occupied children, summed in
+    lexicographic child order); ties go to the single larger cube.  It
+    takes only the bounding-box anchor and the admissible levels from
+    optimal_cover_dyadic's tree, so covers and costs must match exactly.
+    """
+    n = points.dimension_n
+    mins = points.bbox[0]
+    tree = _bbox_tree(points, rng)
+    scale, j_top, j_bot = tree.scale, tree.top, tree.bottom
+
+    def diam(level: int) -> float:
+        return scale * math.sqrt(n) * 2.0**-level
+
+    top = 2**j_bot
+    scaled = (np.asarray(points.points) - np.asarray(mins)) / scale
+    grid_idx = np.minimum((scaled * top).astype(np.int64), top - 1)
+    cells_bot = [tuple(map(int, row)) for row in grid_idx]
+
+    def solve(level, ids):
+        cell = tuple(c >> (j_bot - level) for c in cells_bot[ids[0]])
+        take = (diam(level) ** s, 1, [(level, cell)])
+        if level == j_bot:
+            return take
+        groups = {}
+        shift = j_bot - level - 1
+        for i in ids:
+            groups.setdefault(tuple(c >> shift for c in cells_bot[i]), []).append(i)
+        split_cost, split_count, split_sets = 0.0, 0, []
+        for key in sorted(groups):
+            c_cost, c_count, c_sets = solve(level + 1, groups[key])
+            split_cost += c_cost
+            split_count += c_count
+            split_sets.extend(c_sets)
+        if (take[0], take[1]) <= (split_cost, split_count):
+            return take
+        return split_cost, split_count, split_sets
+
+    groups_top = {}
+    shift = j_bot - j_top
+    for i in range(len(points.points)):
+        groups_top.setdefault(tuple(c >> shift for c in cells_bot[i]), []).append(i)
+    chosen = []
+    for key in sorted(groups_top):
+        chosen.extend(solve(j_top, groups_top[key])[2])
+
+    sets = []
+    for level, cell in chosen:
+        side = scale * 2.0**-level
+        center = tuple(lo + (c + 0.5) * side for c, lo in zip(cell, mins))
+        sets.append(
+            CoverSet(
+                kind="interval" if n == 1 else "cube",
+                center=center,
+                side=side,
+                diameter=diam(level),
+            )
+        )
+    return RestrictedCover.build(
+        sets, rng, s, effective_lo=min(rng.lo, diam(j_bot)), effective_hi=rng.hi
+    )
+
+
+def entropy_displayed(spec) -> float:
+    """Carpet entropy by the displayed closed form.
+
+    -m**-d * sum a**(L-1) ((L-1) log a - d log m), a second route to
+    dimspect.entropy from the same McMullen weights.
+    """
+    der = mcmullen_weights(spec)
+    md = spec.m**der.d
+    return -math.fsum(
+        a ** (der.L - 1.0) * ((der.L - 1.0) * math.log(a) - der.d * math.log(spec.m))
+        for a in der.a_ell
+    ) / md
+
+
+def rectangle_measure(derived, word) -> float:
+    """Measure of the level-k rectangle addressed by a digit word: product of weights."""
+    measure = 1.0
+    for digit in word:
+        measure *= derived.weight(tuple(digit))
+    return measure
+
+
+def approx_square_measure_alt(spec, word) -> float:
+    """Approximate-square measure by the rectangle-count route.
+
+    m**(-k d) * prod_j a_j**(L-1) * prod_{j > l(k)} a_j, a second route to
+    dimspect.approx_square_measure.
+    """
+    word = [tuple(digit) for digit in word]
+    der = mcmullen_weights(spec)
+    digit_index = {digit: i for i, digit in enumerate(spec.digits)}
+    a_seq = [der.a_ell[digit_index[digit]] for digit in word]
+    k = len(word)
+    l_k = row_depth(k, der.L)
+    log_mu = -k * der.d * math.log(spec.m)
+    log_mu += (der.L - 1.0) * math.fsum(math.log(a) for a in a_seq)
+    log_mu += math.fsum(math.log(a) for a in a_seq[l_k:])
+    return math.exp(log_mu)
+
+
+def loop_cap_cascade(points, s: float, base: int, stop: int, origin, scale: float):
+    """Reference cap cascade: dict-grouped loops over the base cubes.
+
+    Returns (atoms, norm, level_masses) as build_frostman_measure builds
+    them: one atom per occupied base cube at its least point, in the order
+    those points appear in the sorted cloud.
+    """
+    top = 2**base
+    cells = {}
+    reps, cell_idx = [], []
+    for p in points.points:
+        idx = tuple(min(int((c - o) / scale * top), top - 1) for c, o in zip(p, origin))
+        if idx not in cells:
+            cells[idx] = len(reps)
+            reps.append(p)
+            cell_idx.append(idx)
+    masses = [2.0 ** (-base * s)] * len(reps)
+    for level in range(base - 1, stop - 1, -1):
+        groups = {}
+        for i, idx in enumerate(cell_idx):
+            groups.setdefault(tuple(c >> (base - level) for c in idx), []).append(i)
+        cap = 2.0 ** (-level * s)
+        for members in groups.values():
+            total = math.fsum(masses[i] for i in members)
+            if total > cap:
+                for i in members:
+                    masses[i] *= cap / total
+    level_masses = {}
+    for level in range(stop, base + 1):
+        agg = {}
+        for i, idx in enumerate(cell_idx):
+            key = tuple(c >> (base - level) for c in idx)
+            agg[key] = agg.get(key, 0.0) + masses[i]
+        level_masses[level] = agg
+    norm = math.fsum(masses)
+    atoms = [(p, m / norm) for p, m in zip(reps, masses)]
+    return atoms, norm, level_masses

@@ -138,7 +138,6 @@ class TestEstimateCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["metadata"]["menu_size"] == 16
-        assert doc["metadata"]["seed"] == 0
         assert "deltas" in doc["metadata"]
 
     def test_empty_points_exit_2(self, capsys, tmp_path):
@@ -276,27 +275,39 @@ class TestExitCodes:
         assert code == 3
         assert "invariant" in err
 
+    def test_missing_carpet_spec_exits_2(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run(capsys, "gen", "--family", "carpet-points", "--spec", missing)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
 
-class TestThreadCap:
-    def test_env_var_does_not_change_output(self, capsys, tmp_path, monkeypatch):
-        points = tmp_path / "p.txt"
-        points.write_text("\n".join(str(1.0 / k) for k in range(1, 100)) + "\n0.0\n")
-        argv = ["estimate", "--points", str(points), "--grid", "0.5,1",
-                "--deltas", "1e-2,1e-3,1e-4"]
-        code, serial, _ = run(capsys, *argv)
-        assert code == 0
-        monkeypatch.setenv("DIMSPECT_THREADS", "4")
-        code, threaded, _ = run(capsys, *argv)
-        assert code == 0
-        assert threaded == serial
+    def test_missing_points_file_exits_2(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        code, _, err = run(capsys, "frostman", "--points", missing,
+                           "--s", "0.5", "--delta", "0.05", "--theta", "0.5")
+        assert code == 2
+        assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
 
-    def test_garbage_env_var_ignored(self, capsys, tmp_path, monkeypatch):
+    def test_undecodable_points_file_exits_2(self, capsys, tmp_path):
+        points = tmp_path / "latin1.txt"
+        points.write_bytes(b"\xff\xfe0.1\n")
+        code, _, err = run(capsys, "estimate", "--points", str(points))
+        assert code == 2
+        assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
+
+    def test_out_into_missing_directory_exits_2(self, capsys, tmp_path):
+        out = str(tmp_path / "no-such-dir" / "seq.csv")
+        code, _, err = run(capsys, "sequence", "--p", "1", "--grid", "0:1:0.5", "--out", out)
+        assert code == 2
+        assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
+
+    def test_estimate_seed_flag_removed(self, capsys, tmp_path):
         points = tmp_path / "p.txt"
         points.write_text("0.1\n0.9\n")
-        monkeypatch.setenv("DIMSPECT_THREADS", "not-a-number")
-        code, _, _ = run(capsys, "estimate", "--points", str(points),
-                         "--grid", "0.5,1", "--deltas", "1e-2,1e-3,1e-4")
-        assert code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--points", str(points), "--seed", "0"])
+        assert exc.value.code == 2
 
 
 class TestDeterminism:
@@ -312,8 +323,7 @@ class TestDeterminism:
             subprocess.run(
                 [sys.executable, "-m", "dimspect.cli", "estimate",
                  "--points", str(points), "--grid", "0.5,1",
-                 "--deltas", "1e-2,1e-3,1e-4", "--seed", "0",
-                 "--out", str(out)],
+                 "--deltas", "1e-2,1e-3,1e-4", "--out", str(out)],
                 check=True,
             )
             outs.append(out.read_bytes())

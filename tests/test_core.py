@@ -14,27 +14,28 @@ from dimspect import (
     SpectrumSample,
     ValidationError,
     default_theta_grid,
-    scale_bounds,
     spectrum_merge,
 )
 
 
 class TestScaleBounds:
     def test_theta_one_forces_equal_diameters(self):
-        assert scale_bounds(ScaleRange(0.01, 1.0)) == (0.01, 0.01)
+        rng = ScaleRange(0.01, 1.0)
+        assert (rng.lo, rng.hi) == (0.01, 0.01)
 
     def test_half_theta_squares_delta(self):
-        lo, hi = scale_bounds(ScaleRange(0.01, 0.5))
-        assert hi == 0.01
-        assert lo == pytest.approx(1e-4, rel=1e-12)
+        rng = ScaleRange(0.01, 0.5)
+        assert rng.hi == 0.01
+        assert rng.lo == pytest.approx(1e-4, rel=1e-12)
 
     def test_quarter_theta(self):
-        lo, hi = scale_bounds(ScaleRange(0.1, 0.25))
-        assert hi == 0.1
-        assert lo == pytest.approx(1e-4, rel=1e-12)
+        rng = ScaleRange(0.1, 0.25)
+        assert rng.hi == 0.1
+        assert rng.lo == pytest.approx(1e-4, rel=1e-12)
 
     def test_theta_zero_is_unrestricted(self):
-        assert scale_bounds(ScaleRange(0.01, 0.0)) == (0.0, 0.01)
+        rng = ScaleRange(0.01, 0.0)
+        assert (rng.lo, rng.hi) == (0.0, 0.01)
 
     def test_lo_monotone_in_theta(self):
         thetas = [0.1, 0.2, 0.4, 0.6, 0.8, 1.0]

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dimspect import (
     CoverSet,
@@ -9,6 +11,7 @@ from dimspect import (
     PointCloud,
     RestrictedCover,
     ScaleRange,
+    ScaleRangeTooDeepError,
     ValidationError,
     cover_cost,
     fp_points,
@@ -18,7 +21,9 @@ from dimspect import (
     optimal_cover_dyadic,
     refine_cover,
 )
-from oracles import brute_force_menu_cost
+from dimspect.covers import cover_cost_function
+from conftest import point_clouds
+from oracles import brute_force_menu_cost, recursive_dyadic_cover
 
 
 def interval(center: float, diameter: float) -> CoverSet:
@@ -187,6 +192,31 @@ class TestOptimalCoverDyadic:
             me = optimal_cover_1d(pts, rng, s).cost
             assert me <= dy * (1 + 1e-9)
             assert dy <= 2 ** (1 + s) * me
+
+
+class TestDyadicTreeMatchesRecursion:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cloud=point_clouds(),
+        delta=st.floats(1e-3, 0.9),
+        theta=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_cost_and_cover_equal_oracle(self, cloud, delta, theta, u):
+        try:
+            rng = ScaleRange(delta, theta)
+        except ScaleRangeTooDeepError:
+            assume(False)
+        s = u * cloud.dimension_n
+        reference = recursive_dyadic_cover(cloud, rng, s)
+        cover = optimal_cover_dyadic(cloud, rng, s)
+        assert cover.sets == reference.sets
+        assert cover.cost == reference.cost
+        if cloud.dimension_n > 1 or theta == 0.0:
+            assert cover_cost_function(cloud, rng)(s) == reference.cost
+        assert cover.covers(cloud)
+        for c in cover.sets:
+            assert cover.effective_lo <= c.diameter <= rng.hi * (1 + 1e-12)
 
 
 class TestRefineCover:

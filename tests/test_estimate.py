@@ -119,13 +119,6 @@ class TestEstimateSpectrum:
         assert all(a <= b + 0.05 for a, b in zip(lows, lows[1:]))
         assert all(a <= b + 0.05 for a, b in zip(ups, ups[1:]))
 
-    def test_threads_match_serial(self):
-        pts = fp_points(2.0, 1e-3)
-        grid, deltas = [0.5, 1.0], [1e-2, 1e-3, 1e-4]
-        serial = estimate_spectrum(pts, grid, deltas, max_workers=1)
-        threaded = estimate_spectrum(pts, grid, deltas, max_workers=4)
-        assert serial == threaded
-
     def test_validation(self):
         pts = fp_points(1.0, 1e-2)
         with pytest.raises(ValidationError):

@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dimspect import (
     AtomicMeasure,
     PointCloud,
     RangeTooNarrowError,
+    ScaleRangeTooDeepError,
     ValidationError,
     build_frostman_measure,
     check_mdp,
@@ -13,6 +16,9 @@ from dimspect import (
     fp_witness_measure,
     separated_witness_measure,
 )
+from dimspect.frostman import _rescale
+from conftest import point_clouds
+from oracles import loop_cap_cascade
 
 
 def witness_delta(p: float, theta: float, atoms: int = 50) -> float:
@@ -92,6 +98,32 @@ class TestBuilder:
         a = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5, seed=0)
         b = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5, seed=0)
         assert a.measure == b.measure and a.constant == b.constant
+
+
+class TestCascadeMatchesLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cloud=point_clouds(max_points=60),
+        u=st.floats(0.05, 1.0),
+        delta=st.floats(0.01, 0.5),
+        theta=st.floats(0.2, 1.0),
+    )
+    def test_atoms_norm_and_level_masses_equal_reference(self, cloud, u, delta, theta):
+        s = u * cloud.dimension_n
+        try:
+            res = build_frostman_measure(cloud, s, delta, theta, ball_samples=0)
+        except (RangeTooNarrowError, ScaleRangeTooDeepError):
+            assume(False)
+        cascade = res.cascade
+        origin, scale = _rescale(cloud)
+        atoms, norm, level_masses = loop_cap_cascade(
+            cloud, s, cascade.base_level, cascade.stop_level, origin, scale
+        )
+        assert res.measure.atoms == tuple(atoms)
+        assert cascade.norm == norm
+        assert cascade.level_masses == level_masses
+        for level, masses in level_masses.items():
+            assert list(cascade.level_masses[level]) == list(masses)
 
 
 class TestCheckMdp:
