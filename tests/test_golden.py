@@ -1,8 +1,10 @@
-"""Golden outputs: estimate samples and full frostman JSON, compared exactly.
+"""Golden outputs: estimate samples, frostman JSON and critical exponents, compared exactly.
 
 The files under tests/golden/ pin the numbers the CLI printed before the
-dyadic solvers were rebuilt on a shared cell tree; any change to summation
-order or tie-breaking shows up here as an inequality, not a tolerance.
+dyadic solvers were rebuilt on a shared cell tree, and the per-cell
+(s_star, cost_at_s_star) of the sequential-bisection interval DP; any
+change to summation order, tie-breaking or the bisection's midpoints
+shows up here as an inequality, not a tolerance.
 
 Regenerate (only when an output change is intended) with
 
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from dimspect import CarpetSpec, carpet_points
+from dimspect import CarpetSpec, carpet_points, critical_exponent, fp_points
 from dimspect.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -64,6 +66,34 @@ FROSTMAN_CASES = {
 }
 
 
+# (theta, delta, threshold) cells of fp_points(1, 1e-3, theta_min=0.25):
+# the 1-D DP on every theta > 0, one dyadic (theta = 0) cell, and one clamp
+# at each end of [0, n].
+CRITICAL_CELLS = [
+    *[(theta, delta, 1.0) for theta in (0.25, 0.5, 0.75, 1.0) for delta in (1e-2, 1e-3)],
+    (0.0, 1e-2, 1.0),
+    (0.5, 1e-2, 1e4),
+    (0.5, 1e-2, 1e-3),
+]
+
+
+def _critical_cells() -> list[dict]:
+    cloud = fp_points(1.0, 1e-3, theta_min=0.25)
+    out = []
+    for theta, delta, threshold in CRITICAL_CELLS:
+        ce = critical_exponent(cloud, delta, theta, threshold)
+        out.append(
+            {
+                "theta": theta,
+                "delta": delta,
+                "threshold": threshold,
+                "s_star": ce.s_star,
+                "cost_at_s_star": ce.cost_at_s_star,
+            }
+        )
+    return out
+
+
 def _run(command: str, make_points, args, workdir: Path) -> str:
     points = workdir / "points.txt"
     points.write_text(make_points())
@@ -94,6 +124,11 @@ def test_frostman_json_matches_golden(name, tmp_path):
     assert got == (GOLDEN / f"{name}.json").read_text()
 
 
+def test_critical_exponents_match_golden():
+    expected = json.loads((GOLDEN / "critical_1d.json").read_text())
+    assert _critical_cells() == expected
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -103,6 +138,7 @@ def regenerate() -> None:
             (GOLDEN / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
         for name, (make_points, args) in FROSTMAN_CASES.items():
             (GOLDEN / f"{name}.json").write_text(_run("frostman", make_points, args, workdir))
+    (GOLDEN / "critical_1d.json").write_text(json.dumps(_critical_cells(), indent=2) + "\n")
 
 
 if __name__ == "__main__":
