@@ -5,8 +5,8 @@ geometric diameter menu (1-D), and an exact bottom-up pass over dyadic-cube
 covers (any ambient dimension) on _DyadicTree, the dyadic cell tree the
 Frostman cap cascade shares; covers anchor it at the bounding box.  Both
 return the full cover, not just its cost, so admissibility and coverage
-can be checked directly; cover_cost_function gives a cell's s -> cost,
-built once per cell.
+can be checked directly; cover_cost_function gives a cell's solver of
+cost(s), built once per cell, that evaluates a list of s per call.
 """
 
 from __future__ import annotations
@@ -146,41 +146,69 @@ class _IntervalDP:
     each menu diameter starting at point i.  An optimal interval cover can
     be shifted so each interval starts at the leftmost point it covers, so
     this explores a superset of canonical optimal covers.  The jump table
-    is s-independent, so repeated cost evaluations (bisection on s) reuse
-    it.
+    is s-independent and built once, over the states reachable from point
+    0 only: states[k] is the point index of kept state k (the last is the
+    terminal len(xs)), and jump[k, j] the kept state that menu entry j
+    leads to from state k.
     """
 
+    # s values one costs() call should carry.  A pass costs about as much
+    # for 17 values as for one (per-state numpy calls dominate), and 17 is
+    # the two endpoints plus four bisection levels: a bisection takes 3
+    # passes.  Larger batches save no pass until 65 values, at several MB.
+    batch_size = 17
+
     def __init__(self, xs: tuple[float, ...], menu: tuple[float, ...]):
-        self.xs = xs
         self.menu = menu
         arr = np.asarray(xs)
-        self.jump = [
-            np.searchsorted(arr, arr + d, side="right").tolist() for d in menu
-        ]
+        jump = np.searchsorted(arr, arr + np.asarray(menu)[:, None], side="right")
+        reach = np.zeros(len(xs) + 1, dtype=bool)
+        reach[0] = True
+        for i in range(len(xs)):
+            if reach[i]:
+                reach[jump[:, i]] = True
+        self.states = np.flatnonzero(reach)
+        rank = np.cumsum(reach) - 1
+        self.jump = np.ascontiguousarray(rank[jump[:, self.states[:-1]]].T)
 
-    def solve(self, s: float) -> tuple[float, list[int]]:
-        """Return (optimal cost, chosen menu index per DP state).
+    def costs(self, ss) -> list[float]:
+        """Optimal cost at each s in ss, in one right-to-left pass.
+
+        cost[k] = min over j of cost[jump[k, j]] + menu[j]**s.  These are
+        the float sums solve ranks first (its tie-break only picks among
+        equal costs), and no unreachable state feeds a kept one, so each
+        cost equals the scalar DP's over every point bit for bit.
+        """
+        powers = np.array([[d**s for s in ss] for d in self.menu])
+        cost = np.zeros((len(self.states), len(ss)))
+        cand = np.empty_like(powers)
+        for k in range(len(self.jump) - 1, -1, -1):
+            cost.take(self.jump[k], 0, cand, "clip")
+            np.add(cand, powers, cand)
+            np.minimum.reduce(cand, 0, out=cost[k])
+        return cost[0].tolist()
+
+    def solve(self, s: float) -> list[int]:
+        """Chosen menu index per kept state of an optimal cover at s.
 
         Ties broken toward fewer sets, then toward larger diameters.
         """
-        n = len(self.xs)
+        m = len(self.states)
+        jump = self.jump.tolist()
         powers = [d**s for d in self.menu]
-        cost = [0.0] * (n + 1)
-        count = [0] * (n + 1)
-        choice = [-1] * (n + 1)
-        for i in range(n - 1, -1, -1):
+        cost = [0.0] * m
+        count = [0] * m
+        choice = [-1] * m
+        for i in range(m - 2, -1, -1):
             best = None
             for j in range(len(self.menu) - 1, -1, -1):
-                nxt = self.jump[j][i]
+                nxt = jump[i][j]
                 cand = (cost[nxt] + powers[j], count[nxt] + 1, -self.menu[j])
                 if best is None or cand < best:
                     best = cand
                     choice[i] = j
             cost[i], count[i] = best[0], best[1]
-        return cost[0], choice
-
-    def cost(self, s: float) -> float:
-        return self.solve(s)[0]
+        return choice
 
 
 def optimal_cover_1d(
@@ -200,15 +228,13 @@ def optimal_cover_1d(
     xs = points.coords(0)
     menu = geometric_menu(rng.lo, rng.hi, scale_menu_size)
     dp = _IntervalDP(xs, menu)
-    _, choice = dp.solve(s)
+    choice = dp.solve(s)
     sets = []
-    i = 0
-    while i < len(xs):
-        d = menu[choice[i]]
-        sets.append(
-            CoverSet(kind="interval", center=(xs[i] + d / 2.0,), side=d, diameter=d)
-        )
-        i = dp.jump[choice[i]][i]
+    k = 0
+    while k < len(dp.jump):
+        d, x = menu[choice[k]], xs[dp.states[k]]
+        sets.append(CoverSet(kind="interval", center=(x + d / 2.0,), side=d, diameter=d))
+        k = int(dp.jump[k, choice[k]])
     return RestrictedCover.build(sets, rng, s)
 
 
@@ -284,6 +310,12 @@ class _DyadicTree:
         powers, rows = self.chosen(s)
         return math.fsum(np.repeat(powers, [len(r) for r in rows]))
 
+    # Every s is a full pass, so a bisection asks for one s per call.
+    batch_size = 1
+
+    def costs(self, ss) -> list[float]:
+        return [self.cost(s) for s in ss]
+
 
 def _bbox_tree(points: PointCloud, rng: ScaleRange) -> _DyadicTree:
     """The tree of optimal_cover_dyadic: bounding-box anchor, levels admissible for rng.
@@ -350,16 +382,18 @@ def optimal_cover_dyadic(
 
 
 def cover_cost_function(points: PointCloud, rng: ScaleRange, scale_menu_size: int = 16):
-    """One (delta, theta) cell's s -> optimal cover cost, its structure built once.
+    """One (delta, theta) cell's cover-cost solver, its structure built once.
 
+    The solver's costs(ss) gives the optimal cover cost at each s in a
+    list, and its batch_size how many s values one call should carry.
     1-D with theta > 0: the interval DP over the geometric menu, as in
-    optimal_cover_1d.  Otherwise the dyadic tree, giving the cost
-    optimal_cover_dyadic reports.
+    optimal_cover_1d, one pass for a batch of s.  Otherwise the dyadic
+    tree, giving the cost optimal_cover_dyadic reports, one pass per s.
     """
     if points.dimension_n == 1 and rng.theta > 0.0:
         menu = geometric_menu(rng.lo, rng.hi, scale_menu_size)
-        return _IntervalDP(points.coords(0), menu).cost
-    return _bbox_tree(points, rng).cost
+        return _IntervalDP(points.coords(0), menu)
+    return _bbox_tree(points, rng)
 
 
 def refine_cover(

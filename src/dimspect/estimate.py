@@ -51,26 +51,68 @@ def critical_exponent(
     cost(0) counts the fewest admissible sets, so it is >= 1; if that is
     already <= threshold the root is pinned at 0.  If even s = n leaves the
     cost above threshold the result clamps to n (scale far too coarse for
-    the data).  Bisection stops at |ds| <= 1e-3.
+    the data).  Bisection stops at |ds| <= 1e-3, whatever the batch size.
+    Each solver call evaluates several levels of the walk ahead (the two
+    endpoints, then the midpoints of the bisection tree below the current
+    interval), as many as the solver's batch_size holds, so the interval
+    DP needs 3 calls where one s per call would take about 13.  Every s
+    and every comparison is that of a one-s-at-a-time bisection, so the
+    result is too.
     """
     if threshold <= 0.0:
         raise ValidationError(f"threshold must be positive, got {threshold}")
     rng = ScaleRange(delta, check_theta(theta))
-    cost = cover_cost_function(points, rng, scale_menu_size)
+    solver = cover_cost_function(points, rng, scale_menu_size)
     n = float(points.dimension_n)
-    if cost(0.0) <= threshold * (1.0 + 1e-12):
-        return CriticalExponent(delta, theta, 0.0, cost(0.0))
-    if cost(n) > threshold:
-        return CriticalExponent(delta, theta, n, cost(n))
+    known: dict[float, float] = {}
+
+    def cost(lo: float, hi: float, *front: float) -> tuple[float, float]:
+        """(s, cost(s)) for the walk's next s: front[0], or the midpoint of [lo, hi]."""
+        s = front[0] if front else 0.5 * (lo + hi)
+        if s not in known:
+            batch: list[float] = []
+            for level in _walk_ahead(lo, hi, front):
+                if batch and len(batch) + len(level) > solver.batch_size:
+                    break
+                batch += level
+            known.update(zip(batch, solver.costs(batch)))
+        return s, known[s]
+
+    s, c = cost(0.0, n, 0.0, n)
+    if c <= threshold * (1.0 + 1e-12):
+        return CriticalExponent(delta, theta, s, c)
+    s, c = cost(0.0, n, n)
+    if c > threshold:
+        return CriticalExponent(delta, theta, s, c)
     lo, hi = 0.0, n
     while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if cost(mid) > threshold:
+        mid, c = cost(lo, hi)
+        if c > threshold:
             lo = mid
         else:
             hi = mid
-    s_star = 0.5 * (lo + hi)
-    return CriticalExponent(delta, theta, s_star, cost(s_star))
+    s_star, c = cost(lo, hi)
+    return CriticalExponent(delta, theta, s_star, c)
+
+
+def _walk_ahead(lo: float, hi: float, front):
+    """The s values critical_exponent may ask for next, level by level.
+
+    First each of front (the endpoints still to check), then the bisection
+    tree below [lo, hi]: a node's s is 0.5 * (lo + hi), and it has the two
+    halves as children while hi - lo > BISECTION_TOL (else its s is s*).
+    """
+    for s in front:
+        yield [s]
+    level = [(lo, hi)]
+    while level:
+        yield [0.5 * (a + b) for a, b in level]
+        level = [
+            half
+            for a, b in level
+            if b - a > BISECTION_TOL
+            for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))
+        ]
 
 
 def _drift_corrected(cells: list[CriticalExponent]) -> dict[float, float]:

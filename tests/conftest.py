@@ -26,13 +26,13 @@ def random_carpet(rnd: random.Random, max_m: int = 3, max_n: int = 6) -> CarpetS
 
 
 @st.composite
-def point_clouds(draw, max_points: int = 30) -> PointCloud:
-    """Clouds in R^1..R^3 at a random offset and spread.
+def point_clouds(draw, max_points: int = 30, dimension: int | None = None) -> PointCloud:
+    """Clouds in R^dimension (default: R^1..R^3) at a random offset and spread.
 
     Coordinates mix arbitrary floats with points on a 1/16 grid, so that
     dyadic cells share boundaries and exact cost ties occur.
     """
-    n = draw(st.integers(1, 3))
+    n = dimension or draw(st.integers(1, 3))
     offset = draw(st.sampled_from([0.0, -1.0, 2.5]))
     spread = draw(st.sampled_from([1.0, 0.05, 3.0]))
     coord = st.one_of(

@@ -4,9 +4,10 @@ The carpet oracles recompute every closed form with 60-digit mpmath
 arithmetic from the raw digit set; the menu oracle enumerates all
 partition-based interval covers.  Neither shares code with the library
 paths they check.  The reference implementations are the straightforward
-loop forms of vectorized library code (the recursive dyadic solver, the
-dict-grouped cap cascade) and second closed-form routes to carpet
-quantities; the library must match them exactly or to rounding.
+loop forms of vectorized or batched library code (the scalar interval DP
+over every point, the recursive dyadic solver, the one-s-at-a-time
+bisection, the dict-grouped cap cascade) and second closed-form routes to
+carpet quantities; the library must match them exactly or to rounding.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from dimspect import CoverSet, RestrictedCover, mcmullen_weights
 from dimspect.carpet import row_depth
 from dimspect.covers import _bbox_tree
+from dimspect.estimate import BISECTION_TOL
 
 mp.mp.dps = 60
 
@@ -86,6 +88,73 @@ def brute_force_menu_cost(xs, menu, s: float) -> float:
     if best is None:
         raise AssertionError("no feasible cover in brute force")
     return best[0]
+
+
+class ScalarIntervalDP:
+    """Reference interval DP: one s per pass over every point, reachable or not.
+
+    State i = first uncovered point; transition places one interval of
+    each menu diameter starting at point i.  jump[j][i] is the state menu
+    entry j leads to from state i.
+    """
+
+    def __init__(self, xs, menu):
+        self.xs = xs
+        self.menu = menu
+        arr = np.asarray(xs)
+        self.jump = [
+            np.searchsorted(arr, arr + d, side="right").tolist() for d in menu
+        ]
+
+    def solve(self, s: float) -> tuple[float, list[int]]:
+        """Return (optimal cost, chosen menu index per DP state).
+
+        Ties broken toward fewer sets, then toward larger diameters.
+        """
+        n = len(self.xs)
+        powers = [d**s for d in self.menu]
+        cost = [0.0] * (n + 1)
+        count = [0] * (n + 1)
+        choice = [-1] * (n + 1)
+        for i in range(n - 1, -1, -1):
+            best = None
+            for j in range(len(self.menu) - 1, -1, -1):
+                nxt = self.jump[j][i]
+                cand = (cost[nxt] + powers[j], count[nxt] + 1, -self.menu[j])
+                if best is None or cand < best:
+                    best = cand
+                    choice[i] = j
+            cost[i], count[i] = best[0], best[1]
+        return cost[0], choice
+
+    def cost(self, s: float) -> float:
+        return self.solve(s)[0]
+
+    def cover(self, s: float) -> list[tuple[float, float]]:
+        """(left end, diameter) of each interval of the tie-broken optimal cover."""
+        _, choice = self.solve(s)
+        picks, i = [], 0
+        while i < len(self.xs):
+            picks.append((self.xs[i], self.menu[choice[i]]))
+            i = self.jump[choice[i]][i]
+        return picks
+
+
+def sequential_critical_exponent(cost, n: float, threshold: float) -> tuple[float, float]:
+    """Reference root finder: (s*, cost(s*)) by bisection, one cost(s) call at a time."""
+    if cost(0.0) <= threshold * (1.0 + 1e-12):
+        return 0.0, cost(0.0)
+    if cost(n) > threshold:
+        return n, cost(n)
+    lo, hi = 0.0, n
+    while hi - lo > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if cost(mid) > threshold:
+            lo = mid
+        else:
+            hi = mid
+    s_star = 0.5 * (lo + hi)
+    return s_star, cost(s_star)
 
 
 def recursive_dyadic_cover(points, rng, s: float):

@@ -21,9 +21,9 @@ from dimspect import (
     optimal_cover_dyadic,
     refine_cover,
 )
-from dimspect.covers import cover_cost_function
+from dimspect.covers import _IntervalDP, cover_cost_function
 from conftest import point_clouds
-from oracles import brute_force_menu_cost, recursive_dyadic_cover
+from oracles import ScalarIntervalDP, brute_force_menu_cost, recursive_dyadic_cover
 
 
 def interval(center: float, diameter: float) -> CoverSet:
@@ -213,10 +213,64 @@ class TestDyadicTreeMatchesRecursion:
         assert cover.sets == reference.sets
         assert cover.cost == reference.cost
         if cloud.dimension_n > 1 or theta == 0.0:
-            assert cover_cost_function(cloud, rng)(s) == reference.cost
+            assert cover_cost_function(cloud, rng).costs([s]) == [reference.cost]
         assert cover.covers(cloud)
         for c in cover.sets:
             assert cover.effective_lo <= c.diameter <= rng.hi * (1 + 1e-12)
+
+
+@st.composite
+def dp_cells(draw, max_points: int = 30):
+    """A 1-D cloud, a band with theta > 0, its menu size and menu, and a batch of s.
+
+    The batch holds 0 and 1 and arbitrary or 1/64-grid values in [0, 1].
+    """
+    cloud = draw(point_clouds(max_points=max_points, dimension=1))
+    try:
+        rng = ScaleRange(draw(st.floats(1e-3, 0.9)), draw(st.floats(0.05, 1.0)))
+    except ScaleRangeTooDeepError:
+        assume(False)
+    size = draw(st.integers(2, 16))
+    menu = geometric_menu(rng.lo, rng.hi, size)
+    extra = st.one_of(st.floats(0.0, 1.0), st.integers(0, 64).map(lambda k: k / 64.0))
+    ss = [0.0, 1.0] + draw(st.lists(extra, max_size=15))
+    return cloud, rng, size, menu, draw(st.permutations(ss))
+
+
+class TestIntervalDPMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(cell=dp_cells())
+    def test_batched_cost_and_cover_equal_scalar_dp(self, cell):
+        cloud, rng, size, menu, ss = cell
+        xs = cloud.coords(0)
+        oracle = ScalarIntervalDP(xs, menu)
+        assert _IntervalDP(xs, menu).costs(ss) == [oracle.cost(s) for s in ss]
+        for s in ss[:3]:
+            cover = optimal_cover_1d(cloud, rng, s, scale_menu_size=size)
+            picks = oracle.cover(s)
+            assert [c.diameter for c in cover.sets] == [d for _, d in picks]
+            assert [c.center for c in cover.sets] == [(x + d / 2.0,) for x, d in picks]
+
+    @settings(max_examples=100, deadline=None)
+    @given(cell=dp_cells(max_points=10))
+    def test_batched_cost_equals_brute_force(self, cell):
+        cloud, _, _, menu, ss = cell
+        xs = cloud.coords(0)
+        for s, got in zip(ss, _IntervalDP(xs, menu).costs(ss)):
+            expected = brute_force_menu_cost(xs, menu, s)
+            assert abs(got - expected) <= 1e-12 * max(1.0, expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(cell=dp_cells())
+    def test_cost_strictly_decreasing_in_s(self, cell):
+        # all diameters are below 1; s values closer than 1e-6 may round
+        # to equal powers, so only well-separated pairs are compared
+        cloud, _, _, menu, ss = cell
+        ss = sorted(set(ss))
+        costs = _IntervalDP(cloud.coords(0), menu).costs(ss)
+        for (s, a), (t, b) in zip(zip(ss, costs), zip(ss[1:], costs[1:])):
+            if t - s > 1e-6:
+                assert a > b
 
 
 class TestRefineCover:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dimspect import (
     PointCloud,
@@ -13,8 +15,13 @@ from dimspect import (
     fp_points,
     optimal_cover_1d,
     ScaleRange,
+    carpet_points,
+    geometric_menu,
 )
+from dimspect import estimate
 from dimspect.estimate import BISECTION_TOL, _drift_corrected
+from conftest import point_clouds
+from oracles import ScalarIntervalDP, recursive_dyadic_cover, sequential_critical_exponent
 
 
 class TestCriticalExponent:
@@ -66,6 +73,91 @@ class TestCriticalExponent:
         pts = fp_points(1.0, 1e-2)
         with pytest.raises(ValidationError):
             critical_exponent(pts, 1e-2, 0.5, threshold=0.0)
+
+
+class _CountingSolver:
+    """A cell's cover-cost solver that records the s values of each costs() call."""
+
+    def __init__(self, solver, calls: list):
+        self.solver, self.calls = solver, calls
+        self.batch_size = solver.batch_size
+
+    def costs(self, ss):
+        self.calls.append(list(ss))
+        return self.solver.costs(ss)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch) -> list:
+    calls = []
+    real = estimate.cover_cost_function
+    monkeypatch.setattr(
+        estimate, "cover_cost_function", lambda *args: _CountingSolver(real(*args), calls)
+    )
+    return calls
+
+
+class TestSolverCalls:
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_clamp_at_zero_evaluates_zero_once(self, solver_calls, theta):
+        pc = PointCloud.from_points([(0.42,)])
+        assert critical_exponent(pc, 0.01, theta).s_star == 0.0
+        flat = [s for call in solver_calls for s in call]
+        assert len(solver_calls) == 1
+        assert flat.count(0.0) == 1
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5])
+    def test_clamp_at_n_evaluates_each_endpoint_once(self, solver_calls, theta):
+        pts = fp_points(1.0, 1e-2)
+        assert critical_exponent(pts, 1e-2, theta, threshold=1e-15).s_star == 1.0
+        flat = [s for call in solver_calls for s in call]
+        assert flat.count(0.0) == 1
+        assert flat.count(1.0) == 1
+        assert len(solver_calls) == (1 if theta > 0.0 else 2)
+
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0])
+    def test_interval_dp_cell_takes_at_most_three_calls(self, solver_calls, theta):
+        pts = fp_points(1.0, 1e-3, theta_min=0.25)
+        critical_exponent(pts, 1e-3, theta)
+        flat = [s for call in solver_calls for s in call]
+        assert len(solver_calls) <= 3
+        assert len(flat) == len(set(flat))
+
+    def test_dyadic_cell_one_s_per_bisection_level(self, solver_calls, worked_carpet):
+        # the endpoints, one s per bisection level, then s*
+        for cloud, theta in ((fp_points(1.0, 1e-2), 0.0), (carpet_points(worked_carpet, 5), 0.5)):
+            solver_calls.clear()
+            critical_exponent(cloud, 0.1, theta)
+            levels = math.ceil(math.log2(cloud.dimension_n / BISECTION_TOL))
+            assert [len(call) for call in solver_calls] == [1] * (2 + levels + 1)
+
+
+class TestLookaheadMatchesSequentialBisection:
+    @pytest.mark.parametrize("dyadic", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cloud=point_clouds(max_points=12, dimension=1),
+        delta=st.floats(1e-3, 0.9),
+        band=st.floats(0.05, 1.0),
+        where=st.one_of(st.floats(0.0, 1.0), st.sampled_from([-1.0, 2.0])),
+    )
+    def test_same_root_and_cost(self, dyadic, cloud, delta, band, where):
+        theta = 0.0 if dyadic else band
+        try:
+            rng = ScaleRange(delta, theta)
+        except ScaleRangeTooDeepError:
+            assume(False)
+        if theta > 0.0:
+            cost = ScalarIntervalDP(cloud.coords(0), geometric_menu(rng.lo, rng.hi, 16)).cost
+        else:
+            def cost(s):
+                return recursive_dyadic_cover(cloud, rng, s).cost
+        # where in [0, 1] puts the threshold log-uniformly between cost(1)
+        # and cost(0); -1 forces the clamp at 0 and 2 the clamp at 1
+        threshold = cost(1.0) ** where * cost(0.0) ** (1.0 - where)
+        ce = critical_exponent(cloud, delta, theta, threshold)
+        reference = sequential_critical_exponent(cost, 1.0, threshold)
+        assert (ce.s_star, ce.cost_at_s_star) == reference
 
 
 class TestEstimateSpectrum:
