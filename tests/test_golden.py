@@ -1,7 +1,8 @@
 """Golden outputs: estimate samples, frostman JSON and critical exponents, compared exactly.
 
 The files under tests/golden/ pin the numbers the CLI printed before the
-dyadic solvers were rebuilt on a shared cell tree, and the per-cell
+dyadic solvers were rebuilt on a shared cell tree, the frostman JSON of
+an R^3 cloud from the full-scan ball masses, and the per-cell
 (s_star, cost_at_s_star) of the sequential-bisection interval DP; any
 change to summation order, tie-breaking or the bisection's midpoints
 shows up here as an inequality, not a tolerance.
@@ -14,6 +15,7 @@ Regenerate (only when an output change is intended) with
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 import tempfile
@@ -46,6 +48,27 @@ def _shifted_cloud_text() -> str:
     ) + "\n"
 
 
+def _cube_cloud_text() -> str:
+    """150 points in the unit cube: one close pair, 148 seeded points 0.1 apart.
+
+    The pair is 0.0625 = delta**(1/theta) apart up to rounding: fsum of the
+    three squared differences is above 0.0625**2 and a plain left-to-right
+    sum is not, so the builder's band-edge probes around the pair, its
+    worst ratio and everything after it depend on summing exactly.
+    """
+    pair = [
+        (0.5525792573086941, 0.5538350338697383, 0.5455178874522701),
+        (0.5779351300111953, 0.6010722229729097, 0.5776422969429639),
+    ]
+    rnd = random.Random(5)
+    pts = list(pair)
+    while len(pts) < 150:
+        p = (rnd.random(), rnd.random(), rnd.random())
+        if all(math.dist(p, q) >= 0.1 for q in pts):
+            pts.append(p)
+    return "\n".join(" ".join(map(repr, p)) for p in pts) + "\n"
+
+
 ESTIMATE_CASES = {
     "estimate_1d": (_sequence_text, ["--grid", "0,0.5,1", "--deltas", "1e-2,1e-3,1e-4"]),
     "estimate_2d": (_carpet_text, ["--grid", "0,0.5,1", "--deltas", "0.2,0.1,0.05"]),
@@ -58,6 +81,10 @@ FROSTMAN_CASES = {
     "frostman_2d": (
         _carpet_text,
         ["--s", "0.8", "--delta", "0.05", "--theta", "0.5", "--seed", "0"],
+    ),
+    "frostman_3d": (
+        _cube_cloud_text,
+        ["--s", "2.0", "--delta", "0.5", "--theta", "0.25", "--seed", "2"],
     ),
     "frostman_shifted": (
         _shifted_cloud_text,
