@@ -7,12 +7,20 @@ The result is a finite-atom probability measure whose ball masses are
 bounded by c * r**s across the admissible radius band, with c measured
 empirically.  check_mdp verifies such bounds by sampling; a pass
 certifies dimension >= s at sampling confidence.
+
+Both probe ball masses the same way (_ball_masses): a numpy box filter
+over the atoms' coordinate array keeps the atoms within r (1 + 1e-9) of
+the center on every axis, and the exact test, an fsum of squared
+coordinate differences against r*r, decides among those.  The filter
+drops only atoms the exact test rejects, so masses are the full scan's
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +72,36 @@ class FrostmanResult:
     range: ScaleRange
 
 
-def _ball_mass(atoms, x, r: float) -> float:
-    r2 = r * r
-    return math.fsum(
-        m for p, m in atoms if math.fsum((a - b) ** 2 for a, b in zip(p, x)) <= r2
-    )
+def _ball_masses(atoms, probes) -> list[float]:
+    """mu(B(x, r)) = fsum of the masses of atoms p with fsum((p - x)**2) <= r*r, per probe.
+
+    atoms are (point, mass) pairs, probes (x, r) pairs with r > 0.  Each
+    probe first keeps the atoms inside the box |p_i - x_i| <= r (1 + 1e-9),
+    one numpy pass over the coordinates built here, then runs the exact
+    test on those only.  A dropped atom has some fl(p_i - x_i)**2 above
+    fl(r*r), so its fsum is above r*r too: the exact test would reject
+    it, and the fsum of the kept masses is the full scan's.  This holds
+    for correctly rounded squares already; the margin absorbs a `**`
+    that is off by more.  It needs r*r normal: where r*r underflows, the
+    box is unbounded and every atom goes to the exact test.
+    """
+    # one contiguous row per axis: the all() over axis 0 is then a few
+    # elementwise ands, where over the atoms' rows it is a slow reduction
+    coords = np.ascontiguousarray(np.array([p for p, _ in atoms]).T)
+    masses = []
+    for x, r in probes:
+        r2 = r * r
+        reach = r * (1.0 + 1e-9) if r2 >= sys.float_info.min else math.inf
+        inside = np.abs(coords - np.reshape(x, (-1, 1))) <= reach
+        near = np.flatnonzero(inside.all(axis=0))
+        masses.append(
+            math.fsum(
+                m
+                for p, m in map(atoms.__getitem__, near.tolist())
+                if math.fsum((a - b) ** 2 for a, b in zip(p, x)) <= r2
+            )
+        )
+    return masses
 
 
 def _rescale(points: PointCloud):
@@ -171,8 +204,8 @@ def build_frostman_measure(
         x = atoms[rnd.randrange(len(atoms))][0]
         r = math.exp(rnd.uniform(log_lo, log_hi))
         probes.append((x, r))
-    for x, r in probes:
-        worst = max(worst, _ball_mass(atoms, x, r) / r**s)
+    for (_, r), mass in zip(probes, _ball_masses(atoms, probes)):
+        worst = max(worst, mass / r**s)
     return FrostmanResult(
         measure=measure,
         constant=2.0 * worst,
@@ -252,8 +285,11 @@ def check_mdp(
     log-uniform over the admissible band.  A band narrower than one decade
     is flagged weak: it certifies little.
     """
-    if a <= 0.0 or c <= 0.0:
-        raise ValidationError("mass floor a and constant c must be positive")
+    for name, value in (("exponent s", s), ("mass floor a", a), ("constant c", c)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValidationError(f"{name} must be finite and positive, got {value}")
+    if ball_samples < 1:
+        raise ValidationError(f"ball_samples must be at least 1, got {ball_samples}")
     check_theta(theta)
     measures = list(measures)
     if not measures:
@@ -267,6 +303,7 @@ def check_mdp(
         atoms = measure.atoms
         worst = 0.0
         violations = 0
+        probes = []
         for _ in range(ball_samples):
             x = atoms[rnd.randrange(len(atoms))][0]
             u = (
@@ -274,7 +311,10 @@ def check_mdp(
                 if diam_hi <= diam_lo
                 else math.exp(rnd.uniform(math.log(diam_lo), math.log(diam_hi)))
             )
-            ratio = _ball_mass(atoms, x, u / 2.0) / (c * u**s)
+            probes.append((x, u))
+        balls = [(x, u / 2.0) for x, u in probes]
+        for (_, u), mass in zip(probes, _ball_masses(atoms, balls)):
+            ratio = mass / (c * u**s)
             worst = max(worst, ratio)
             if ratio > 1.0 + 1e-9:
                 violations += 1

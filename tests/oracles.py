@@ -6,8 +6,9 @@ partition-based interval covers.  Neither shares code with the library
 paths they check.  The reference implementations are the straightforward
 loop forms of vectorized or batched library code (the scalar interval DP
 over every point, the recursive dyadic solver, the one-s-at-a-time
-bisection, the dict-grouped cap cascade) and second closed-form routes to
-carpet quantities; the library must match them exactly or to rounding.
+bisection, the dict-grouped cap cascade, the full-scan ball mass) and
+second closed-form routes to carpet quantities; the library must match
+them exactly or to rounding.
 """
 
 from __future__ import annotations
@@ -299,3 +300,11 @@ def loop_cap_cascade(points, s: float, base: int, stop: int, origin, scale: floa
     norm = math.fsum(masses)
     atoms = [(p, m / norm) for p, m in zip(reps, masses)]
     return atoms, norm, level_masses
+
+
+def full_scan_ball_mass(atoms, x, r: float) -> float:
+    """Reference ball mass: the exact distance test on every atom."""
+    r2 = r * r
+    return math.fsum(
+        m for p, m in atoms if math.fsum((a - b) ** 2 for a, b in zip(p, x)) <= r2
+    )

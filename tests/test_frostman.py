@@ -16,9 +16,9 @@ from dimspect import (
     fp_witness_measure,
     separated_witness_measure,
 )
-from dimspect.frostman import _rescale
+from dimspect.frostman import _ball_masses, _rescale
 from conftest import point_clouds
-from oracles import loop_cap_cascade
+from oracles import full_scan_ball_mass, loop_cap_cascade
 
 
 def witness_delta(p: float, theta: float, atoms: int = 50) -> float:
@@ -126,6 +126,56 @@ class TestCascadeMatchesLoops:
             assert list(cascade.level_masses[level]) == list(masses)
 
 
+class TestBallMassesMatchFullScan:
+    """The box-filtered ball masses equal the full scan's with ==."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=point_clouds(max_points=40), data=st.data())
+    def test_equal_to_full_scan(self, cloud, data):
+        pts = cloud.points
+        masses = data.draw(
+            st.lists(st.floats(1e-6, 1.0), min_size=len(pts), max_size=len(pts))
+        )
+        atoms = tuple(zip(pts, masses))
+        coord = st.floats(-1.0, 6.0, allow_nan=False, allow_infinity=False)
+        probes = []
+        for _ in range(data.draw(st.integers(1, 10))):
+            x = data.draw(
+                st.one_of(st.sampled_from(pts), st.tuples(*[coord] * cloud.dimension_n))
+            )
+            kind = data.draw(st.sampled_from(["log-uniform", "distance", "axis"]))
+            if kind == "log-uniform":
+                r = math.exp(data.draw(st.floats(math.log(1e-4), math.log(10.0))))
+            else:
+                # an atom exactly on the sphere, or on a face of the box
+                p = data.draw(st.sampled_from(pts))
+                diffs = [a - b for a, b in zip(p, x)]
+                if kind == "distance":
+                    r = math.sqrt(math.fsum(d**2 for d in diffs))
+                else:
+                    r = abs(data.draw(st.sampled_from(diffs)))
+                r = data.draw(
+                    st.sampled_from([r, math.nextafter(r, 0.0), math.nextafter(r, math.inf)])
+                )
+            probes.append((x, r))
+        expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
+        assert _ball_masses(atoms, probes) == expected
+
+    def test_radii_whose_square_underflows(self):
+        # where r*r rounds to 0 or to a subnormal, the exact test keeps
+        # atoms outside the box, and the filter must let them through
+        atoms = (
+            ((0.0,), 0.125),
+            ((1e-190,), 0.25),
+            ((1.0000001e-160,), 0.5),
+            ((1.0,), 0.125),
+        )
+        probes = [((0.0,), 1e-200), ((0.0,), 5e-324), ((0.0,), 1e-160)]
+        expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
+        assert expected == [0.375, 0.375, 0.875]
+        assert _ball_masses(atoms, probes) == expected
+
+
 class TestCheckMdp:
     def test_builder_composition_passes(self):
         pts = fp_points(1.0, 0.01)
@@ -166,6 +216,29 @@ class TestCheckMdp:
     def test_empty_list_rejected(self):
         with pytest.raises(ValidationError):
             check_mdp([], s=0.5, theta=0.5, a=1.0, c=1.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"s": math.nan},
+            {"s": math.inf},
+            {"s": 0.0},
+            {"c": math.nan},
+            {"c": math.inf},
+            {"c": -1.0},
+            {"a": math.nan},
+            {"a": math.inf},
+            {"a": 0.0},
+            {"ball_samples": 0},
+            {"ball_samples": -3},
+        ],
+        ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_refuses_bad_numbers(self, bad):
+        mu = AtomicMeasure.from_atoms([((0.25,), 0.5), ((0.75,), 0.5)])
+        args = {"s": 0.5, "theta": 0.5, "a": 1.0, "c": 100.0, "ball_samples": 20, **bad}
+        with pytest.raises(ValidationError):
+            check_mdp([(1e-3, mu)], **args)
 
     def test_json_shape(self):
         mu = AtomicMeasure.from_atoms([((0.5,), 1.0)])
