@@ -23,7 +23,15 @@ from pathlib import Path
 
 import pytest
 
-from dimspect import CarpetSpec, carpet_points, critical_exponent, fp_points
+from dimspect import (
+    CarpetSpec,
+    PointCloud,
+    ScaleRange,
+    carpet_points,
+    critical_exponent,
+    fp_points,
+    optimal_cover_dyadic,
+)
 from dimspect.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -67,6 +75,54 @@ def _cube_cloud_text() -> str:
         if all(math.dist(p, q) >= 0.1 for q in pts):
             pts.append(p)
     return "\n".join(" ".join(map(repr, p)) for p in pts) + "\n"
+
+
+def _deep_cloud_points() -> list[tuple[float, float, float]]:
+    """Seeded points in the unit cube, clustered at scales 1e-2 down to 1e-11.
+
+    Each of 24 seeded centers carries satellites nested at random offsets,
+    so cells split apart on levels down to about 37: a theta = 0 tree and
+    a cascade with m - stop > 21 both hold more levels than one int64 word
+    of three-bit child codes.
+    """
+    rnd = random.Random(17)
+    pts = []
+    for _ in range(24):
+        center = [0.1 + 0.8 * rnd.random() for _ in range(3)]
+        pts.append(tuple(center))
+        for _ in range(rnd.randint(0, 3)):
+            size = 10.0 ** -rnd.randint(2, 11)
+            center = [c + size * (rnd.random() - 0.5) for c in center]
+            pts.append(tuple(center))
+    return pts
+
+
+def _deep_cloud_text() -> str:
+    return "\n".join(" ".join(map(repr, p)) for p in _deep_cloud_points()) + "\n"
+
+
+# (delta, s) at theta = 0: the chosen cubes lie on levels 2 to 40
+DEEP_COVER_CASES = [(0.5, 0.02), (0.5, 0.05), (0.05, 0.08), (0.05, 0.5)]
+DEEP_CRITICAL_DELTAS = (0.5, 0.005)
+DEEP_FROSTMAN_ARGS = ["--s", "0.4", "--delta", "0.05", "--theta", "0.125", "--seed", "4"]
+
+
+def _deep_3d(workdir: Path) -> dict:
+    """Theta = 0 covers and critical exponents, and a deep cascade, of one R^3 cloud."""
+    cloud = PointCloud.from_points(_deep_cloud_points())
+    covers = []
+    for delta, s in DEEP_COVER_CASES:
+        cover = optimal_cover_dyadic(cloud, ScaleRange(delta, 0.0), s)
+        sets = [[list(c.center), c.side] for c in cover.sets]
+        covers.append({"delta": delta, "s": s, "cost": cover.cost, "sets": sets})
+    critical = []
+    for delta in DEEP_CRITICAL_DELTAS:
+        ce = critical_exponent(cloud, delta, 0.0)
+        critical.append(
+            {"delta": delta, "s_star": ce.s_star, "cost_at_s_star": ce.cost_at_s_star}
+        )
+    frostman = json.loads(_run("frostman", _deep_cloud_text, DEEP_FROSTMAN_ARGS, workdir))
+    return {"covers": covers, "critical": critical, "frostman": frostman}
 
 
 ESTIMATE_CASES = {
@@ -156,6 +212,11 @@ def test_critical_exponents_match_golden():
     assert _critical_cells() == expected
 
 
+def test_deep_3d_matches_golden(tmp_path):
+    expected = json.loads((GOLDEN / "dyadic_3d_deep.json").read_text())
+    assert _deep_3d(tmp_path) == expected
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
@@ -165,6 +226,8 @@ def regenerate() -> None:
             (GOLDEN / f"{name}.json").write_text(json.dumps(doc, indent=2) + "\n")
         for name, (make_points, args) in FROSTMAN_CASES.items():
             (GOLDEN / f"{name}.json").write_text(_run("frostman", make_points, args, workdir))
+        doc = _deep_3d(workdir)
+        (GOLDEN / "dyadic_3d_deep.json").write_text(json.dumps(doc, indent=1) + "\n")
     (GOLDEN / "critical_1d.json").write_text(json.dumps(_critical_cells(), indent=2) + "\n")
 
 
