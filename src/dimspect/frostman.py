@@ -132,8 +132,10 @@ def build_frostman_measure(
     the worst sampled ratio mu(B(x,r)) / r**s (radius form), a safety
     factor over the probes.
     """
-    if not s > 0.0:
-        raise ValidationError(f"exponent s must be positive, got {s}")
+    if not (math.isfinite(s) and s > 0.0):
+        raise ValidationError(f"exponent s must be finite and positive, got {s}")
+    if ball_samples < 0:
+        raise ValidationError(f"ball_samples must be at least 0, got {ball_samples}")
     check_theta(theta)
     if theta == 0.0:
         raise ValidationError("the cascade needs theta > 0 (theta = 0 is classical)")
@@ -186,6 +188,7 @@ def build_frostman_measure(
         level_masses[level] = dict(
             zip(map(tuple, cells[seen].tolist()), sums[seen].tolist())
         )
+    del tree, starts, cells  # the probes below need none of the tree
 
     norm = math.fsum(masses)
     measure = AtomicMeasure.from_atoms(zip(reps, (masses / norm).tolist()))

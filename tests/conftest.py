@@ -26,15 +26,18 @@ def random_carpet(rnd: random.Random, max_m: int = 3, max_n: int = 6) -> CarpetS
 
 
 @st.composite
-def point_clouds(draw, max_points: int = 30, dimension: int | None = None) -> PointCloud:
+def point_clouds(
+    draw, max_points: int = 30, dimension: int | None = None, unit_box: bool = False
+) -> PointCloud:
     """Clouds in R^dimension (default: R^1..R^3) at a random offset and spread.
 
     Coordinates mix arbitrary floats with points on a 1/16 grid, so that
-    dyadic cells share boundaries and exact cost ties occur.
+    dyadic cells share boundaries and exact cost ties occur.  unit_box
+    keeps every point in [0, 1]^n.
     """
     n = dimension or draw(st.integers(1, 3))
-    offset = draw(st.sampled_from([0.0, -1.0, 2.5]))
-    spread = draw(st.sampled_from([1.0, 0.05, 3.0]))
+    offset = 0.0 if unit_box else draw(st.sampled_from([0.0, -1.0, 2.5]))
+    spread = draw(st.sampled_from([1.0, 0.05] if unit_box else [1.0, 0.05, 3.0]))
     coord = st.one_of(
         st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False),
         st.integers(0, 16).map(lambda k: k / 16.0),

@@ -5,8 +5,9 @@ arithmetic from the raw digit set; the menu oracle enumerates all
 partition-based interval covers.  Neither shares code with the library
 paths they check.  The reference implementations are the straightforward
 loop forms of vectorized or batched library code (the scalar interval DP
-over every point, the recursive dyadic solver, the one-s-at-a-time
-bisection, the dict-grouped cap cascade, the full-scan ball mass) and
+over every point, the recursive dyadic solver, the per-level np.unique
+dyadic cell tree, the one-s-at-a-time bisection, the dict-grouped cap
+cascade, the full-scan ball mass) and
 second closed-form routes to carpet quantities; the library must match
 them exactly or to rounding.
 """
@@ -156,6 +157,36 @@ def sequential_critical_exponent(cost, n: float, threshold: float) -> tuple[floa
             hi = mid
     s_star = 0.5 * (lo + hi)
     return s_star, cost(s_star)
+
+
+def unique_dyadic_tree(points, origin, scale: float, top: int, bottom: int):
+    """Reference dyadic cell tree: np.unique per level, then a stable sort per level.
+
+    Returns (cells, parents, first_point) as covers._DyadicTree holds them:
+    cells[i] the occupied cells of level top + i in depth-first order,
+    parents[i] each level top + i + 1 cell's parent row in cells[i], and
+    first_point the least row in points of each bottom cell.
+    """
+    side = 2**bottom
+    codes = (np.asarray(points.points) - np.asarray(origin)) / scale * side
+    leaves, first = np.unique(
+        np.minimum(codes.astype(np.int64), side - 1), axis=0, return_index=True
+    )
+    cells, parents = [leaves], []
+    for _ in range(bottom - top):
+        up, parent = np.unique(cells[0] >> 1, axis=0, return_inverse=True)
+        cells.insert(0, up)
+        parents.insert(0, parent.reshape(-1))
+    # np.unique leaves each level lexicographic; a stable sort by the
+    # reordered parent rows makes it depth-first, top-down.
+    order = np.arange(len(cells[0]))
+    for i in range(1, len(cells)):
+        row = np.empty_like(order)
+        row[order] = np.arange(len(order))
+        parent = row[parents[i - 1]]
+        order = np.argsort(parent, kind="stable")
+        cells[i], parents[i - 1] = cells[i][order], parent[order]
+    return cells, parents, first[order]
 
 
 def recursive_dyadic_cover(points, rng, s: float):

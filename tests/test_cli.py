@@ -222,6 +222,16 @@ class TestFrostmanCommand:
         doc = json.loads(out)
         assert doc["report"]["entries"][0]["weak_band"] is True
 
+    def test_infinite_s_exits_2(self, capsys, tmp_path):
+        points = tmp_path / "p.txt"
+        points.write_text("0.1\n0.5\n0.9\n")
+        code, out, err = run(
+            capsys, "frostman", "--points", str(points),
+            "--s", "inf", "--delta", "0.01", "--theta", "0.5",
+        )
+        assert code == 2
+        assert out == "" and "finite" in err
+
     def test_range_too_narrow_exit_4(self, capsys, tmp_path):
         points = tmp_path / "p.txt"
         points.write_text("0.1\n0.9\n")

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,9 +22,15 @@ from dimspect import (
     optimal_cover_dyadic,
     refine_cover,
 )
-from dimspect.covers import _IntervalDP, cover_cost_function
+from dimspect.core import MAX_DEPTH
+from dimspect.covers import _DyadicTree, _IntervalDP, cover_cost_function
 from conftest import point_clouds
-from oracles import ScalarIntervalDP, brute_force_menu_cost, recursive_dyadic_cover
+from oracles import (
+    ScalarIntervalDP,
+    brute_force_menu_cost,
+    recursive_dyadic_cover,
+    unique_dyadic_tree,
+)
 
 
 def interval(center: float, diameter: float) -> CoverSet:
@@ -217,6 +224,84 @@ class TestDyadicTreeMatchesRecursion:
         assert cover.covers(cloud)
         for c in cover.sets:
             assert cover.effective_lo <= c.diameter <= rng.hi * (1 + 1e-12)
+
+
+def bbox_anchor(cloud: PointCloud):
+    """The anchor of optimal_cover_dyadic: the lower bbox corner and the widest extent."""
+    mins, maxs = cloud.bbox
+    return mins, max(hi - lo for lo, hi in zip(mins, maxs)) or 1.0
+
+
+@st.composite
+def anchored_clouds(draw):
+    """A cloud with chains of near-twins, anchored at its bbox or the unit box.
+
+    Each twin moves one coordinate of an earlier point by 2**-k, k in
+    10..45, so cells keep splitting down to MAX_DEPTH, where the sort keys
+    of R^2 and R^3 span two int64 words, and a point's twins on two axes
+    at two depths sort differently depth-first than lexicographically.
+    """
+    unit_box = draw(st.booleans())
+    cloud = draw(point_clouds(unit_box=unit_box))
+    n, pts = cloud.dimension_n, list(cloud.points)
+    for _ in range(draw(st.integers(0, 12))):
+        p = draw(st.sampled_from(pts))
+        axis, step = draw(st.integers(0, n - 1)), 2.0 ** -draw(st.integers(10, 45))
+        x = p[axis] + step if p[axis] + step <= 1.0 else p[axis] - step
+        pts.append(p[:axis] + (x,) + p[axis + 1 :])
+    cloud = PointCloud.from_points(pts, dimension_n=n)
+    if unit_box:
+        return cloud, (0.0,) * n, 1.0
+    return cloud, *bbox_anchor(cloud)
+
+
+def assert_tree_equals_reference(cloud, origin, scale, top, bottom):
+    tree = _DyadicTree(cloud, origin, scale, top, bottom)
+    cells, parents, first_point = unique_dyadic_tree(cloud, origin, scale, top, bottom)
+    assert len(tree.cells) == len(cells) and len(tree.parents) == len(parents)
+    assert all(np.array_equal(a, b) for a, b in zip(tree.cells, cells))
+    assert all(np.array_equal(a, b) for a, b in zip(tree.parents, parents))
+    assert np.array_equal(tree.first_point, first_point)
+
+
+class TestDyadicTreeMatchesUniqueBuild:
+    @settings(max_examples=300, deadline=None)
+    @given(anchored=anchored_clouds(), data=st.data())
+    def test_cells_parents_first_point_equal_reference(self, anchored, data):
+        bottom = data.draw(st.integers(0, MAX_DEPTH))
+        top = data.draw(st.integers(0, bottom))
+        assert_tree_equals_reference(*anchored, top, bottom)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize(
+        "top, bottom", [(0, MAX_DEPTH), (5, MAX_DEPTH), (0, 63 // 2 + 1), (3, 63 // 3 + 4)]
+    )
+    def test_keys_spanning_two_words(self, n, top, bottom):
+        # bottom - top > 63 // n: the child bits fill more than one word.
+        # Each point p has a twin one bottom cell up on the last axis and
+        # one inside p's bottom cell on the first axis.  Lexicographically
+        # the last-axis twin sorts between p and the first-axis twin, but
+        # depth-first after both, and only the last word, which holds the
+        # bottom level, tells it from their cell.
+        rnd = random.Random(n * 100 + bottom)
+        pts = []
+        for _ in range(30):
+            p = tuple(0.1 + 0.8 * rnd.random() for _ in range(n))
+            pts += [p, p[:-1] + (p[-1] + 2.0**-bottom,), (p[0] + 2.0 ** -(bottom + 3),) + p[1:]]
+        cloud = PointCloud.from_points(pts, dimension_n=n)
+        assert_tree_equals_reference(cloud, *bbox_anchor(cloud), top, bottom)
+        assert_tree_equals_reference(cloud, (0.0,) * n, 1.0, top, bottom)
+
+    @settings(max_examples=150, deadline=None)
+    @given(anchored=anchored_clouds(), data=st.data())
+    def test_cost_equals_fsum_over_chosen_cells(self, anchored, data):
+        cloud = anchored[0]
+        bottom = data.draw(st.integers(0, MAX_DEPTH))
+        tree = _DyadicTree(cloud, *anchored[1:], data.draw(st.integers(0, bottom)), bottom)
+        n = cloud.dimension_n
+        for s in (0.0, float(n), data.draw(st.floats(0.0, n))):
+            powers, rows = tree.chosen(s)
+            assert tree.cost(s) == math.fsum(np.repeat(powers, [len(r) for r in rows]))
 
 
 @st.composite

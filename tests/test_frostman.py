@@ -93,6 +93,20 @@ class TestBuilder:
         with pytest.raises(ValidationError):
             build_frostman_measure(pts, s=0.0, delta=0.01, theta=0.5)
 
+    @pytest.mark.parametrize("s", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_s(self, s):
+        # an infinite s used to zero every mass and divide by zero
+        with pytest.raises(ValidationError):
+            build_frostman_measure(fp_points(1.0, 0.01), s=s, delta=0.01, theta=0.5)
+
+    def test_rejects_negative_ball_samples(self):
+        pts = fp_points(1.0, 0.01)
+        with pytest.raises(ValidationError):
+            build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5, ball_samples=-5)
+        # 0 still probes the band edges
+        result = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5, ball_samples=0)
+        assert result.worst_ratio > 0.0
+
     def test_deterministic(self):
         pts = fp_points(1.0, 0.01)
         a = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5, seed=0)

@@ -2,10 +2,12 @@
 
 The files under tests/golden/ pin the numbers the CLI printed before the
 dyadic solvers were rebuilt on a shared cell tree, the frostman JSON of
-an R^3 cloud from the full-scan ball masses, and the per-cell
-(s_star, cost_at_s_star) of the sequential-bisection interval DP; any
-change to summation order, tie-breaking or the bisection's midpoints
-shows up here as an inequality, not a tolerance.
+an R^3 cloud from the full-scan ball masses, the per-cell
+(s_star, cost_at_s_star) of the sequential-bisection interval DP, and the
+theta = 0 covers, critical exponents and deep cascade of an R^3 cloud
+from the per-level np.unique cell tree; any change to summation order,
+tie-breaking, cell order or the bisection's midpoints shows up here as an
+inequality, not a tolerance.
 
 Regenerate (only when an output change is intended) with
 
