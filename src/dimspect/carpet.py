@@ -10,8 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     DimensionSpectrum,
+    PointCloud,
     SpectrumSample,
     ValidationError,
     check_theta,
@@ -215,11 +218,9 @@ def carpet_points(spec: CarpetSpec, depth: int, limit: int = 200_000):
     """Lower-left corners of all level-depth rectangles, as a point cloud.
 
     A finite stand-in for the attractor at resolution (m**-depth, n**-depth).
+    Per level, widths /= (m, n) and corner += digit * width: a per-word
+    loop's float operations in its order, so its corners bit for bit.
     """
-    from itertools import product
-
-    from .core import PointCloud
-
     if depth < 1:
         raise ValidationError("depth must be at least 1")
     count = len(spec.digits) ** depth
@@ -227,17 +228,13 @@ def carpet_points(spec: CarpetSpec, depth: int, limit: int = 200_000):
         raise ValidationError(
             f"{count} rectangles at depth {depth} exceed the limit {limit}"
         )
-    pts = []
-    for word in product(spec.digits, repeat=depth):
-        x = y = 0.0
-        mw = nw = 1.0
-        for p, q in word:
-            mw /= spec.m
-            nw /= spec.n
-            x += p * mw
-            y += q * nw
-        pts.append((x, y))
-    return PointCloud.from_points(pts, dimension_n=2)
+    digits = np.array(spec.digits, dtype=float)
+    corners = np.zeros((1, 2))
+    widths = np.ones(2)
+    for _ in range(depth):
+        widths /= (spec.m, spec.n)
+        corners = (corners[:, None, :] + digits * widths).reshape(-1, 2)
+    return PointCloud.from_points(corners, dimension_n=2)
 
 
 def carpet_spectrum(

@@ -227,7 +227,7 @@ def cmd_gen(args) -> int:
     else:
         raise ValidationError(f"unknown family {args.family!r}")
     lines = [header]
-    lines.extend(" ".join(repr(c) for c in p) for p in cloud.points)
+    lines.extend(" ".join(map(repr, p)) for p in cloud.array.tolist())
     _write(args.out, "\n".join(lines) + "\n")
     return 0
 

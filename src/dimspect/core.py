@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Diameters below MIN_SCALE are refused rather than silently degraded:
 # double-precision cost sums over smaller diameters are meaningless.
 MIN_SCALE = 1e-12
@@ -97,17 +99,22 @@ class ScaleRange:
         return self.delta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     """Finite set of points in R^n (n in {1,2,3}) with its bounding box.
 
-    Points are deduplicated by exact coordinate equality and sorted
-    lexicographically on ingestion, so identical inputs yield identical
-    clouds regardless of input order.
+    array is the points as one read-only, C-contiguous float64 (N, n)
+    array, deduplicated by exact equality (of rows equal up to zero signs,
+    the first given stays, as in a set) and sorted lexicographically, so
+    identical inputs give identical clouds in any order.  Library code
+    reads array; points rebuilds its rows as a tuple of tuples on each
+    access (about 0.7 ms per 6,000 points in R^2).  Besides malformed and
+    non-finite rows, ingestion refuses a bounding cube whose diagonal,
+    side * sqrt(n), overflows a float.
     """
 
     dimension_n: int
-    points: tuple[tuple[float, ...], ...]
+    array: np.ndarray
     bbox: tuple[tuple[float, ...], tuple[float, ...]]
 
     @classmethod
@@ -117,20 +124,26 @@ class PointCloud:
         dimension_n: int | None = None,
         bbox: tuple[tuple[float, ...], tuple[float, ...]] | None = None,
     ) -> "PointCloud":
-        pts = [tuple(float(c) for c in p) for p in points]
-        if not pts:
+        try:
+            arr = np.array(points if isinstance(points, np.ndarray) else list(points), float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"cannot read the points as rows of numbers: {exc}") from exc
+        if not len(arr):
             raise ValidationError("a PointCloud needs at least one point")
-        n = dimension_n if dimension_n is not None else len(pts[0])
+        n = dimension_n if dimension_n is not None else arr[0].size
         if n not in (1, 2, 3):
             raise ValidationError(f"ambient dimension must be 1, 2 or 3, got {n}")
-        for p in pts:
-            if len(p) != n:
-                raise ValidationError(f"point {p} does not have {n} coordinates")
-            if any(math.isnan(c) or math.isinf(c) for c in p):
-                raise ValidationError(f"point {p} has non-finite coordinates")
-        pts = sorted(set(pts))
-        mins = tuple(min(p[i] for p in pts) for i in range(n))
-        maxs = tuple(max(p[i] for p in pts) for i in range(n))
+        if arr.shape[1:] != (n,):
+            raise ValidationError(f"points must be rows of {n} coordinates, got shape {arr.shape}")
+        finite = np.isfinite(arr).all(1)
+        if not finite.all():
+            bad = tuple(arr[finite.argmin()].tolist())
+            raise ValidationError(f"point {bad} has non-finite coordinates")
+        arr = arr[np.lexsort(arr.T[::-1])]  # stable: equal rows keep input order
+        arr = arr[np.r_[True, (arr[1:] != arr[:-1]).any(1)]]
+        # argmin and argmax take the first extreme row, as min and max do
+        mins = tuple(arr[arr.argmin(0), range(n)].tolist())
+        maxs = tuple(arr[arr.argmax(0), range(n)].tolist())
         if bbox is None:
             bbox = (mins, maxs)
         else:
@@ -139,13 +152,23 @@ class PointCloud:
             if any(m < l or M > h for m, l, M, h in zip(mins, blo, maxs, bhi)):
                 raise ValidationError("supplied bbox does not contain all points")
             bbox = (blo, bhi)
-        return cls(dimension_n=n, points=tuple(pts), bbox=bbox)
+        arr.flags.writeable = False
+        cloud = cls(dimension_n=n, array=arr, bbox=bbox)
+        if not math.isfinite(cloud.side * math.sqrt(n)):
+            raise ValidationError(f"the extent of the bounding box {bbox} overflows a float")
+        return cloud
+
+    @property
+    def side(self) -> float:
+        """Side of the bounding cube: the bbox's largest extent, 1.0 if that is 0."""
+        return max(hi - lo for lo, hi in zip(*self.bbox)) or 1.0
+
+    @property
+    def points(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(zip(*self.array.T.tolist()))
 
     def __len__(self) -> int:
-        return len(self.points)
-
-    def coords(self, axis: int = 0) -> tuple[float, ...]:
-        return tuple(p[axis] for p in self.points)
+        return len(self.array)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ cost(s), built once per cell, that evaluates a list of s per call.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,9 +61,9 @@ class CoverSet:
                 f"diameter {self.diameter} inconsistent with side {self.side} in R^{n}"
             )
 
-    def contains(self, point, tol: float = 1e-12) -> bool:
-        half = self.side / 2.0 + tol
-        return all(abs(c - x) <= half for c, x in zip(self.center, point))
+    def contains(self, point, tol: float = 1e-12):
+        """Whether point, or each row of an (N, n) array of points, is in the set up to tol."""
+        return (np.abs(np.subtract(point, self.center)) <= self.side / 2.0 + tol).all(-1)
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,10 @@ class RestrictedCover:
         return tuple(c.diameter for c in self.sets)
 
     def covers(self, points: PointCloud, tol: float = 1e-12) -> bool:
-        return all(
-            any(c.contains(p, tol) for c in self.sets) for p in points.points
-        )
+        covered = np.zeros(len(points), dtype=bool)
+        for c in self.sets:
+            covered |= c.contains(points.array, tol)
+        return bool(covered.all())
 
 
 def geometric_menu(lo: float, hi: float, size: int) -> tuple[float, ...]:
@@ -159,10 +159,9 @@ class _IntervalDP:
     # passes.  Larger batches save no pass until 65 values, at several MB.
     batch_size = 17
 
-    def __init__(self, xs: tuple[float, ...], menu: tuple[float, ...]):
+    def __init__(self, xs: np.ndarray, menu: tuple[float, ...]):
         self.menu = menu
-        arr = np.asarray(xs)
-        jump = np.searchsorted(arr, arr + np.asarray(menu)[:, None], side="right")
+        jump = np.searchsorted(xs, xs + np.asarray(menu)[:, None], side="right")
         reach = np.zeros(len(xs) + 1, dtype=bool)
         reach[0] = True
         for i in range(len(xs)):
@@ -226,14 +225,14 @@ def optimal_cover_1d(
         raise ValidationError(f"s must lie in [0, 1], got {s}")
     if rng.theta == 0.0:
         raise ValidationError("theta=0 has no finite menu; use optimal_cover_dyadic")
-    xs = points.coords(0)
+    xs = points.array[:, 0]
     menu = geometric_menu(rng.lo, rng.hi, scale_menu_size)
     dp = _IntervalDP(xs, menu)
     choice = dp.solve(s)
     sets = []
     k = 0
     while k < len(dp.jump):
-        d, x = menu[choice[k]], xs[dp.states[k]]
+        d, x = menu[choice[k]], xs[dp.states[k]].item()
         sets.append(CoverSet(kind="interval", center=(x + d / 2.0,), side=d, diameter=d))
         k = int(dp.jump[k, choice[k]])
     return RestrictedCover.build(sets, rng, s)
@@ -263,10 +262,8 @@ class _DyadicTree:
     def __init__(self, points: PointCloud, origin, scale: float, top: int, bottom: int):
         n = self.n = points.dimension_n
         self.scale, self.top, self.bottom = scale, top, bottom
-        count, side = len(points.points), 2**bottom
-        flat = np.fromiter(itertools.chain.from_iterable(points.points), float, count * n)
-        flat = flat.reshape(count, n)
-        flat -= origin  # in place, rounded as (x - origin) / scale * side
+        count, side = len(points), 2**bottom
+        flat = points.array - origin  # then in place, rounded as (x - origin) / scale * side
         flat /= scale
         flat *= side
         codes = flat.astype(np.int64)
@@ -369,10 +366,7 @@ def _bbox_tree(points: PointCloud, rng: ScaleRange) -> _DyadicTree:
 
     Level j has diameter scale * sqrt(n) * 2**-j.
     """
-    mins, maxs = points.bbox
-    scale = max(hi - lo for lo, hi in zip(mins, maxs))
-    if scale <= 0.0:
-        scale = 1.0
+    scale = points.side
     root_diam = scale * math.sqrt(points.dimension_n)
     lo, hi = rng.lo, rng.hi
 
@@ -392,7 +386,7 @@ def _bbox_tree(points: PointCloud, rng: ScaleRange) -> _DyadicTree:
     # A band narrower than one dyadic step contains no dyadic diameter:
     # snap to the single level just below hi.
     j_bot = max(j_bot, j_top)
-    return _DyadicTree(points, mins, scale, j_top, j_bot)
+    return _DyadicTree(points, points.bbox[0], scale, j_top, j_bot)
 
 
 def optimal_cover_dyadic(
@@ -439,7 +433,7 @@ def cover_cost_function(points: PointCloud, rng: ScaleRange, scale_menu_size: in
     """
     if points.dimension_n == 1 and rng.theta > 0.0:
         menu = geometric_menu(rng.lo, rng.hi, scale_menu_size)
-        return _IntervalDP(points.coords(0), menu)
+        return _IntervalDP(points.array[:, 0], menu)
     return _bbox_tree(points, rng)
 
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import (
     DimensionSpectrum,
     PointCloud,
@@ -223,8 +225,9 @@ def fp_points(p: float, delta: float, theta_min: float = 1.0) -> PointCloud:
         raise ValidationError("theta_min must be positive (theta=0 needs no coupling)")
     effective = delta ** ((p + 1.0) / (p + theta_min)) if delta < 1.0 else delta
     count = coupled_truncation(p, effective)
-    pts = [(0.0,)] + [(k ** (-p),) for k in range(1, count + 1)]
-    return PointCloud.from_points(pts, dimension_n=1)
+    # Python's k ** -p: np.power may round differently in the last bit
+    xs = [0.0] + [k ** (-p) for k in range(1, count + 1)]
+    return PointCloud.from_points(np.array(xs)[:, None], dimension_n=1)
 
 
 def flog_points(delta: float) -> PointCloud:
@@ -235,5 +238,5 @@ def flog_points(delta: float) -> PointCloud:
     while 1.0 / math.log(k) - 1.0 / math.log(k + 1) >= delta:
         k += 1
     count = TRUNCATION_SAFETY * k
-    pts = [(0.0,)] + [(1.0 / math.log(j),) for j in range(2, count + 1)]
-    return PointCloud.from_points(pts, dimension_n=1)
+    xs = [0.0] + [1.0 / math.log(j) for j in range(2, count + 1)]
+    return PointCloud.from_points(np.array(xs)[:, None], dimension_n=1)

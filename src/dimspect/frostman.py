@@ -108,8 +108,7 @@ def _rescale(points: PointCloud):
     mins, maxs = points.bbox
     if all(0.0 <= lo and hi <= 1.0 for lo, hi in zip(mins, maxs)):
         return (0.0,) * points.dimension_n, 1.0
-    scale = max(hi - lo for lo, hi in zip(mins, maxs))
-    return mins, scale if scale > 0.0 else 1.0
+    return mins, points.side
 
 
 def build_frostman_measure(
@@ -177,7 +176,7 @@ def build_frostman_measure(
 
     # atoms in the order their least points appear in the sorted cloud
     order = np.argsort(tree.first_point)
-    reps = [points.points[i] for i in tree.first_point[order]]
+    reps = points.array.take(tree.first_point[order], 0).tolist()
     masses = masses[order]
     level_masses: dict[int, dict[tuple[int, ...], float]] = {}
     for level, start, cells in zip(range(stop, m + 1), starts, tree.cells):
@@ -367,9 +366,9 @@ def separated_witness_measure(points: PointCloud, delta: float) -> AtomicMeasure
     """
     if not delta > 0.0:
         raise ValidationError(f"delta must be positive, got {delta}")
-    kept: list[tuple[float, ...]] = []
+    kept: list[list[float]] = []
     threshold = (delta * (1.0 - 1e-9)) ** 2
-    for p in points.points:
+    for p in points.array.tolist():
         if all(
             math.fsum((a - b) ** 2 for a, b in zip(p, q)) >= threshold for q in kept
         ):

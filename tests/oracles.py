@@ -4,8 +4,9 @@ The carpet oracles recompute every closed form with 60-digit mpmath
 arithmetic from the raw digit set; the menu oracle enumerates all
 partition-based interval covers.  Neither shares code with the library
 paths they check.  The reference implementations are the straightforward
-loop forms of vectorized or batched library code (the scalar interval DP
-over every point, the recursive dyadic solver, the per-level np.unique
+loop forms of vectorized or batched library code (tuple-of-tuples point
+ingestion, the per-word carpet corners, the scalar interval DP over
+every point, the recursive dyadic solver, the per-level np.unique
 dyadic cell tree, the one-s-at-a-time bisection, the dict-grouped cap
 cascade, the full-scan ball mass) and
 second closed-form routes to carpet quantities; the library must match
@@ -14,6 +15,7 @@ them exactly or to rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import mpmath as mp
@@ -25,6 +27,35 @@ from dimspect.covers import _bbox_tree
 from dimspect.estimate import BISECTION_TOL
 
 mp.mp.dps = 60
+
+
+def tuple_from_points(points):
+    """Reference ingestion: (rows, bbox) of PointCloud.from_points as tuples.
+
+    float per coordinate, a set for deduplication (it keeps the first of
+    rows equal up to zero signs), sorted for order, and Python's min and
+    max per axis over the sorted rows for the bounding box.
+    """
+    pts = sorted(set(tuple(float(c) for c in p) for p in points))
+    n = len(pts[0])
+    mins = tuple(min(p[i] for p in pts) for i in range(n))
+    maxs = tuple(max(p[i] for p in pts) for i in range(n))
+    return tuple(pts), (mins, maxs)
+
+
+def loop_carpet_points(spec, depth: int) -> list[tuple[float, float]]:
+    """Reference carpet corners: one word of digits at a time, in word order."""
+    pts = []
+    for word in itertools.product(spec.digits, repeat=depth):
+        x = y = 0.0
+        mw = nw = 1.0
+        for p, q in word:
+            mw /= spec.m
+            nw /= spec.n
+            x += p * mw
+            y += q * nw
+        pts.append((x, y))
+    return pts
 
 
 def mp_carpet(m: int, n: int, digits):

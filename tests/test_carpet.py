@@ -2,7 +2,10 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimspect import (
     CarpetSpec,
@@ -20,7 +23,13 @@ from dimspect import (
 )
 from dimspect.carpet import UpperBoundDomainError, row_depth
 from conftest import random_carpet
-from oracles import approx_square_measure_alt, entropy_displayed, rectangle_measure
+from oracles import (
+    approx_square_measure_alt,
+    entropy_displayed,
+    loop_carpet_points,
+    rectangle_measure,
+    tuple_from_points,
+)
 
 # worked example (m=2, n=3, digits (0,0),(0,2),(1,1)), 60-digit reference values
 BOX_REF = 1.3690702464285425629
@@ -304,3 +313,15 @@ class TestCarpetPoints:
     def test_limit_guard(self, worked_carpet):
         with pytest.raises(ValidationError):
             carpet_points(worked_carpet, 20)
+
+
+class TestCarpetPointsMatchLoop:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6))
+    def test_bits_equal_word_loop(self, seed, depth):
+        spec = random_carpet(random.Random(seed))
+        while len(spec.digits) ** depth > 4096:
+            depth -= 1
+        rows, _ = tuple_from_points(loop_carpet_points(spec, depth))
+        got = carpet_points(spec, depth).array
+        assert np.array_equal(got.view(np.int64), np.array(rows).view(np.int64))

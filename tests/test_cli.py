@@ -312,6 +312,27 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["estimate", "--grid", "0,1", "--deltas", "0.1,0.01,0.001"],
+            ["frostman", "--s", "0.5", "--delta", "0.01", "--theta", "0.5"],
+        ],
+    )
+    def test_overflowing_extent_exits_2(self, capsys, tmp_path, command):
+        points = tmp_path / "huge.txt"
+        points.write_text("-1e308\n0\n1e308\n")
+        code, out, err = run(capsys, *command, "--points", str(points))
+        assert code == 2 and out == ""
+        assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
+
+    def test_ragged_points_file_exits_2(self, capsys, tmp_path):
+        points = tmp_path / "ragged.txt"
+        points.write_text("0.1\n0.2 0.3\n")
+        code, _, err = run(capsys, "estimate", "--points", str(points))
+        assert code == 2
+        assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
+
     def test_estimate_seed_flag_removed(self, capsys, tmp_path):
         points = tmp_path / "p.txt"
         points.write_text("0.1\n0.9\n")

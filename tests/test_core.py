@@ -1,6 +1,9 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dimspect import (
     AtomicMeasure,
@@ -16,6 +19,7 @@ from dimspect import (
     default_theta_grid,
     spectrum_merge,
 )
+from oracles import tuple_from_points
 
 
 class TestScaleBounds:
@@ -58,6 +62,31 @@ class TestScaleBounds:
             ScaleRange(0.5, 1.5)
 
 
+def _signed(rows):
+    """Each coordinate with its sign, so that 0.0 and -0.0 differ."""
+    return [(x, math.copysign(1.0, x)) for row in rows for x in row]
+
+
+def _flip_zeros(row):
+    """The row with the sign of each zero flipped (an int 0 becomes -0.0)."""
+    return tuple(math.copysign(0.0, -math.copysign(1.0, x)) if x == 0 else x for x in row)
+
+
+@st.composite
+def raw_point_lists(draw):
+    """Shuffled point lists in R^1..R^3 with repeats, 0.0/-0.0 twins and ints."""
+    n = draw(st.integers(1, 3))
+    coord = st.one_of(
+        st.sampled_from([0.0, -0.0, 0, 1, -1, 0.5, -0.5]),
+        st.integers(-(2**60), 2**60),
+        st.floats(-1e300, 1e300, allow_nan=False),
+    )
+    pts = draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=30))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=10))
+    pts += draw(st.lists(st.sampled_from(pts).map(_flip_zeros), max_size=10))
+    return draw(st.permutations(pts))
+
+
 class TestPointCloud:
     def test_dedupe_and_sort(self):
         pc = PointCloud.from_points([(0.5,), (0.1,), (0.5,)])
@@ -78,6 +107,53 @@ class TestPointCloud:
     def test_bad_dimension(self):
         with pytest.raises(ValidationError):
             PointCloud.from_points([(1.0, 2.0, 3.0, 4.0)])
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(0.1,), (0.2, 0.3)],  # ragged
+            [(0.1, 0.2), (0.3,)],
+            [(0.1,), ("a",)],  # not a number
+            [(0.1,), (math.nan,)],
+            [(0.0, math.inf)],
+            [(-math.inf,)],
+            [0.1, 0.2],  # numbers, not rows
+        ],
+    )
+    def test_malformed_points_refused(self, pts):
+        with pytest.raises(ValidationError):
+            PointCloud.from_points(pts)
+
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            [(-1e308,), (0.0,), (1e308,)],  # the extent overflows
+            [(0.0, 0.0), (1.5e308, 0.0)],  # the extent times sqrt(2) overflows
+        ],
+    )
+    def test_overflowing_extent_refused(self, pts):
+        with pytest.raises(ValidationError, match="overflows"):
+            PointCloud.from_points(pts)
+
+    def test_array_is_read_only_float64(self):
+        cloud = PointCloud.from_points([(1, 0.25), (0.1, 0.9)])
+        assert cloud.array.dtype == np.float64 and cloud.array.flags.c_contiguous
+        with pytest.raises(ValueError):
+            cloud.array[0, 0] = 2.0
+
+    def test_first_zero_twin_survives(self):
+        for pts in ([(0.0, -0.0), (-0.0, 0.0)], [(-0.0, 0.0), (0.0, -0.0)]):
+            cloud = PointCloud.from_points(pts)
+            assert _signed(cloud.points) == _signed(pts[:1])
+            assert _signed(cloud.bbox) == _signed([pts[0], pts[0]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(pts=raw_point_lists())
+    def test_matches_tuple_oracle(self, pts):
+        cloud = PointCloud.from_points(pts)
+        rows, bbox = tuple_from_points(pts)
+        assert _signed(cloud.points) == _signed(rows)
+        assert _signed(cloud.bbox) == _signed(bbox)
 
 
 def _spectrum(values, ambient=1, method="exact"):

@@ -327,8 +327,8 @@ class TestIntervalDPMatchesOracle:
     @given(cell=dp_cells())
     def test_batched_cost_and_cover_equal_scalar_dp(self, cell):
         cloud, rng, size, menu, ss = cell
-        xs = cloud.coords(0)
-        oracle = ScalarIntervalDP(xs, menu)
+        xs = cloud.array[:, 0]
+        oracle = ScalarIntervalDP(xs.tolist(), menu)
         assert _IntervalDP(xs, menu).costs(ss) == [oracle.cost(s) for s in ss]
         for s in ss[:3]:
             cover = optimal_cover_1d(cloud, rng, s, scale_menu_size=size)
@@ -340,9 +340,9 @@ class TestIntervalDPMatchesOracle:
     @given(cell=dp_cells(max_points=10))
     def test_batched_cost_equals_brute_force(self, cell):
         cloud, _, _, menu, ss = cell
-        xs = cloud.coords(0)
+        xs = cloud.array[:, 0]
         for s, got in zip(ss, _IntervalDP(xs, menu).costs(ss)):
-            expected = brute_force_menu_cost(xs, menu, s)
+            expected = brute_force_menu_cost(xs.tolist(), menu, s)
             assert abs(got - expected) <= 1e-12 * max(1.0, expected)
 
     @settings(max_examples=100, deadline=None)
@@ -352,7 +352,7 @@ class TestIntervalDPMatchesOracle:
         # to equal powers, so only well-separated pairs are compared
         cloud, _, _, menu, ss = cell
         ss = sorted(set(ss))
-        costs = _IntervalDP(cloud.coords(0), menu).costs(ss)
+        costs = _IntervalDP(cloud.array[:, 0], menu).costs(ss)
         for (s, a), (t, b) in zip(zip(ss, costs), zip(ss[1:], costs[1:])):
             if t - s > 1e-6:
                 assert a > b

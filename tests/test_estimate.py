@@ -148,7 +148,7 @@ class TestLookaheadMatchesSequentialBisection:
         except ScaleRangeTooDeepError:
             assume(False)
         if theta > 0.0:
-            cost = ScalarIntervalDP(cloud.coords(0), geometric_menu(rng.lo, rng.hi, 16)).cost
+            cost = ScalarIntervalDP(cloud.array[:, 0].tolist(), geometric_menu(rng.lo, rng.hi, 16)).cost
         else:
             def cost(s):
                 return recursive_dyadic_cover(cloud, rng, s).cost
