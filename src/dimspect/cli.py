@@ -32,6 +32,10 @@ USAGE_EXIT = 2
 INVARIANT_EXIT = 3
 RANGE_EXIT = 4
 
+# Most values a start:stop:step grid may hold; the count is checked
+# before any value is built.
+MAX_GRID = 10**6
+
 
 def _fmt(x: float) -> str:
     return f"{x:.10g}"
@@ -52,7 +56,10 @@ def parse_grid(spec: str) -> list[float]:
             else:
                 if step <= 0:
                     raise ValueError("step must be positive")
-                count = int(round((stop - start) / step))
+                count = (stop - start) / step
+                if not count + 1 <= MAX_GRID:  # NaN and inf too
+                    raise ValueError(f"more than {MAX_GRID} values")
+                count = int(round(count))
                 values = [start + i * step for i in range(count + 1)]
                 values = [v for v in values if v <= stop + 1e-12]
         else:

@@ -118,12 +118,7 @@ class PointCloud:
     bbox: tuple[tuple[float, ...], tuple[float, ...]]
 
     @classmethod
-    def from_points(
-        cls,
-        points,
-        dimension_n: int | None = None,
-        bbox: tuple[tuple[float, ...], tuple[float, ...]] | None = None,
-    ) -> "PointCloud":
+    def from_points(cls, points, dimension_n: int | None = None) -> "PointCloud":
         try:
             arr = np.array(points if isinstance(points, np.ndarray) else list(points), float)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -144,18 +139,10 @@ class PointCloud:
         # argmin and argmax take the first extreme row, as min and max do
         mins = tuple(arr[arr.argmin(0), range(n)].tolist())
         maxs = tuple(arr[arr.argmax(0), range(n)].tolist())
-        if bbox is None:
-            bbox = (mins, maxs)
-        else:
-            blo = tuple(float(c) for c in bbox[0])
-            bhi = tuple(float(c) for c in bbox[1])
-            if any(m < l or M > h for m, l, M, h in zip(mins, blo, maxs, bhi)):
-                raise ValidationError("supplied bbox does not contain all points")
-            bbox = (blo, bhi)
         arr.flags.writeable = False
-        cloud = cls(dimension_n=n, array=arr, bbox=bbox)
+        cloud = cls(dimension_n=n, array=arr, bbox=(mins, maxs))
         if not math.isfinite(cloud.side * math.sqrt(n)):
-            raise ValidationError(f"the extent of the bounding box {bbox} overflows a float")
+            raise ValidationError(f"the extent of the bounding box {cloud.bbox} overflows a float")
         return cloud
 
     @property

@@ -70,9 +70,9 @@ class CoverSet:
 class RestrictedCover:
     """A finite cover with every diameter inside the admissible band.
 
-    effective_lo / effective_hi record the band actually enforced; the
-    dyadic optimizer may snap a band narrower than one dyadic step down to
-    the single admissible level just below hi.
+    effective_lo records the lower end actually enforced; the dyadic
+    optimizer may snap a band narrower than one dyadic step down to the
+    single admissible level just below hi.
     """
 
     sets: tuple[CoverSet, ...]
@@ -80,7 +80,6 @@ class RestrictedCover:
     s: float
     cost: float
     effective_lo: float
-    effective_hi: float
 
     @classmethod
     def build(
@@ -89,28 +88,24 @@ class RestrictedCover:
         rng: ScaleRange,
         s: float,
         effective_lo: float | None = None,
-        effective_hi: float | None = None,
     ) -> "RestrictedCover":
         sets = tuple(sets)
-        lo = rng.lo if effective_lo is None else effective_lo
-        hi = rng.hi if effective_hi is None else effective_hi
         return cls(
             sets=sets,
             range=rng,
             s=s,
             cost=cover_cost((c.diameter for c in sets), s),
-            effective_lo=lo,
-            effective_hi=hi,
+            effective_lo=rng.lo if effective_lo is None else effective_lo,
         )
 
     def __post_init__(self) -> None:
         if not self.sets:
             raise ValidationError("a cover needs at least one set")
+        lo, hi = self.effective_lo, self.range.hi
         for c in self.sets:
-            if c.diameter < self.effective_lo * (1.0 - 1e-12) or c.diameter > self.effective_hi * (1.0 + 1e-12):
+            if c.diameter < lo * (1.0 - 1e-12) or c.diameter > hi * (1.0 + 1e-12):
                 raise ValidationError(
-                    f"set diameter {c.diameter} outside admissible band "
-                    f"[{self.effective_lo}, {self.effective_hi}]"
+                    f"set diameter {c.diameter} outside admissible band [{lo}, {hi}]"
                 )
         expected = cover_cost((c.diameter for c in self.sets), self.s)
         if abs(self.cost - expected) > 1e-10 * max(1.0, expected):
@@ -150,7 +145,9 @@ class _IntervalDP:
     is s-independent and built once, over the states reachable from point
     0 only: states[k] is the point index of kept state k (the last is the
     terminal len(xs)), and jump[k, j] the kept state that menu entry j
-    leads to from state k.
+    leads to from state k.  One pass (table) gives the optimal cost from
+    every state; the estimator reads state 0's, and optimal_cover_1d reads
+    the cover off the whole table.
     """
 
     # s values one costs() call should carry.  A pass costs about as much
@@ -171,13 +168,12 @@ class _IntervalDP:
         rank = np.cumsum(reach) - 1
         self.jump = np.ascontiguousarray(rank[jump[:, self.states[:-1]]].T)
 
-    def costs(self, ss) -> list[float]:
-        """Optimal cost at each s in ss, in one right-to-left pass.
+    def table(self, ss) -> np.ndarray:
+        """Optimal cost from each kept state at each s in ss, in one right-to-left pass.
 
-        cost[k] = min over j of cost[jump[k, j]] + menu[j]**s.  These are
-        the float sums solve ranks first (its tie-break only picks among
-        equal costs), and no unreachable state feeds a kept one, so each
-        cost equals the scalar DP's over every point bit for bit.
+        cost[k] = min over j of cost[jump[k, j]] + menu[j]**s, a
+        (states, len(ss)) array.  No unreachable state feeds a kept one,
+        so each cost equals the scalar DP's over every point bit for bit.
         """
         powers = np.array([[d**s for s in ss] for d in self.menu])
         cost = np.zeros((len(self.states), len(ss)))
@@ -186,29 +182,11 @@ class _IntervalDP:
             cost.take(self.jump[k], 0, cand, "clip")
             np.add(cand, powers, cand)
             np.minimum.reduce(cand, 0, out=cost[k])
-        return cost[0].tolist()
+        return cost
 
-    def solve(self, s: float) -> list[int]:
-        """Chosen menu index per kept state of an optimal cover at s.
-
-        Ties broken toward fewer sets, then toward larger diameters.
-        """
-        m = len(self.states)
-        jump = self.jump.tolist()
-        powers = [d**s for d in self.menu]
-        cost = [0.0] * m
-        count = [0] * m
-        choice = [-1] * m
-        for i in range(m - 2, -1, -1):
-            best = None
-            for j in range(len(self.menu) - 1, -1, -1):
-                nxt = jump[i][j]
-                cand = (cost[nxt] + powers[j], count[nxt] + 1, -self.menu[j])
-                if best is None or cand < best:
-                    best = cand
-                    choice[i] = j
-            cost[i], count[i] = best[0], best[1]
-        return choice
+    def costs(self, ss) -> list[float]:
+        """Optimal cover cost at each s in ss."""
+        return self.table(ss)[0].tolist()
 
 
 def optimal_cover_1d(
@@ -217,7 +195,12 @@ def optimal_cover_1d(
     """Minimal-cost interval cover with diameters from a geometric menu.
 
     Exact over the menu; relative to the continuum optimum over interval
-    covers the cost is within a factor (hi/lo)**(s/(menu-1)).
+    covers the cost is within a factor (hi/lo)**(s/(menu-1)).  The cover
+    is read off the DP's cost table walking forward from state 0: at each
+    state, the largest diameter whose sum cost[jump] + diameter**s equals
+    the state's cost.  Those are the pass's own float sums, and the
+    minimum it stored is one of them, so the test is exact; ties go to the
+    larger set, as in optimal_cover_dyadic.
     """
     if points.dimension_n != 1:
         raise ValidationError("optimal_cover_1d needs a 1-D point cloud")
@@ -228,13 +211,14 @@ def optimal_cover_1d(
     xs = points.array[:, 0]
     menu = geometric_menu(rng.lo, rng.hi, scale_menu_size)
     dp = _IntervalDP(xs, menu)
-    choice = dp.solve(s)
+    cost, powers = dp.table([s])[:, 0], np.array([d**s for d in menu])
     sets = []
     k = 0
     while k < len(dp.jump):
-        d, x = menu[choice[k]], xs[dp.states[k]].item()
+        j = np.flatnonzero(cost.take(dp.jump[k]) + powers == cost[k])[-1]
+        d, x = menu[j], xs[dp.states[k]].item()
         sets.append(CoverSet(kind="interval", center=(x + d / 2.0,), side=d, diameter=d))
-        k = int(dp.jump[k, choice[k]])
+        k = dp.jump[k, j]
     return RestrictedCover.build(sets, rng, s)
 
 
@@ -419,7 +403,7 @@ def optimal_cover_dyadic(
             picks.append((key, cube))
     sets = [cube for _, cube in sorted(picks, key=lambda pick: pick[0])]
     effective_lo = min(rng.lo, tree.diameter(tree.bottom))
-    return RestrictedCover.build(sets, rng, s, effective_lo=effective_lo, effective_hi=rng.hi)
+    return RestrictedCover.build(sets, rng, s, effective_lo=effective_lo)
 
 
 def cover_cost_function(points: PointCloud, rng: ScaleRange, scale_menu_size: int = 16):

@@ -72,8 +72,20 @@ class FrostmanResult:
     range: ScaleRange
 
 
+def _squared_distance(p, q) -> float:
+    """fsum((a - b)**2 over coordinates): the exact sum of the rounded squares.
+
+    inf where a square or the sum overflows; Python's `**` and fsum raise
+    OverflowError there instead.
+    """
+    try:
+        return math.fsum((a - b) ** 2 for a, b in zip(p, q))
+    except OverflowError:
+        return math.inf
+
+
 def _ball_masses(atoms, probes) -> list[float]:
-    """mu(B(x, r)) = fsum of the masses of atoms p with fsum((p - x)**2) <= r*r, per probe.
+    """mu(B(x, r)) = fsum of the masses of atoms p with _squared_distance(p, x) <= r*r, per probe.
 
     atoms are (point, mass) pairs, probes (x, r) pairs with r > 0.  Each
     probe first keeps the atoms inside the box |p_i - x_i| <= r (1 + 1e-9),
@@ -98,7 +110,7 @@ def _ball_masses(atoms, probes) -> list[float]:
             math.fsum(
                 m
                 for p, m in map(atoms.__getitem__, near.tolist())
-                if math.fsum((a - b) ** 2 for a, b in zip(p, x)) <= r2
+                if _squared_distance(p, x) <= r2
             )
         )
     return masses
@@ -369,9 +381,7 @@ def separated_witness_measure(points: PointCloud, delta: float) -> AtomicMeasure
     kept: list[list[float]] = []
     threshold = (delta * (1.0 - 1e-9)) ** 2
     for p in points.array.tolist():
-        if all(
-            math.fsum((a - b) ** 2 for a, b in zip(p, q)) >= threshold for q in kept
-        ):
+        if all(_squared_distance(p, q) >= threshold for q in kept):
             kept.append(p)
     mass = 1.0 / len(kept)
     return AtomicMeasure.from_atoms((p, mass) for p in kept)

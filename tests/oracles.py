@@ -142,22 +142,20 @@ class ScalarIntervalDP:
     def solve(self, s: float) -> tuple[float, list[int]]:
         """Return (optimal cost, chosen menu index per DP state).
 
-        Ties broken toward fewer sets, then toward larger diameters.
+        Ties broken toward the larger diameter.
         """
         n = len(self.xs)
         powers = [d**s for d in self.menu]
         cost = [0.0] * (n + 1)
-        count = [0] * (n + 1)
         choice = [-1] * (n + 1)
         for i in range(n - 1, -1, -1):
             best = None
             for j in range(len(self.menu) - 1, -1, -1):
-                nxt = self.jump[j][i]
-                cand = (cost[nxt] + powers[j], count[nxt] + 1, -self.menu[j])
+                cand = (cost[self.jump[j][i]] + powers[j], -self.menu[j])
                 if best is None or cand < best:
                     best = cand
                     choice[i] = j
-            cost[i], count[i] = best[0], best[1]
+            cost[i] = best[0]
         return cost[0], choice
 
     def cost(self, s: float) -> float:
@@ -280,9 +278,7 @@ def recursive_dyadic_cover(points, rng, s: float):
                 diameter=diam(level),
             )
         )
-    return RestrictedCover.build(
-        sets, rng, s, effective_lo=min(rng.lo, diam(j_bot)), effective_hi=rng.hi
-    )
+    return RestrictedCover.build(sets, rng, s, effective_lo=min(rng.lo, diam(j_bot)))
 
 
 def entropy_displayed(spec) -> float:

@@ -326,6 +326,13 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("grid", ["0:1:1e-12", "0:inf:1"])
+    def test_oversized_grid_exits_2(self, capsys, grid):
+        # refused from the count of values, before any is built
+        code, out, err = run(capsys, "sequence", "--p", "1", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
+
     def test_ragged_points_file_exits_2(self, capsys, tmp_path):
         points = tmp_path / "ragged.txt"
         points.write_text("0.1\n0.2 0.3\n")

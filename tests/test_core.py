@@ -96,10 +96,6 @@ class TestPointCloud:
         pc = PointCloud.from_points([(0.2, 0.7), (0.9, 0.1)])
         assert pc.bbox == ((0.2, 0.1), (0.9, 0.7))
 
-    def test_supplied_bbox_must_contain(self):
-        with pytest.raises(ValidationError):
-            PointCloud.from_points([(2.0,)], bbox=((0.0,), (1.0,)))
-
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             PointCloud.from_points([])

@@ -191,6 +191,15 @@ class TestBallMassesMatchFullScan:
 
 
 class TestCheckMdp:
+    def test_far_atom_whose_square_overflows(self):
+        # r*r underflows, so every atom reaches the exact test, where
+        # (1e200 - 0)**2 overflows: the far atom lies outside every ball
+        mu = AtomicMeasure.from_atoms([((0.0,), 0.5), ((1e200,), 0.5)])
+        report = check_mdp([(1e-160, mu)], s=0.5, theta=1.0, a=0.5, c=1.0, ball_samples=3)
+        entry = report.entries[0]
+        assert entry.total_mass == 1.0 and entry.violations == 3
+        assert entry.worst_ratio == 0.5 / 1e-160**0.5
+
     def test_builder_composition_passes(self):
         pts = fp_points(1.0, 0.01)
         res = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5, seed=0)
@@ -295,6 +304,16 @@ class TestFpWitnessMeasure:
 
 
 class TestSeparatedWitness:
+    @pytest.mark.parametrize(
+        "far",
+        [(1e200,), (1.2e154, 1.2e154)],
+        ids=["square-overflows", "sum-overflows"],
+    )
+    def test_far_point_kept(self, far):
+        origin = (0.0,) * len(far)
+        mu = separated_witness_measure(PointCloud.from_points([origin, far]), 0.1)
+        assert mu.atoms == ((origin, 0.5), (far, 0.5))
+
     def test_close_pair_collapses(self):
         pc = PointCloud.from_points([(0.5,), (0.5 + 0.005,)])
         mu = separated_witness_measure(pc, 0.01)
