@@ -21,6 +21,9 @@ from .core import (
 )
 from .formulas import BoundInputs, assouad_lower_bound, envelope_bound
 
+# Most rectangles carpet_points builds (about 3 MB of corners).
+MAX_CARPET_POINTS = 200_000
+
 
 class UpperBoundDomainError(ValidationError):
     """theta falls outside the validity domain of the logarithmic upper bound."""
@@ -214,7 +217,7 @@ def lower_bound_theta(spec: CarpetSpec, theta: float) -> float:
     return der.d + theta * (math.log(len(spec.digits)) - der.entropy_H) / math.log(spec.m)
 
 
-def carpet_points(spec: CarpetSpec, depth: int, limit: int = 200_000):
+def carpet_points(spec: CarpetSpec, depth: int):
     """Lower-left corners of all level-depth rectangles, as a point cloud.
 
     A finite stand-in for the attractor at resolution (m**-depth, n**-depth).
@@ -224,9 +227,9 @@ def carpet_points(spec: CarpetSpec, depth: int, limit: int = 200_000):
     if depth < 1:
         raise ValidationError("depth must be at least 1")
     count = len(spec.digits) ** depth
-    if count > limit:
+    if count > MAX_CARPET_POINTS:
         raise ValidationError(
-            f"{count} rectangles at depth {depth} exceed the limit {limit}"
+            f"{count} rectangles at depth {depth} exceed the limit {MAX_CARPET_POINTS}"
         )
     digits = np.array(spec.digits, dtype=float)
     corners = np.zeros((1, 2))

@@ -6,6 +6,7 @@ after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -249,8 +250,10 @@ class DimensionSpectrum:
                 )
                 for s in obj["samples"]
             )
+            if int(obj["ambient_n"]) != obj["ambient_n"]:
+                raise ValueError(f"ambient_n {obj['ambient_n']!r} is not an integer")
             return cls(ambient_n=int(obj["ambient_n"]), samples=samples)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed spectrum JSON: {exc}") from exc
 
 
@@ -309,16 +312,20 @@ class AtomicMeasure:
 
     @classmethod
     def from_atoms(cls, atoms) -> "AtomicMeasure":
-        cleaned = []
-        for point, mass in atoms:
-            mass = float(mass)
-            if mass <= 0.0:
-                raise ValidationError(f"atom masses must be positive, got {mass}")
-            cleaned.append((tuple(float(c) for c in point), mass))
-        if not cleaned:
-            raise ValidationError("a measure needs at least one atom")
-        total = math.fsum(m for _, m in cleaned)
-        return cls(atoms=tuple(cleaned), total=total)
+        """Measure from (point, mass) pairs: finite points of one length, finite masses > 0."""
+        try:
+            atoms = tuple((tuple(map(float, p)), float(m)) for p, m in atoms)
+            points, masses = zip(*atoms)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"need a non-empty list of (point, mass) pairs: {exc}") from exc
+        if not points[0] or {len(p) for p in points} != {len(points[0])}:
+            raise ValidationError("atom points need one and the same number of coordinates")
+        if not all(map(math.isfinite, itertools.chain(masses, *points))) or min(masses) <= 0.0:
+            raise ValidationError("atom masses must be positive, and every number finite")
+        try:
+            return cls(atoms=atoms, total=math.fsum(masses))
+        except OverflowError:
+            raise ValidationError("the atom masses sum past the float range") from None
 
     def __post_init__(self) -> None:
         s = math.fsum(m for _, m in self.atoms)

@@ -11,6 +11,7 @@ cost(s), built once per cell, that evaluates a list of s per call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .core import (
     MIN_SCALE,
     DepthLimitError,
     PointCloud,
+    RangeTooNarrowError,
     ScaleRange,
     ValidationError,
     check_theta,
@@ -232,7 +234,7 @@ class _DyadicTree:
     parents[i] maps each cell of level top + i + 1 to its parent's row in
     cells[i].  Dyadic covers anchor the tree at the bounding box
     (_bbox_tree); the Frostman cap cascade at the unit box when the points
-    lie in it (frostman._rescale).
+    lie in it (_cascade_tree).  dyadic_levels picks the levels of both.
 
     The build sorts the points once, stably, into depth-first order; in
     that order every cell of every level is one run of consecutive points,
@@ -345,6 +347,19 @@ class _DyadicTree:
         return [self.cost(s) for s in ss]
 
 
+def dyadic_levels(size: float, lo: float, hi: float) -> tuple[int, int]:
+    """(top, bottom): coarsest level j with size * 2**-j <= hi (1 + 1e-12), finest with >= lo.
+
+    bottom allows 1e-9 in log2, and is below top when no level fits.  size
+    is a level-0 cube's side or diameter, whichever the band bounds.
+    Differences of logarithms keep a ratio past the float range finite.
+    """
+    top = max(0, math.ceil(math.log2(size) - math.log2(hi) - 1e-9))
+    while size * 2.0**-top > hi * (1.0 + 1e-12):
+        top += 1
+    return top, math.floor(math.log2(size) - math.log2(lo) + 1e-9)
+
+
 def _bbox_tree(points: PointCloud, rng: ScaleRange) -> _DyadicTree:
     """The tree of optimal_cover_dyadic: bounding-box anchor, levels admissible for rng.
 
@@ -352,25 +367,40 @@ def _bbox_tree(points: PointCloud, rng: ScaleRange) -> _DyadicTree:
     """
     scale = points.side
     root_diam = scale * math.sqrt(points.dimension_n)
-    lo, hi = rng.lo, rng.hi
-
-    j_top = 0
-    if root_diam > hi:
-        j_top = max(0, int(math.ceil(math.log2(root_diam / hi) - 1e-9)))
-    while root_diam * 2.0**-j_top > hi * (1.0 + 1e-12):
-        j_top += 1
-    if j_top > MAX_DEPTH:
+    top, bottom = dyadic_levels(root_diam, max(rng.lo, MIN_SCALE), rng.hi)
+    if top > MAX_DEPTH:
         raise DepthLimitError(
-            f"covering at diameter <= {hi} needs dyadic level {j_top} > {MAX_DEPTH}"
+            f"covering at diameter <= {rng.hi} needs dyadic level {top} > {MAX_DEPTH}"
         )
-
-    floor_lo = max(lo, MIN_SCALE)
-    j_bot = int(math.floor(math.log2(root_diam / floor_lo) + 1e-9))
-    j_bot = min(j_bot, MAX_DEPTH)
     # A band narrower than one dyadic step contains no dyadic diameter:
     # snap to the single level just below hi.
-    j_bot = max(j_bot, j_top)
-    return _DyadicTree(points, points.bbox[0], scale, j_top, j_bot)
+    bottom = max(min(bottom, MAX_DEPTH), top)
+    return _DyadicTree(points, points.bbox[0], scale, top, bottom)
+
+
+def _rescale(points: PointCloud):
+    """The cap cascade's (origin, scale): the unit box if it holds the points, else the bbox."""
+    mins, maxs = points.bbox
+    if all(0.0 <= lo and hi <= 1.0 for lo, hi in zip(mins, maxs)):
+        return (0.0,) * points.dimension_n, 1.0
+    return mins, points.side
+
+
+def _cascade_tree(points: PointCloud, lo: float, delta: float) -> _DyadicTree:
+    """The cap cascade's tree, anchored by _rescale.
+
+    Levels run from the coarsest of diameter <= delta to the finest of side >= lo.
+    """
+    origin, scale = _rescale(points)
+    stop = dyadic_levels(scale * math.sqrt(points.dimension_n), lo, delta)[0]
+    base = dyadic_levels(scale, lo, delta)[1]
+    if stop > base:
+        raise RangeTooNarrowError(
+            f"no dyadic level fits: base level {base} (side >= {lo}) is coarser than stop {stop}"
+        )
+    if base > MAX_DEPTH:
+        raise DepthLimitError(f"the cascade needs dyadic level {base} > {MAX_DEPTH}")
+    return _DyadicTree(points, origin, scale, stop, base)
 
 
 def optimal_cover_dyadic(
@@ -421,9 +451,7 @@ def cover_cost_function(points: PointCloud, rng: ScaleRange, scale_menu_size: in
     return _bbox_tree(points, rng)
 
 
-def refine_cover(
-    cover: RestrictedCover, phi: float, new_delta: float, s: float | None = None
-) -> RestrictedCover:
+def refine_cover(cover: RestrictedCover, phi: float, new_delta: float) -> RestrictedCover:
     """Refit a cover to the narrower band of a larger restriction parameter.
 
     Sets already inside [new_delta**(1/phi), new_delta] are kept; larger
@@ -449,28 +477,15 @@ def refine_cover(
         if c.diameter <= new_hi * (1.0 + 1e-12):
             out.append(c)
             continue
-        pieces_per_axis = guarded_ceil(c.side / side)
         starts = [x - c.side / 2.0 for x in c.center]
-
-        def emit(axis: int, center: list[float]) -> None:
-            if axis == n:
-                out.append(
-                    CoverSet(
-                        kind="interval" if n == 1 else "cube",
-                        center=tuple(center),
-                        side=side,
-                        diameter=new_hi,
-                    )
-                )
-                return
-            for i in range(pieces_per_axis):
-                emit(axis + 1, center + [starts[axis] + (i + 0.5) * side])
-
-        emit(0, [])
+        for index in itertools.product(range(guarded_ceil(c.side / side)), repeat=n):
+            center = tuple(x + (i + 0.5) * side for x, i in zip(starts, index))
+            kind = "interval" if n == 1 else "cube"
+            out.append(CoverSet(kind=kind, center=center, side=side, diameter=new_hi))
     return RestrictedCover.build(
         out,
         new_rng,
-        cover.s if s is None else s,
+        cover.s,
         effective_lo=min(new_rng.lo, cover.effective_lo),
     )
 

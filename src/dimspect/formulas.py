@@ -153,9 +153,7 @@ def example_spectrum_curve(which: int, grid) -> DimensionSpectrum:
     return DimensionSpectrum(ambient_n=ambient, samples=tuple(samples))
 
 
-def constant_spectrum(
-    value: float, grid, ambient_n: int, method: str = "exact"
-) -> DimensionSpectrum:
+def constant_spectrum(value: float, grid, ambient_n: int) -> DimensionSpectrum:
     """Spectrum of a set whose dimension does not depend on theta."""
-    samples = tuple(SpectrumSample(t, value, value, method) for t in grid)
+    samples = tuple(SpectrumSample(t, value, value, "exact") for t in grid)
     return DimensionSpectrum(ambient_n=ambient_n, samples=samples)

@@ -28,12 +28,11 @@ import numpy as np
 from .core import (
     AtomicMeasure,
     PointCloud,
-    RangeTooNarrowError,
     ScaleRange,
     ValidationError,
     check_theta,
 )
-from .covers import _DyadicTree, guarded_ceil
+from .covers import _cascade_tree, guarded_ceil
 
 # Band ratios below this certify too narrow a range of scales to mean much.
 WEAK_BAND_RATIO = 10.0
@@ -44,8 +43,8 @@ class DyadicCascade:
     """Final per-level cube masses of the cap cascade, before normalization.
 
     Levels run from stop_level (coarsest, diameter <= delta) down to
-    base_level (finest, side just below delta**(1/theta)); the cap at
-    level j is 2**(-j s).
+    base_level (finest, side >= delta**(1/theta)); a level-j cube has side
+    scale * 2**-j, scale being the anchor box's side, and cap 2**(-j s).
     """
 
     s: float
@@ -116,13 +115,6 @@ def _ball_masses(atoms, probes) -> list[float]:
     return masses
 
 
-def _rescale(points: PointCloud):
-    mins, maxs = points.bbox
-    if all(0.0 <= lo and hi <= 1.0 for lo, hi in zip(mins, maxs)):
-        return (0.0,) * points.dimension_n, 1.0
-    return mins, points.side
-
-
 def build_frostman_measure(
     points: PointCloud,
     s: float,
@@ -133,15 +125,16 @@ def build_frostman_measure(
 ) -> FrostmanResult:
     """Cap-cascade measure on a point cloud for the band [delta**(1/theta), delta].
 
-    The base dyadic level m is the unique one with
-    2**(-m-1) < delta**(1/theta) <= 2**-m; the cascade stops at level m-l
-    where l is the largest integer with 2**-(m-l) * sqrt(n) <= delta.  Each
-    occupied base cube contributes one atom at its lexicographically least
-    point.  The cubes come from covers._DyadicTree, the tree dyadic covers
-    use, anchored here at the unit box when the points lie in it and at
-    the bounding box otherwise (_rescale).  The reported constant is twice
-    the worst sampled ratio mu(B(x,r)) / r**s (radius form), a safety
-    factor over the probes.
+    The cubes come from covers._DyadicTree, the tree dyadic covers use,
+    anchored at the unit box when the points lie in it and at the
+    bounding box otherwise, so a level-j cube has side scale * 2**-j with
+    scale 1 or the bounding cube's side (covers._cascade_tree).  The base
+    level m is the finest with scale * 2**-m >= delta**(1/theta); the
+    cascade stops at the coarsest level l with scale * sqrt(n) * 2**-l <=
+    delta (covers.dyadic_levels).  Each occupied base cube contributes one
+    atom at its lexicographically least point.  The reported constant is
+    twice the worst sampled ratio mu(B(x,r)) / r**s (radius form), a
+    safety factor over the probes.
     """
     if not (math.isfinite(s) and s > 0.0):
         raise ValidationError(f"exponent s must be finite and positive, got {s}")
@@ -152,28 +145,8 @@ def build_frostman_measure(
         raise ValidationError("the cascade needs theta > 0 (theta = 0 is classical)")
     rng = ScaleRange(delta, theta)
     lo = rng.lo
-    n = points.dimension_n
-
-    m = int(math.floor(-math.log2(lo)))
-    while 2.0**-m < lo:
-        m -= 1
-    while 2.0 ** -(m + 1) >= lo:
-        m += 1
-    sqrt_n = math.sqrt(n)
-    stop = int(math.ceil(math.log2(sqrt_n / delta)))
-    while 2.0**-stop * sqrt_n > delta:
-        stop += 1
-    while stop > 0 and 2.0 ** -(stop - 1) * sqrt_n <= delta:
-        stop -= 1
-    stop = max(stop, 0)
-    if stop > m:
-        raise RangeTooNarrowError(
-            f"no dyadic level fits: base level {m} (from delta**(1/theta)) is "
-            f"coarser than stop level {stop} (from delta)"
-        )
-
-    origin, scale = _rescale(points)
-    tree = _DyadicTree(points, origin, scale, stop, m)
+    tree = _cascade_tree(points, lo, delta)
+    m, stop = tree.bottom, tree.top
     starts = tree.leaf_starts()
     # masses of the base cubes, in tree order
     masses = np.full(len(tree.first_point), 2.0 ** (-m * s))
@@ -376,8 +349,8 @@ def separated_witness_measure(points: PointCloud, delta: float) -> AtomicMeasure
     >= delta from everything kept so far.  The atom count is the
     separation number driving box-counting style lower bounds.
     """
-    if not delta > 0.0:
-        raise ValidationError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.sqrt(sys.float_info.max):
+        raise ValidationError(f"delta must be positive with a finite square, got {delta}")
     kept: list[list[float]] = []
     threshold = (delta * (1.0 - 1e-9)) ** 2
     for p in points.array.tolist():

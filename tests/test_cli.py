@@ -2,7 +2,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dimspect import ValidationError
 from dimspect.cli import main, parse_grid, parse_points_text, spectrum_from_json
 
 
@@ -27,12 +30,38 @@ class TestParsers:
         assert grid[-1] == 1.0 and len(grid) == 11
 
     def test_grid_errors(self):
-        from dimspect import ValidationError
-
         with pytest.raises(ValidationError):
             parse_grid("0:1:0.25:9")
         with pytest.raises(ValidationError):
             parse_grid("0,2")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        spec=st.one_of(
+            st.text(max_size=20),
+            st.tuples(
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(
+                            ["0", "1", ".5", "-0", "1e-3", "inf", "-inf", "nan", "1e308", " ", ""]
+                        ),
+                        st.floats().map(repr),
+                        st.text(alphabet="0123456789.eE+-_ infaINFA", max_size=6),
+                    ),
+                    min_size=1,
+                    max_size=4,
+                ),
+                st.sampled_from([":", ","]),
+            ).map(lambda parts: parts[1].join(parts[0])),
+        )
+    )
+    def test_grid_is_sorted_in_unit_interval_or_refused(self, spec):
+        try:
+            grid = parse_grid(spec)
+        except ValidationError:
+            return
+        assert grid and all(type(v) is float and 0.0 <= v <= 1.0 for v in grid)
+        assert all(a < b for a, b in zip(grid, grid[1:]))
 
     def test_points_text(self):
         cloud = parse_points_text("# header\n0.1, 0.2\n\n0.3 0.4\n")

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from dimspect import (
     ScaleRangeTooDeepError,
     SpectrumSample,
     ValidationError,
+    check_mdp,
     default_theta_grid,
     spectrum_merge,
 )
@@ -195,6 +197,42 @@ class TestDimensionSpectrum:
         again = DimensionSpectrum.from_json_dict(spec.to_json_dict())
         assert again == spec
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ambient=st.integers(1, 3),
+        data=st.data(),
+        method=st.text(max_size=12),
+    )
+    def test_json_text_roundtrip(self, ambient, data, method):
+        thetas = data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8, unique=True))
+        value = st.floats(0.0, float(ambient))
+        pairs = [sorted(data.draw(st.tuples(value, value))) for _ in thetas]
+        # sorting each column keeps lower <= upper sample by sample
+        samples = tuple(
+            SpectrumSample(t, lower, upper, method)
+            for t, lower, upper in zip(
+                sorted(thetas), sorted(p[0] for p in pairs), sorted(p[1] for p in pairs)
+            )
+        )
+        spec = DimensionSpectrum(ambient_n=ambient, samples=samples)
+        text = json.dumps(spec.to_json_dict())
+        assert DimensionSpectrum.from_json_dict(json.loads(text)) == spec
+
+    @pytest.mark.parametrize(
+        "ambient, sample",
+        [
+            (1.7, {}),
+            ("1", {}),
+            (math.inf, {}),
+            (1, {"theta": "ab"}),
+        ],
+        ids=["fractional-ambient", "string-ambient", "infinite-ambient", "text-theta"],
+    )
+    def test_json_refuses_bad_numbers(self, ambient, sample):
+        sample = {"theta": 0.5, "lower": 0.0, "upper": 1.0, "method": "exact", **sample}
+        with pytest.raises(ValidationError):
+            DimensionSpectrum.from_json_dict({"ambient_n": ambient, "samples": [sample]})
+
 
 class TestSpectrumMerge:
     def test_max_realizes_union_formula(self):
@@ -255,6 +293,57 @@ class TestAtomicMeasure:
     def test_json_roundtrip(self):
         mu = AtomicMeasure.from_atoms([((0.1, 0.2), 0.4), ((0.3, 0.9), 0.6)])
         assert AtomicMeasure.from_json_dict(mu.to_json_dict()) == mu
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dimension=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_json_text_roundtrip(self, dimension, data):
+        coord = st.floats(allow_nan=False, allow_infinity=False)
+        mass = st.floats(1e-300, 1e300)
+        atoms = data.draw(
+            st.lists(st.tuples(st.tuples(*[coord] * dimension), mass), min_size=1, max_size=20)
+        )
+        mu = AtomicMeasure.from_atoms(atoms)
+        text = json.dumps(mu.to_json_dict())
+        assert AtomicMeasure.from_json_dict(json.loads(text)) == mu
+
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            [((math.nan,), 1.0)],
+            [((math.inf, 0.0), 1.0)],
+            [((0.5,), math.nan)],
+            [((0.5,), math.inf)],
+            [((0.1,), 0.5), ((0.2, 0.3), 0.5)],
+            [((), 1.0)],
+            [((0.1,), 1e308), ((0.2,), 1e308)],
+            [((0.1,), "heavy")],
+        ],
+        ids=[
+            "nan-coordinate",
+            "inf-coordinate",
+            "nan-mass",
+            "inf-mass",
+            "mixed-lengths",
+            "no-coordinates",
+            "total-overflows",
+            "text-mass",
+        ],
+    )
+    def test_refuses_bad_numbers(self, atoms):
+        with pytest.raises(ValidationError):
+            AtomicMeasure.from_atoms(atoms)
+
+    def test_nan_atom_cannot_certify(self):
+        # a NaN atom lies in no ball, so check_mdp used to pass it with ratio 0
+        with pytest.raises(ValidationError):
+            check_mdp([(0.1, AtomicMeasure.from_atoms([((math.nan,), 1.0)]))], 0.5, 0.5, 1.0, 1.0)
+
+    def test_json_text_coordinate_refused(self):
+        with pytest.raises(ValidationError):
+            AtomicMeasure.from_json_dict({"atoms": [{"x": "ab", "mass": 1}]})
 
     def test_normalized(self):
         mu = AtomicMeasure.from_atoms([((0.0,), 3.0), ((1.0,), 1.0)])

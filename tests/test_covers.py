@@ -202,6 +202,12 @@ class TestOptimalCoverDyadic:
         with pytest.raises(DepthLimitError):
             optimal_cover_dyadic(pc, ScaleRange(1.5e-12, 1.0), 0.5)
 
+    def test_depth_limit_past_the_float_range(self):
+        # extent / diameter overflows a float; the level count must not
+        pc = PointCloud.from_points([(0.0,), (1e300,)])
+        with pytest.raises(DepthLimitError):
+            optimal_cover_dyadic(pc, ScaleRange(1e-12, 1.0), 0.5)
+
     def test_within_provable_factor_of_menu(self):
         # grid alignment costs at most one level: factor 2**(1+s)
         pts = fp_points(1.0, 0.05)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from dimspect import (
     AtomicMeasure,
+    DepthLimitError,
     PointCloud,
     RangeTooNarrowError,
     ScaleRangeTooDeepError,
@@ -16,7 +17,8 @@ from dimspect import (
     fp_witness_measure,
     separated_witness_measure,
 )
-from dimspect.frostman import _ball_masses, _rescale
+from dimspect.covers import _rescale
+from dimspect.frostman import _ball_masses
 from conftest import point_clouds
 from oracles import full_scan_ball_mass, loop_cap_cascade
 
@@ -81,6 +83,12 @@ class TestBuilder:
             mass = math.fsum(m for (px,), m in atoms if abs(px - x) <= r)
             assert mass <= res.constant * r**0.3 * (1 + 1e-9)
 
+    def test_depth_limit_on_a_huge_cloud(self):
+        # base cubes of side >= 1e-12 in a bounding cube of side 1e300
+        pc = PointCloud.from_points([(0.0,), (1e300,)])
+        with pytest.raises(DepthLimitError):
+            build_frostman_measure(pc, s=0.5, delta=0.001, theta=0.25)
+
     def test_range_too_narrow(self):
         pts = fp_points(1.0, 0.01)
         with pytest.raises(RangeTooNarrowError):
@@ -112,6 +120,48 @@ class TestBuilder:
         a = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5, seed=0)
         b = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5, seed=0)
         assert a.measure == b.measure and a.constant == b.constant
+
+
+def _cascade_scale(cloud: PointCloud) -> float:
+    """Side of a level-0 cube: 1 on the unit box, else the bounding cube's."""
+    mins, maxs = cloud.bbox
+    return 1.0 if min(mins) >= 0.0 and max(maxs) <= 1.0 else cloud.side
+
+
+class TestCascadeLevels:
+    """Base and stop levels are measured in the tree's own units."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cloud=point_clouds(max_points=20),
+        delta=st.floats(0.01, 0.5),
+        theta=st.floats(0.2, 1.0),
+    )
+    def test_stop_diameter_and_base_side_fit_the_band(self, cloud, delta, theta):
+        try:
+            res = build_frostman_measure(cloud, 1.0, delta, theta, ball_samples=0)
+        except (RangeTooNarrowError, ScaleRangeTooDeepError):
+            assume(False)
+        cascade, lo = res.cascade, res.range.lo
+        scale, root = _cascade_scale(cloud), math.sqrt(cloud.dimension_n)
+        base, stop = cascade.base_level, cascade.stop_level
+        assert stop <= base
+        assert scale * root * 2.0**-stop <= delta * (1 + 1e-12)
+        assert stop == 0 or scale * root * 2.0 ** -(stop - 1) > delta
+        assert scale * 2.0**-base >= lo * (1 - 1e-9)
+        assert scale * 2.0 ** -(base + 1) < lo
+
+    @pytest.mark.parametrize(
+        "points, levels",
+        [([(0.25,), (0.75,)], (4, 8)), ([(2.0,), (4.0,)], (5, 9))],
+        ids=["unit-box", "side-2"],
+    )
+    def test_exact_ties_at_both_band_ends(self, points, levels):
+        # delta = 2**-4 and lo = delta**2 = 2**-8: in R^1 a cube's diameter is
+        # its side, so both ends of the band are met exactly
+        res = build_frostman_measure(PointCloud.from_points(points), 1.0, 0.0625, 0.5)
+        assert res.range.lo == 2.0**-8
+        assert (res.cascade.stop_level, res.cascade.base_level) == levels
 
 
 class TestCascadeMatchesLoops:
@@ -313,6 +363,12 @@ class TestSeparatedWitness:
         origin = (0.0,) * len(far)
         mu = separated_witness_measure(PointCloud.from_points([origin, far]), 0.1)
         assert mu.atoms == ((origin, 0.5), (far, 0.5))
+
+    @pytest.mark.parametrize("delta", [1e200, math.inf, math.nan, 0.0])
+    def test_refuses_delta_without_finite_square(self, delta):
+        # 1e200 used to raise OverflowError squaring the threshold
+        with pytest.raises(ValidationError):
+            separated_witness_measure(PointCloud.from_points([(0.0,), (1.0,)]), delta)
 
     def test_close_pair_collapses(self):
         pc = PointCloud.from_points([(0.5,), (0.5 + 0.005,)])
