@@ -250,6 +250,8 @@ class DimensionSpectrum:
                 )
                 for s in obj["samples"]
             )
+            if not all(math.isfinite(v) for s in samples for v in (s.theta, s.lower, s.upper)):
+                raise ValueError("theta, lower and upper must be finite numbers")
             if int(obj["ambient_n"]) != obj["ambient_n"]:
                 raise ValueError(f"ambient_n {obj['ambient_n']!r} is not an integer")
             return cls(ambient_n=int(obj["ambient_n"]), samples=samples)
@@ -303,6 +305,13 @@ def default_theta_grid(count: int = 101) -> tuple[float, ...]:
     return tuple(i / (count - 1) for i in range(count))
 
 
+def _coordinates(point) -> tuple[float, ...]:
+    """A point's coordinates as floats; text is refused, not read one character a coordinate."""
+    if isinstance(point, (str, bytes, bytearray)):
+        raise TypeError(f"a point is a sequence of numbers, not {type(point).__name__} {point!r}")
+    return tuple(map(float, point))
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finite list of (point, mass) pairs; total is the sum of masses."""
@@ -314,7 +323,7 @@ class AtomicMeasure:
     def from_atoms(cls, atoms) -> "AtomicMeasure":
         """Measure from (point, mass) pairs: finite points of one length, finite masses > 0."""
         try:
-            atoms = tuple((tuple(map(float, p)), float(m)) for p, m in atoms)
+            atoms = tuple((_coordinates(p), float(m)) for p, m in atoms)
             points, masses = zip(*atoms)
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"need a non-empty list of (point, mass) pairs: {exc}") from exc

@@ -150,40 +150,84 @@ class _IntervalDP:
     leads to from state k.  One pass (table) gives the optimal cost from
     every state; the estimator reads state 0's, and optimal_cover_1d reads
     the cover off the whole table.
+
+    A state reads only states to its right, the nearest of them jump[k, 0]
+    (the menu ascends), and jump[:, 0] is non-decreasing in k.  So the
+    states split, greedily from the right, into runs [a, b) of at most
+    max_run states whose jumps all land at or past b: a run reads only
+    finished costs, and the pass fills it with one take, add and minimum.
+    blocks lists the runs of two or more states, right to left; every
+    other state is a run of its own, which the pass fills as a (menu, s)
+    array, cheaper to index than a (menu, 1, s) one.  Cells whose smallest
+    diameter is below the gaps between points have no blocks.
     """
 
     # s values one costs() call should carry.  A pass costs about as much
-    # for 17 values as for one (per-state numpy calls dominate), and 17 is
+    # for 17 values as for one (per-run numpy calls dominate), and 17 is
     # the two endpoints plus four bisection levels: a bisection takes 3
     # passes.  Larger batches save no pass until 65 values, at several MB.
     batch_size = 17
+    # States one run holds at most; it bounds the pass's temporary to
+    # menu x max_run x batch_size floats, 139 KB at the default 16 x 64 x 17.
+    max_run = 64
 
     def __init__(self, xs: np.ndarray, menu: tuple[float, ...]):
         self.menu = menu
-        jump = np.searchsorted(xs, xs + np.asarray(menu)[:, None], side="right")
+        # point-major, so that take reads it without a contiguous copy
+        jump = np.empty((len(xs), len(menu)), dtype=np.intp)
+        for j, d in enumerate(menu):  # one (N,) float temporary at a time
+            jump[:, j] = np.searchsorted(xs, xs + d, side="right")
         reach = np.zeros(len(xs) + 1, dtype=bool)
         reach[0] = True
         for i in range(len(xs)):
             if reach[i]:
-                reach[jump[:, i]] = True
+                reach[jump[i]] = True
         self.states = np.flatnonzero(reach)
         rank = np.cumsum(reach) - 1
-        self.jump = np.ascontiguousarray(rank[jump[:, self.states[:-1]]].T)
+        self.jump = jump.take(self.states[:-1], 0)
+        del jump
+        # in place: each entry is read once, just before it is written
+        rank.take(self.jump, out=self.jump, mode="clip")
+        # The run that ends at b starts at first[b], the first state whose
+        # nearest jump lands at or past b, or max_run back.  first[b] ==
+        # b - 1 is a run of one state; skip[b] is where a walk through such
+        # runs from b stops, so the walk steps once per block.
+        ends = np.arange(len(self.jump) + 1)
+        first = np.searchsorted(self.jump[:, 0], ends)
+        skip = np.maximum.accumulate(np.where(first == ends - 1, 0, ends)).tolist()
+        first = first.tolist()
+        self.blocks, b = [], skip[-1]
+        while b:
+            a = max(first[b], b - self.max_run)
+            self.blocks.append((a, b))
+            b = skip[a]
 
     def table(self, ss) -> np.ndarray:
         """Optimal cost from each kept state at each s in ss, in one right-to-left pass.
 
         cost[k] = min over j of cost[jump[k, j]] + menu[j]**s, a
-        (states, len(ss)) array.  No unreachable state feeds a kept one,
-        so each cost equals the scalar DP's over every point bit for bit.
+        (states, len(ss)) array, filled run by run.  No unreachable state
+        feeds a kept one, so each cost equals the scalar DP's over every
+        point bit for bit: the sums are the same sums, and a minimum is
+        exact in any order.
         """
         powers = np.array([[d**s for s in ss] for d in self.menu])
-        cost = np.zeros((len(self.states), len(ss)))
-        cand = np.empty_like(powers)
-        for k in range(len(self.jump) - 1, -1, -1):
-            cost.take(self.jump[k], 0, cand, "clip")
-            np.add(cand, powers, cand)
-            np.minimum.reduce(cand, 0, out=cost[k])
+        size, width = powers.shape
+        cost = np.zeros((len(self.states), width))
+        one, column = np.empty_like(powers), powers[:, None]
+        buf = np.empty(size * self.max_run * width)
+        top = len(self.jump)
+        for a, b in self.blocks + [(0, 0)]:  # the empty last block ends the pass at state 0
+            for k in range(top - 1, b - 1, -1):  # the one-state runs above the block
+                cost.take(self.jump[k], 0, one, "clip")
+                np.add(one, powers, one)
+                np.minimum.reduce(one, 0, out=cost[k])
+            if a < b:  # menu-major, so the minimum runs over contiguous (b - a, s) blocks
+                cand = buf[: size * (b - a) * width].reshape(size, b - a, width)
+                cost.take(self.jump[a:b].T, 0, cand, "clip")
+                np.add(cand, column, cand)
+                np.minimum.reduce(cand, 0, out=cost[a:b])
+            top = a
         return cost
 
     def costs(self, ss) -> list[float]:

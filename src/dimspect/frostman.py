@@ -351,8 +351,10 @@ def separated_witness_measure(points: PointCloud, delta: float) -> AtomicMeasure
     """
     if not 0.0 < delta < math.sqrt(sys.float_info.max):
         raise ValidationError(f"delta must be positive with a finite square, got {delta}")
-    kept: list[list[float]] = []
     threshold = (delta * (1.0 - 1e-9)) ** 2
+    if threshold < sys.float_info.min:  # squared distances below it would read 0
+        raise ValidationError(f"delta {delta} is too small: its squared separation underflows")
+    kept: list[list[float]] = []
     for p in points.array.tolist():
         if all(_squared_distance(p, q) >= threshold for q in kept):
             kept.append(p)

@@ -1,13 +1,27 @@
+import os
 import random
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
+from hypothesis.errors import InvalidArgument
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dimspect import CarpetSpec, PointCloud
+
+# On CI, a failing property test prints the blob that reproduces it
+# (@reproduce_failure).  Hypothesis versions that ship a "ci" profile of
+# their own keep its other settings.
+try:
+    _ci_parent = settings.get_profile("ci")
+except InvalidArgument:
+    _ci_parent = None
+settings.register_profile("ci", _ci_parent, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -6,11 +6,11 @@ partition-based interval covers.  Neither shares code with the library
 paths they check.  The reference implementations are the straightforward
 loop forms of vectorized or batched library code (tuple-of-tuples point
 ingestion, the per-word carpet corners, the scalar interval DP over
-every point, the recursive dyadic solver, the per-level np.unique
-dyadic cell tree, the one-s-at-a-time bisection, the dict-grouped cap
-cascade, the full-scan ball mass) and
-second closed-form routes to carpet quantities; the library must match
-them exactly or to rounding.
+every point, the per-state pass of the batched interval DP, the
+recursive dyadic solver, the per-level np.unique dyadic cell tree, the
+one-s-at-a-time bisection, the dict-grouped cap cascade, the full-scan
+ball mass) and second closed-form routes to carpet quantities; the
+library must match them exactly or to rounding.
 """
 
 from __future__ import annotations
@@ -169,6 +169,22 @@ class ScalarIntervalDP:
             picks.append((self.xs[i], self.menu[choice[i]]))
             i = self.jump[choice[i]][i]
         return picks
+
+
+def serial_interval_table(dp, ss) -> np.ndarray:
+    """Reference pass of covers._IntervalDP.table: one kept state at a time, right to left.
+
+    Each state's costs take one take, add and minimum over the menu, from
+    the costs of the states its jumps land on, all already final.
+    """
+    powers = np.array([[d**s for s in ss] for d in dp.menu])
+    cost = np.zeros((len(dp.states), len(ss)))
+    cand = np.empty_like(powers)
+    for k in range(len(dp.jump) - 1, -1, -1):
+        cost.take(dp.jump[k], 0, cand, "clip")
+        np.add(cand, powers, cand)
+        np.minimum.reduce(cand, 0, out=cost[k])
+    return cost
 
 
 def sequential_critical_exponent(cost, n: float, threshold: float) -> tuple[float, float]:

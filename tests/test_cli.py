@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimspect import ValidationError
+from dimspect import PointCloud, ValidationError
 from dimspect.cli import main, parse_grid, parse_points_text, spectrum_from_json
 
 
@@ -67,6 +67,24 @@ class TestParsers:
         cloud = parse_points_text("# header\n0.1, 0.2\n\n0.3 0.4\n")
         assert cloud.dimension_n == 2
         assert len(cloud) == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3), data=st.data())
+    def test_points_text_roundtrip(self, n, data):
+        # repr'd coordinates, any mix of separators, blank lines and comments
+        pts = data.draw(st.lists(st.tuples(*[st.floats(-1e300, 1e300)] * n), min_size=1, max_size=20))
+        filler = st.lists(st.sampled_from(["", "  ", "# note", "\t# 1, 2"]), max_size=2)
+        sep = st.sampled_from([",", " ", "\t", ", ", " ,\t"])
+        lines = []
+        for point in pts:
+            lines += data.draw(filler)
+            words = [data.draw(st.sampled_from(["", " "])) + repr(point[0])]
+            words += [data.draw(sep) + repr(c) for c in point[1:]]
+            lines.append("".join(words) + data.draw(st.sampled_from(["", " ", ",", "  # note"])))
+        text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines + data.draw(filler))
+        cloud, expected = parse_points_text(text), PointCloud.from_points(pts)
+        assert cloud.dimension_n == n
+        assert cloud.array.shape == expected.array.shape and (cloud.array == expected.array).all()
 
 
 class TestSequenceCommand:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimspect import (
@@ -225,13 +225,95 @@ class TestDimensionSpectrum:
             ("1", {}),
             (math.inf, {}),
             (1, {"theta": "ab"}),
+            (1, {"theta": math.nan}),
+            (1, {"lower": math.nan}),
+            (1, {"upper": math.nan}),
+            (1, {"upper": math.inf}),
         ],
-        ids=["fractional-ambient", "string-ambient", "infinite-ambient", "text-theta"],
+        ids=[
+            "fractional-ambient",
+            "string-ambient",
+            "infinite-ambient",
+            "text-theta",
+            "nan-theta",
+            "nan-lower",
+            "nan-upper",
+            "infinite-upper",
+        ],
     )
     def test_json_refuses_bad_numbers(self, ambient, sample):
         sample = {"theta": 0.5, "lower": 0.0, "upper": 1.0, "method": "exact", **sample}
         with pytest.raises(ValidationError):
             DimensionSpectrum.from_json_dict({"ambient_n": ambient, "samples": [sample]})
+
+
+@st.composite
+def spectra_on_one_grid(draw, count: int = 3):
+    """count spectra on one drawn theta grid and ambient dimension, each column monotone."""
+    ambient = draw(st.integers(1, 3))
+    thetas = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6, unique=True)))
+    value = st.floats(0.0, float(ambient))
+    spectra = []
+    for _ in range(count):
+        pairs = [sorted(draw(st.tuples(value, value))) for _ in thetas]
+        lowers, uppers = sorted(p[0] for p in pairs), sorted(p[1] for p in pairs)
+        method = draw(st.sampled_from(["exact", "estimated"]))
+        samples = (SpectrumSample(*row, method) for row in zip(thetas, lowers, uppers))
+        spectra.append(DimensionSpectrum(ambient_n=ambient, samples=tuple(samples)))
+    return spectra
+
+
+def _values(spectrum):
+    return spectrum.thetas(), spectrum.lowers(), spectrum.uppers()
+
+
+def _merged_values(a, b, mode):
+    """The merged (thetas, lowers, uppers), or the error class the merge raised."""
+    try:
+        return _values(spectrum_merge(a, b, mode))
+    except EmptyIntersectionError:
+        return EmptyIntersectionError
+
+
+class TestSpectrumMergeLaws:
+    # the method tags of a merge join in argument order, so the laws are on the numbers
+
+    @settings(max_examples=150, deadline=None)
+    @given(spectra=spectra_on_one_grid(), mode=st.sampled_from(["max", "min", "intersect"]))
+    def test_commutative_and_idempotent(self, spectra, mode):
+        a, b, _ = spectra
+        assert _merged_values(a, b, mode) == _merged_values(b, a, mode)
+        assert spectrum_merge(a, a, mode) == a
+
+    @settings(max_examples=150, deadline=None)
+    @given(spectra=spectra_on_one_grid(), mode=st.sampled_from(["max", "min"]))
+    def test_max_and_min_associative(self, spectra, mode):
+        a, b, c = spectra
+        left = spectrum_merge(spectrum_merge(a, b, mode), c, mode)
+        right = spectrum_merge(a, spectrum_merge(b, c, mode), mode)
+        assert _values(left) == _values(right)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        spectra=spectra_on_one_grid(count=1),
+        mode=st.sampled_from(["max", "min", "intersect"]),
+        extra=st.floats(0.0, 1.0),
+    )
+    def test_different_grids_or_ambients_refused(self, spectra, mode, extra):
+        (a,) = spectra
+        assume(extra not in a.thetas())
+        grid = sorted([*a.thetas(), extra])
+        others = (
+            DimensionSpectrum(ambient_n=a.ambient_n + 1, samples=a.samples),
+            DimensionSpectrum(
+                ambient_n=a.ambient_n,
+                samples=tuple(SpectrumSample(t, 0.0, 0.0, "exact") for t in grid),
+            ),
+        )
+        for other in others:
+            for x, y in ((a, other), (other, a)):
+                with pytest.raises(GridMismatchError):
+                    spectrum_merge(x, y, mode)
 
 
 class TestSpectrumMerge:
@@ -320,6 +402,8 @@ class TestAtomicMeasure:
             [((), 1.0)],
             [((0.1,), 1e308), ((0.2,), 1e308)],
             [((0.1,), "heavy")],
+            [("12", 1.0)],
+            [(b"12", 1.0)],
         ],
         ids=[
             "nan-coordinate",
@@ -330,6 +414,8 @@ class TestAtomicMeasure:
             "no-coordinates",
             "total-overflows",
             "text-mass",
+            "text-point",
+            "bytes-point",
         ],
     )
     def test_refuses_bad_numbers(self, atoms):
@@ -344,6 +430,11 @@ class TestAtomicMeasure:
     def test_json_text_coordinate_refused(self):
         with pytest.raises(ValidationError):
             AtomicMeasure.from_json_dict({"atoms": [{"x": "ab", "mass": 1}]})
+
+    def test_json_text_point_refused(self):
+        # "12" used to read as the point (1.0, 2.0), one coordinate a character
+        with pytest.raises(ValidationError):
+            AtomicMeasure.from_json_dict({"atoms": [{"x": "12", "mass": 1}]})
 
     def test_normalized(self):
         mu = AtomicMeasure.from_atoms([((0.0,), 3.0), ((1.0,), 1.0)])

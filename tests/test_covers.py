@@ -29,6 +29,7 @@ from oracles import (
     ScalarIntervalDP,
     brute_force_menu_cost,
     recursive_dyadic_cover,
+    serial_interval_table,
     unique_dyadic_tree,
 )
 
@@ -389,6 +390,52 @@ class TestIntervalDPMatchesOracle:
         for (s, a), (t, b) in zip(zip(ss, costs), zip(ss[1:], costs[1:])):
             if t - s > 1e-6:
                 assert a > b
+
+
+@st.composite
+def fp_dp_cells(draw):
+    """xs, the default menu and a batch of s: a dense fp cloud in a coarser band.
+
+    Bands of theta < 1 hold runs of many states; in 4 of the 12 such
+    cells, the greedy runs would pass max_run states without the cap.
+    theta = 1 gives a one-entry menu, where every run is a single state.
+    """
+    p, delta = draw(st.sampled_from([(0.5, 1e-3), (1.0, 1e-4)]))
+    xs = fp_points(p, delta, theta_min=0.5).array[:, 0]
+    rng = ScaleRange(draw(st.sampled_from([0.1, 0.03, 0.01])), draw(st.sampled_from([0.5, 0.75, 1.0])))
+    ss = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=_IntervalDP.batch_size))
+    return xs, geometric_menu(rng.lo, rng.hi, 16), ss
+
+
+class TestIntervalDPRuns:
+    @settings(max_examples=60, deadline=None)
+    @given(cell=st.one_of(fp_dp_cells(), dp_cells().map(lambda c: (c[0].array[:, 0], c[3], c[4]))))
+    def test_table_equals_serial_pass_bit_for_bit(self, cell):
+        xs, menu, ss = cell
+        dp = _IntervalDP(xs, menu)
+        expected = serial_interval_table(dp, ss)
+        assert np.array_equal(dp.table(ss).view(np.int64), expected.view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(cell=fp_dp_cells())
+    def test_runs_tile_the_states_from_the_right(self, cell):
+        xs, menu, _ = cell
+        dp = _IntervalDP(xs, menu)
+        top = len(dp.jump)
+        for a, b in dp.blocks:  # right to left and disjoint; the states between are one-state runs
+            assert a + 2 <= b <= top and b - a <= _IntervalDP.max_run
+            assert dp.jump[a:b].min() >= b  # a run reads only finished costs
+            top = a
+        assert (dp.jump[:, 0] > np.arange(len(dp.jump))).all()  # so does a one-state run
+
+    def test_fp_cells_hold_capped_and_single_state_runs(self):
+        xs = fp_points(0.5, 1e-3, theta_min=0.5).array[:, 0]
+        lengths = {}
+        for theta in (0.5, 1.0):
+            rng = ScaleRange(0.03, theta)
+            dp = _IntervalDP(xs, geometric_menu(rng.lo, rng.hi, 16))
+            lengths[theta] = {b - a for a, b in dp.blocks}
+        assert max(lengths[0.5]) == _IntervalDP.max_run and not lengths[1.0]
 
 
 class TestRefineCover:

@@ -370,6 +370,13 @@ class TestSeparatedWitness:
         with pytest.raises(ValidationError):
             separated_witness_measure(PointCloud.from_points([(0.0,), (1.0,)]), delta)
 
+    def test_refuses_delta_whose_square_underflows(self):
+        # (1e-190)**2 and (1e-200)**2 both read 0, so the pair used to pass as separated
+        pc = PointCloud.from_points([(0.0,), (1e-200,)])
+        with pytest.raises(ValidationError):
+            separated_witness_measure(pc, 1e-190)
+        assert len(separated_witness_measure(pc, 1e-150).atoms) == 1
+
     def test_close_pair_collapses(self):
         pc = PointCloud.from_points([(0.5,), (0.5 + 0.005,)])
         mu = separated_witness_measure(pc, 0.01)
