@@ -131,8 +131,12 @@ def geometric_menu(lo: float, hi: float, size: int) -> tuple[float, ...]:
         raise ValidationError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
     if hi / lo < 1.0 + 1e-12:
         return (hi,)
-    ratio = (hi / lo) ** (1.0 / (size - 1))
-    menu = [lo * ratio**i for i in range(size)]
+    # lo * 2**(i * octaves / (size - 1)): exact when the band spans a whole
+    # number of octaves per step, where (hi / lo)**(1 / (size - 1)) rounds
+    # (64**(1/3) is 3.9999999999999996) and an entry lands an ulp under a
+    # gap it should span.
+    octaves = math.log2(hi / lo)
+    menu = [lo * 2.0 ** (octaves * i / (size - 1)) for i in range(size)]
     menu[0], menu[-1] = lo, hi
     return tuple(sorted(set(menu)))
 
