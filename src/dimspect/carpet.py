@@ -7,6 +7,7 @@ the theta-intermediate dimension assembled into a spectrum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from .core import (
     SpectrumSample,
     ValidationError,
     check_theta,
+    read_numbers,
 )
 from .formulas import BoundInputs, assouad_lower_bound, envelope_bound
 
@@ -31,7 +33,11 @@ class UpperBoundDomainError(ValidationError):
 
 @dataclass(frozen=True)
 class CarpetSpec:
-    """Grid subdivision m x n (n > m >= 2) with digit set D of cells (p, q)."""
+    """Grid subdivision m x n (n > m >= 2) with digit set D of cells (p, q).
+
+    create reads m, n and each digit's p and q by core.read_numbers: integers,
+    or integral floats, never text, bools or fractions.
+    """
 
     m: int
     n: int
@@ -39,10 +45,15 @@ class CarpetSpec:
 
     @classmethod
     def create(cls, m: int, n: int, digits) -> "CarpetSpec":
-        m, n = int(m), int(n)
+        m, n = read_numbers((m, n), "m and n", integral=True)
         if m < 2 or n <= m:
             raise ValidationError(f"need integers n > m >= 2, got m={m}, n={n}")
-        cells = [(int(p), int(q)) for p, q in digits]
+        try:
+            pairs = itertools.chain(*((p, q) for p, q in digits))
+            flat = read_numbers(pairs, "digits", integral=True)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"digits must be (p, q) pairs of integers: {exc}") from exc
+        cells = list(zip(flat[::2], flat[1::2]))
         if len(set(cells)) != len(cells):
             raise ValidationError("duplicate digits in carpet spec")
         if len(cells) < 2:

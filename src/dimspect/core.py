@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -58,6 +59,31 @@ class InvariantError(DimspectError):
 
 class EmptyIntersectionError(InvariantError):
     """Intersecting two spectra produced lower > upper."""
+
+
+def read_numbers(values, what: str, integral: bool = False) -> list:
+    """values as a list of floats, or ints if integral: the one rule for numbers read from input.
+
+    A number is a finite real number that is not a bool or text; an
+    integral one has no fractional part (2.0 reads as 2, 2.9 is refused).
+    Types are checked once per distinct type, so long lists stay cheap.
+    """
+    values = list(values)
+    for kind in set(map(type, values)):
+        if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+            bad = next(v for v in values if type(v) is kind)
+            raise ValidationError(f"{what} must be numbers, got {bad!r}")
+    try:
+        floats = list(map(float, values))
+    except OverflowError:  # an int past the float range
+        floats = [math.inf]
+    if not all(map(math.isfinite, floats)):
+        raise ValidationError(f"{what} must be finite")
+    if not integral:
+        return floats
+    if not all(x.is_integer() for x in floats):
+        raise ValidationError(f"{what} must be integers, got {values}")
+    return list(map(int, values))
 
 
 def check_theta(theta: float) -> float:
@@ -111,10 +137,9 @@ class PointCloud:
     reads array; points rebuilds its rows as a tuple of tuples on each
     access (about 0.7 ms per 6,000 points in R^2).  Besides malformed and
     non-finite rows, ingestion refuses a bounding cube whose diagonal,
-    side * sqrt(n), overflows a float.
+    side * sqrt(n), overflows a float.  dimension_n is the array's width.
     """
 
-    dimension_n: int
     array: np.ndarray
     bbox: tuple[tuple[float, ...], tuple[float, ...]]
 
@@ -141,10 +166,14 @@ class PointCloud:
         mins = tuple(arr[arr.argmin(0), range(n)].tolist())
         maxs = tuple(arr[arr.argmax(0), range(n)].tolist())
         arr.flags.writeable = False
-        cloud = cls(dimension_n=n, array=arr, bbox=(mins, maxs))
+        cloud = cls(array=arr, bbox=(mins, maxs))
         if not math.isfinite(cloud.side * math.sqrt(n)):
             raise ValidationError(f"the extent of the bounding box {cloud.bbox} overflows a float")
         return cloud
+
+    @property
+    def dimension_n(self) -> int:
+        return self.array.shape[1]
 
     @property
     def side(self) -> float:
@@ -243,19 +272,14 @@ class DimensionSpectrum:
         try:
             samples = tuple(
                 SpectrumSample(
-                    theta=float(s["theta"]),
-                    lower=float(s["lower"]),
-                    upper=float(s["upper"]),
+                    *read_numbers((s["theta"], s["lower"], s["upper"]), "theta, lower and upper"),
                     method=str(s["method"]),
                 )
                 for s in obj["samples"]
             )
-            if not all(math.isfinite(v) for s in samples for v in (s.theta, s.lower, s.upper)):
-                raise ValueError("theta, lower and upper must be finite numbers")
-            if int(obj["ambient_n"]) != obj["ambient_n"]:
-                raise ValueError(f"ambient_n {obj['ambient_n']!r} is not an integer")
-            return cls(ambient_n=int(obj["ambient_n"]), samples=samples)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            [ambient_n] = read_numbers([obj["ambient_n"]], "ambient_n", integral=True)
+            return cls(ambient_n=ambient_n, samples=samples)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed spectrum JSON: {exc}") from exc
 
 
@@ -305,41 +329,45 @@ def default_theta_grid(count: int = 101) -> tuple[float, ...]:
     return tuple(i / (count - 1) for i in range(count))
 
 
-def _coordinates(point) -> tuple[float, ...]:
-    """A point's coordinates as floats; text is refused, not read one character a coordinate."""
+def _coordinates(point) -> tuple:
+    """A point's coordinates; text is refused, not read one character (or byte) a coordinate."""
     if isinstance(point, (str, bytes, bytearray)):
         raise TypeError(f"a point is a sequence of numbers, not {type(point).__name__} {point!r}")
-    return tuple(map(float, point))
+    return tuple(point)
 
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finite list of (point, mass) pairs; total is the sum of masses."""
+    """Finite list of (point, mass) pairs; total, the fsum of the masses, is computed.
+
+    from_atoms reads each mass and coordinate by read_numbers.
+    """
 
     atoms: tuple[tuple[tuple[float, ...], float], ...]
-    total: float
+    total: float = field(init=False)
 
     @classmethod
     def from_atoms(cls, atoms) -> "AtomicMeasure":
         """Measure from (point, mass) pairs: finite points of one length, finite masses > 0."""
         try:
-            atoms = tuple((_coordinates(p), float(m)) for p, m in atoms)
-            points, masses = zip(*atoms)
+            points, masses = zip(*((_coordinates(p), m) for p, m in atoms))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"need a non-empty list of (point, mass) pairs: {exc}") from exc
-        if not points[0] or {len(p) for p in points} != {len(points[0])}:
+        n = len(points[0])
+        if not n or {len(p) for p in points} != {n}:
             raise ValidationError("atom points need one and the same number of coordinates")
-        if not all(map(math.isfinite, itertools.chain(masses, *points))) or min(masses) <= 0.0:
-            raise ValidationError("atom masses must be positive, and every number finite")
-        try:
-            return cls(atoms=atoms, total=math.fsum(masses))
-        except OverflowError:
-            raise ValidationError("the atom masses sum past the float range") from None
+        values = itertools.chain(masses, *points)
+        values = iter(read_numbers(values, "atom masses and coordinates"))
+        masses = tuple(itertools.islice(values, len(masses)))
+        if min(masses) <= 0.0:
+            raise ValidationError("atom masses must be positive")
+        return cls(tuple(zip(zip(*[values] * n), masses)))
 
     def __post_init__(self) -> None:
-        s = math.fsum(m for _, m in self.atoms)
-        if abs(s - self.total) > 1e-12 * max(1.0, abs(s)):
-            raise InvariantError(f"total {self.total} != sum of masses {s}")
+        try:
+            object.__setattr__(self, "total", math.fsum(m for _, m in self.atoms))
+        except OverflowError:
+            raise ValidationError("the atom masses sum past the float range") from None
 
     def normalized(self) -> "AtomicMeasure":
         return AtomicMeasure.from_atoms(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,24 +44,23 @@ def cover_cost(diameters, s: float) -> float:
 
 @dataclass(frozen=True)
 class CoverSet:
-    """One covering set: an interval in R or an axis-aligned cube in R^n."""
+    """One covering set, fixed by its center and side: an interval or an axis-aligned cube.
 
-    kind: str
+    Its diameter is side * sqrt(n).  A dyadic cube's side is scale *
+    2**-level, and scaling by a power of two is exact, so that is the
+    tree's level diameter bit for bit; an interval's is its side.
+    """
+
     center: tuple[float, ...]
     side: float
-    diameter: float
 
     def __post_init__(self) -> None:
-        if self.kind not in ("interval", "cube"):
-            raise ValidationError(f"unknown cover-set kind {self.kind!r}")
-        if self.diameter <= 0.0:
-            raise ValidationError("cover sets need positive diameter")
-        n = len(self.center)
-        expected = self.side * math.sqrt(n)
-        if abs(self.diameter - expected) > 1e-9 * expected:
-            raise ValidationError(
-                f"diameter {self.diameter} inconsistent with side {self.side} in R^{n}"
-            )
+        if not self.side > 0.0:
+            raise ValidationError("cover sets need positive side")
+
+    @property
+    def diameter(self) -> float:
+        return self.side * math.sqrt(len(self.center))
 
     def contains(self, point, tol: float = 1e-12):
         """Whether point, or each row of an (N, n) array of points, is in the set up to tol."""
@@ -72,46 +71,32 @@ class CoverSet:
 class RestrictedCover:
     """A finite cover with every diameter inside the admissible band.
 
-    effective_lo records the lower end actually enforced; the dyadic
-    optimizer may snap a band narrower than one dyadic step down to the
-    single admissible level just below hi.
+    effective_lo is the lower end actually enforced, range.lo if not
+    given; the dyadic optimizer may snap a band narrower than one dyadic
+    step down to the single admissible level just below hi.  cost is
+    cover_cost of the diameters at s, computed on construction.
     """
 
     sets: tuple[CoverSet, ...]
     range: ScaleRange
     s: float
-    cost: float
-    effective_lo: float
-
-    @classmethod
-    def build(
-        cls,
-        sets,
-        rng: ScaleRange,
-        s: float,
-        effective_lo: float | None = None,
-    ) -> "RestrictedCover":
-        sets = tuple(sets)
-        return cls(
-            sets=sets,
-            range=rng,
-            s=s,
-            cost=cover_cost((c.diameter for c in sets), s),
-            effective_lo=rng.lo if effective_lo is None else effective_lo,
-        )
+    effective_lo: float | None = None
+    cost: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.sets:
+        sets = tuple(self.sets)
+        if not sets:
             raise ValidationError("a cover needs at least one set")
-        lo, hi = self.effective_lo, self.range.hi
-        for c in self.sets:
+        lo = self.range.lo if self.effective_lo is None else self.effective_lo
+        hi = self.range.hi
+        for c in sets:
             if c.diameter < lo * (1.0 - 1e-12) or c.diameter > hi * (1.0 + 1e-12):
                 raise ValidationError(
                     f"set diameter {c.diameter} outside admissible band [{lo}, {hi}]"
                 )
-        expected = cover_cost((c.diameter for c in self.sets), self.s)
-        if abs(self.cost - expected) > 1e-10 * max(1.0, expected):
-            raise ValidationError(f"cost {self.cost} != sum of diameters**s {expected}")
+        object.__setattr__(self, "sets", sets)
+        object.__setattr__(self, "effective_lo", lo)
+        object.__setattr__(self, "cost", cover_cost(self.diameters(), self.s))
 
     def diameters(self) -> tuple[float, ...]:
         return tuple(c.diameter for c in self.sets)
@@ -267,9 +252,9 @@ def optimal_cover_1d(
     while k < len(dp.jump):
         j = np.flatnonzero(cost.take(dp.jump[k]) + powers == cost[k])[-1]
         d, x = menu[j], xs[dp.states[k]].item()
-        sets.append(CoverSet(kind="interval", center=(x + d / 2.0,), side=d, diameter=d))
+        sets.append(CoverSet(center=(x + d / 2.0,), side=d))
         k = dp.jump[k, j]
-    return RestrictedCover.build(sets, rng, s)
+    return RestrictedCover(sets, rng, s)
 
 
 class _DyadicTree:
@@ -472,16 +457,9 @@ def optimal_cover_dyadic(
         side = tree.scale * 2.0 ** -(tree.top + i)
         for key, cell in zip(start[r].tolist(), tree.cells[i][r].tolist()):
             center = tuple(lo + (c + 0.5) * side for c, lo in zip(cell, points.bbox[0]))
-            cube = CoverSet(
-                kind="interval" if n == 1 else "cube",
-                center=center,
-                side=side,
-                diameter=tree.diameter(tree.top + i),
-            )
-            picks.append((key, cube))
+            picks.append((key, CoverSet(center, side)))
     sets = [cube for _, cube in sorted(picks, key=lambda pick: pick[0])]
-    effective_lo = min(rng.lo, tree.diameter(tree.bottom))
-    return RestrictedCover.build(sets, rng, s, effective_lo=effective_lo)
+    return RestrictedCover(sets, rng, s, min(rng.lo, tree.diameter(tree.bottom)))
 
 
 def cover_cost_function(points: PointCloud, rng: ScaleRange, scale_menu_size: int = 16):
@@ -528,14 +506,8 @@ def refine_cover(cover: RestrictedCover, phi: float, new_delta: float) -> Restri
         starts = [x - c.side / 2.0 for x in c.center]
         for index in itertools.product(range(guarded_ceil(c.side / side)), repeat=n):
             center = tuple(x + (i + 0.5) * side for x, i in zip(starts, index))
-            kind = "interval" if n == 1 else "cube"
-            out.append(CoverSet(kind=kind, center=center, side=side, diameter=new_hi))
-    return RestrictedCover.build(
-        out,
-        new_rng,
-        cover.s,
-        effective_lo=min(new_rng.lo, cover.effective_lo),
-    )
+            out.append(CoverSet(center, side))
+    return RestrictedCover(out, new_rng, cover.s, min(new_rng.lo, cover.effective_lo))
 
 
 def fp_witness_cover(
@@ -556,18 +528,9 @@ def fp_witness_cover(
         raise ValidationError("witness cover needs theta > 0")
     rng = ScaleRange(delta**theta, theta)  # band [delta, delta**theta]
     m_count = guarded_ceil(delta ** (-(s + theta * (1.0 - s)) / (p + 1.0)))
-    sets = [
-        CoverSet(
-            kind="interval", center=(k ** (-p),), side=delta, diameter=delta
-        )
-        for k in range(1, m_count + 1)
-    ]
+    sets = [CoverSet((k ** (-p),), delta) for k in range(1, m_count + 1)]
     tail_len = m_count ** (-p)
     big = delta**theta
-    for j in range(guarded_ceil(tail_len / big)):
-        sets.append(
-            CoverSet(
-                kind="interval", center=((j + 0.5) * big,), side=big, diameter=big
-            )
-        )
-    return RestrictedCover.build(sets, rng, s)
+    sets += [CoverSet(((j + 0.5) * big,), big) for j in range(guarded_ceil(tail_len / big))]
+    # rng.lo is (delta**theta)**(1/theta), which can miss delta by an ulp
+    return RestrictedCover(sets, rng, s, effective_lo=delta)

@@ -62,13 +62,20 @@ class DyadicCascade:
 
 @dataclass(frozen=True)
 class FrostmanResult:
-    """A certified measure: mu(B(x, r)) <= constant * r**s on the sampled band."""
+    """A certified measure: mu(B(x, r)) <= constant * r**s on the sampled band.
+
+    worst_ratio is the largest sampled mu(B(x, r)) / r**s; constant, twice
+    it, is the safety factor over the probes.
+    """
 
     measure: AtomicMeasure
-    constant: float
     worst_ratio: float
     cascade: DyadicCascade
     range: ScaleRange
+
+    @property
+    def constant(self) -> float:
+        return 2.0 * self.worst_ratio
 
 
 def _squared_distance(p, q) -> float:
@@ -193,13 +200,7 @@ def build_frostman_measure(
         probes.append((x, r))
     for (_, r), mass in zip(probes, _ball_masses(atoms, probes)):
         worst = max(worst, mass / r**s)
-    return FrostmanResult(
-        measure=measure,
-        constant=2.0 * worst,
-        worst_ratio=worst,
-        cascade=cascade,
-        range=rng,
-    )
+    return FrostmanResult(measure=measure, worst_ratio=worst, cascade=cascade, range=rng)
 
 
 @dataclass(frozen=True)
@@ -270,7 +271,9 @@ def check_mdp(
     Each entry must also carry total mass >= a.  Ball centers are drawn
     from the atoms (off-support centers only lower the mass), radii
     log-uniform over the admissible band.  A band narrower than one decade
-    is flagged weak: it certifies little.
+    is flagged weak: it certifies little.  theta = 0 is refused: the band
+    would read [delta, 1], large balls only, not the diameters up to delta
+    that unrestricted covers use.
     """
     for name, value in (("exponent s", s), ("mass floor a", a), ("constant c", c)):
         if not (math.isfinite(value) and value > 0.0):
@@ -278,6 +281,8 @@ def check_mdp(
     if ball_samples < 1:
         raise ValidationError(f"ball_samples must be at least 1, got {ball_samples}")
     check_theta(theta)
+    if theta == 0.0:
+        raise ValidationError("check_mdp needs theta > 0 (theta = 0 is classical)")
     measures = list(measures)
     if not measures:
         raise ValidationError("empty measure list")

@@ -286,15 +286,8 @@ def recursive_dyadic_cover(points, rng, s: float):
     for level, cell in chosen:
         side = scale * 2.0**-level
         center = tuple(lo + (c + 0.5) * side for c, lo in zip(cell, mins))
-        sets.append(
-            CoverSet(
-                kind="interval" if n == 1 else "cube",
-                center=center,
-                side=side,
-                diameter=diam(level),
-            )
-        )
-    return RestrictedCover.build(sets, rng, s, effective_lo=min(rng.lo, diam(j_bot)))
+        sets.append(CoverSet(center, side))
+    return RestrictedCover(sets, rng, s, effective_lo=min(rng.lo, diam(j_bot)))
 
 
 def entropy_displayed(spec) -> float:

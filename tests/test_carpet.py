@@ -61,6 +61,33 @@ class TestSpecValidation:
         again = CarpetSpec.from_json_dict(worked_carpet.to_json_dict())
         assert again == worked_carpet
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"m": 2.9},
+            {"m": "2"},
+            {"m": True},
+            {"n": "3"},
+            {"digits": [[0, 0], [1, 1.7]]},
+            {"digits": [[0, 0], ["1", 1]]},
+            {"digits": [[0, 0], [True, 1]]},
+        ],
+        ids=["fractional-m", "quoted-m", "bool-m", "quoted-n", "fractional-digit",
+             "quoted-digit", "bool-digit"],
+    )
+    def test_json_refuses_non_integers(self, change):
+        # m = 2.9 used to truncate to 2, and the digit [1, 1.7] to (1, 1)
+        doc = {"m": 2, "n": 3, "digits": [[0, 0], [1, 1]], **change}
+        with pytest.raises(ValidationError):
+            CarpetSpec.from_json_dict(doc)
+        with pytest.raises(ValidationError):
+            CarpetSpec.create(doc["m"], doc["n"], doc["digits"])
+
+    def test_integral_floats_read_as_integers(self):
+        spec = CarpetSpec.from_json_dict({"m": 2.0, "n": 3, "digits": [[0, 0.0], [1, 1]]})
+        assert spec == CarpetSpec.create(2, 3, [(0, 0), (1, 1)])
+        assert all(type(v) is int for v in (spec.m, *spec.digits[0]))
+
 
 class TestClosedForms:
     def test_worked_example_box(self, worked_carpet):

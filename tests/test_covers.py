@@ -14,6 +14,7 @@ from dimspect import (
     ScaleRange,
     ScaleRangeTooDeepError,
     ValidationError,
+    carpet_points,
     cover_cost,
     fp_points,
     fp_witness_cover,
@@ -23,7 +24,7 @@ from dimspect import (
     refine_cover,
 )
 from dimspect.core import MAX_DEPTH
-from dimspect.covers import _DyadicTree, _IntervalDP, cover_cost_function
+from dimspect.covers import _bbox_tree, _DyadicTree, _IntervalDP, cover_cost_function
 from conftest import point_clouds
 from oracles import (
     ScalarIntervalDP,
@@ -35,7 +36,7 @@ from oracles import (
 
 
 def interval(center: float, diameter: float) -> CoverSet:
-    return CoverSet(kind="interval", center=(center,), side=diameter, diameter=diameter)
+    return CoverSet(center=(center,), side=diameter)
 
 
 class TestGeometricMenu:
@@ -245,6 +246,33 @@ class TestDyadicTreeMatchesRecursion:
             assert cover.effective_lo <= c.diameter <= rng.hi * (1 + 1e-12)
 
 
+class TestDerivedDiameters:
+    """A set's diameter is side * sqrt(n), computed, not passed in."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cloud=point_clouds(),
+        delta=st.floats(1e-3, 0.9),
+        theta=st.one_of(st.just(0.0), st.floats(0.05, 1.0)),
+        u=st.floats(0.0, 1.0),
+    )
+    def test_level_and_menu_diameters_bit_for_bit(self, cloud, delta, theta, u):
+        try:
+            rng = ScaleRange(delta, theta)
+        except ScaleRangeTooDeepError:
+            assume(False)
+        s = u * cloud.dimension_n
+        tree = _bbox_tree(cloud, rng)
+        level_of = {tree.scale * 2.0**-level: level for level in range(tree.top, tree.bottom + 1)}
+        cover = optimal_cover_dyadic(cloud, rng, s)
+        assert all(c.diameter == tree.diameter(level_of[c.side]) for c in cover.sets)
+        assert cover.cost == cover_cost(cover.diameters(), s)
+        if cloud.dimension_n == 1 and theta > 0.0:
+            cover = optimal_cover_1d(cloud, rng, u)
+            assert set(cover.diameters()) <= set(geometric_menu(rng.lo, rng.hi, 16))
+            assert cover.cost == cover_cost(cover.diameters(), u)
+
+
 def bbox_anchor(cloud: PointCloud):
     """The anchor of optimal_cover_dyadic: the lower bbox corner and the widest extent."""
     mins, maxs = cloud.bbox
@@ -441,7 +469,7 @@ class TestIntervalDPRuns:
 class TestRefineCover:
     def test_identity_when_already_inside(self):
         delta = 0.01
-        inner = RestrictedCover.build(
+        inner = RestrictedCover(
             [interval(0.2, delta**0.5 / 2)], ScaleRange(delta**0.25, 0.25), 0.3
         )
         refined = refine_cover(inner, 0.5, delta**0.5)
@@ -451,7 +479,7 @@ class TestRefineCover:
         # one interval of length delta**theta split at phi: at most
         # 4 * delta**(theta-phi) pieces (here 12); direct construction uses 4
         delta, theta, phi = 0.01, 0.25, 0.5
-        cover = RestrictedCover.build(
+        cover = RestrictedCover(
             [interval(0.5, delta**theta)], ScaleRange(delta**theta, theta), 0.3
         )
         refined = refine_cover(cover, phi, delta**phi)
@@ -461,7 +489,7 @@ class TestRefineCover:
 
     def test_pieces_tile_the_original(self):
         delta = 0.01
-        cover = RestrictedCover.build(
+        cover = RestrictedCover(
             [interval(0.5, delta**0.25)], ScaleRange(delta**0.25, 0.25), 0.3
         )
         refined = refine_cover(cover, 0.5, delta**0.5)
@@ -483,7 +511,7 @@ class TestRefineCover:
             for _ in range(rnd.randint(1, 6)):
                 diam = math.exp(rnd.uniform(math.log(delta), math.log(band_hi)))
                 sets.append(interval(rnd.random(), diam))
-            old = RestrictedCover.build(sets, ScaleRange(band_hi, theta), s)
+            old = RestrictedCover(sets, ScaleRange(band_hi, theta), s)
             new = refine_cover(old, phi, delta**phi)
             n = 1
             t = (n * phi + theta * (s - n)) / phi + 1e-12
@@ -491,8 +519,29 @@ class TestRefineCover:
                 old.diameters(), s
             ) * (1 + 1e-9)
 
+    @pytest.mark.parametrize(
+        "delta, theta, phi, s",
+        [
+            (0.01, 0.25, 0.5, 0.0),
+            (0.02, 0.3, 0.7, 0.0),
+            (1e-3, 0.25, 1 / 3, 0.0),
+            (0.05, 0.5, 0.75, 0.2),
+        ],
+    )
+    def test_cubes_in_the_plane(self, worked_carpet, delta, theta, phi, s):
+        # a piece's side is new_hi / sqrt(2), so its diameter may miss new_hi by an ulp
+        cloud = carpet_points(worked_carpet, 4)
+        cover = optimal_cover_dyadic(cloud, ScaleRange(delta**theta, theta), s)
+        refined = refine_cover(cover, phi, delta**phi)
+        new_hi = refined.range.hi
+        pieces = [c for c in refined.sets if c not in cover.sets]
+        assert pieces and refined.covers(cloud)
+        assert all(abs(c.diameter - new_hi) <= math.ulp(new_hi) for c in pieces)
+        lo = refined.effective_lo
+        assert all(lo * (1 - 1e-12) <= d <= new_hi * (1 + 1e-12) for d in refined.diameters())
+
     def test_phi_must_exceed_theta(self):
-        cover = RestrictedCover.build(
+        cover = RestrictedCover(
             [interval(0.5, 0.05)], ScaleRange(0.1, 0.5), 0.3
         )
         with pytest.raises(ValidationError):
@@ -531,27 +580,10 @@ class TestFpWitnessCover:
 
     def test_band_is_delta_to_delta_theta(self):
         cov = fp_witness_cover(2.0, 1e-3, 0.5, 0.2)
-        lo, hi = cov.range.lo, cov.range.hi
-        assert lo == pytest.approx(1e-3, rel=1e-9)
-        assert hi == pytest.approx(1e-3**0.5, rel=1e-12)
+        assert cov.effective_lo == 1e-3 and cov.range.hi == 1e-3**0.5
 
 
 class TestRestrictedCoverValidation:
     def test_out_of_band_diameter_rejected(self):
         with pytest.raises(ValidationError):
-            RestrictedCover.build([interval(0.5, 0.2)], ScaleRange(0.1, 0.5), 0.5)
-
-    def test_wrong_cost_rejected(self):
-        rng = ScaleRange(0.1, 0.5)
-        with pytest.raises(ValidationError):
-            RestrictedCover(
-                sets=(interval(0.5, 0.05),),
-                range=rng,
-                s=0.5,
-                cost=1.0,
-                effective_lo=rng.lo,
-            )
-
-    def test_cube_diameter_consistency(self):
-        with pytest.raises(ValidationError):
-            CoverSet(kind="cube", center=(0.5, 0.5), side=0.1, diameter=0.1)
+            RestrictedCover([interval(0.5, 0.2)], ScaleRange(0.1, 0.5), 0.5)

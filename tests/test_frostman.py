@@ -286,6 +286,12 @@ class TestCheckMdp:
         report = check_mdp([(1e-3, mu)], s=0.5, theta=0.5, a=1.0, c=100.0, seed=0)
         assert not report.entries[0].ok
 
+    def test_theta_zero_refused(self):
+        # delta**0 = 1: the band [delta, 1] used to be probed, large balls only
+        mu = AtomicMeasure.from_atoms([((0.25,), 0.5), ((0.75,), 0.5)])
+        with pytest.raises(ValidationError):
+            check_mdp([(1e-3, mu)], s=0.5, theta=0.0, a=1.0, c=1.0)
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValidationError):
             check_mdp([], s=0.5, theta=0.5, a=1.0, c=1.0)
