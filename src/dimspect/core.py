@@ -207,11 +207,12 @@ class DimensionSpectrum:
     """Sampled map theta -> (lower value, upper value, method tag).
 
     Invariants checked on construction: thetas strictly increasing, every
-    sample satisfies 0 <= lower <= upper <= ambient_n, and each column is
-    monotone non-decreasing in theta up to TOL_MONO_EXACT (closed forms)
-    or TOL_MONO_ESTIMATED (estimator output).  An estimated sample at
-    theta = 0 is exempt from the monotonicity check: it comes from the
-    unrestricted-cover fallback whose finite-resolution bias is one-sided.
+    method tag a str, every sample satisfying 0 <= lower <= upper <=
+    ambient_n, and each column monotone non-decreasing in theta up to
+    TOL_MONO_EXACT (closed forms) or TOL_MONO_ESTIMATED (estimator
+    output).  An estimated sample at theta = 0 is exempt from the
+    monotonicity check: it comes from the unrestricted-cover fallback
+    whose finite-resolution bias is one-sided.
     """
 
     ambient_n: int
@@ -225,6 +226,8 @@ class DimensionSpectrum:
         prev_theta = -1.0
         for s in self.samples:
             check_theta(s.theta)
+            if not isinstance(s.method, str):
+                raise ValidationError(f"a sample's method tag must be text, got {s.method!r}")
             if s.theta <= prev_theta:
                 raise ValidationError("sample thetas must be strictly increasing")
             prev_theta = s.theta
@@ -273,7 +276,7 @@ class DimensionSpectrum:
             samples = tuple(
                 SpectrumSample(
                     *read_numbers((s["theta"], s["lower"], s["upper"]), "theta, lower and upper"),
-                    method=str(s["method"]),
+                    method=s["method"],
                 )
                 for s in obj["samples"]
             )
@@ -336,15 +339,34 @@ def _coordinates(point) -> tuple:
     return tuple(point)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtomicMeasure:
-    """Finite list of (point, mass) pairs; total, the fsum of the masses, is computed.
+    """Finite measure: atom i has coordinates points[i] and mass masses[i].
 
-    from_atoms reads each mass and coordinate by read_numbers.
+    points is an (N, n) and masses an (N,) float64 array; the constructor
+    takes ownership of both and marks them read-only, as PointCloud does.
+    It refuses other shapes, a mass that is not positive, and masses
+    whose total, their fsum, overflows.  from_atoms reads (point, mass)
+    pairs from outside the library, each mass and coordinate by
+    read_numbers; atoms rebuilds those pairs as tuples on each access.
     """
 
-    atoms: tuple[tuple[tuple[float, ...], float], ...]
+    points: np.ndarray
+    masses: np.ndarray
     total: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        if self.points.ndim != 2 or self.masses.shape != self.points.shape[:1]:
+            shapes = f"{self.points.shape} and {self.masses.shape}"
+            raise ValidationError(f"need (N, n) points and (N,) masses, got {shapes}")
+        if not (self.masses > 0.0).all():
+            raise ValidationError("atom masses must be positive")
+        try:
+            object.__setattr__(self, "total", math.fsum(self.masses.tolist()))
+        except OverflowError:
+            raise ValidationError("the atom masses sum past the float range") from None
+        self.points.flags.writeable = False
+        self.masses.flags.writeable = False
 
     @classmethod
     def from_atoms(cls, atoms) -> "AtomicMeasure":
@@ -353,29 +375,20 @@ class AtomicMeasure:
             points, masses = zip(*((_coordinates(p), m) for p, m in atoms))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"need a non-empty list of (point, mass) pairs: {exc}") from exc
-        n = len(points[0])
+        n, count = len(points[0]), len(masses)
         if not n or {len(p) for p in points} != {n}:
             raise ValidationError("atom points need one and the same number of coordinates")
         values = itertools.chain(masses, *points)
-        values = iter(read_numbers(values, "atom masses and coordinates"))
-        masses = tuple(itertools.islice(values, len(masses)))
-        if min(masses) <= 0.0:
-            raise ValidationError("atom masses must be positive")
-        return cls(tuple(zip(zip(*[values] * n), masses)))
+        values = np.array(read_numbers(values, "atom masses and coordinates"))
+        return cls(values[count:].reshape(count, n), values[:count])
 
-    def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "total", math.fsum(m for _, m in self.atoms))
-        except OverflowError:
-            raise ValidationError("the atom masses sum past the float range") from None
-
-    def normalized(self) -> "AtomicMeasure":
-        return AtomicMeasure.from_atoms(
-            (p, m / self.total) for p, m in self.atoms
-        )
+    @property
+    def atoms(self) -> tuple[tuple[tuple[float, ...], float], ...]:
+        return tuple(zip(zip(*self.points.T.tolist()), self.masses.tolist()))
 
     def to_json_dict(self) -> dict:
-        return {"atoms": [{"x": list(p), "mass": m} for p, m in self.atoms]}
+        atoms = zip(self.points.tolist(), self.masses.tolist())
+        return {"atoms": [{"x": p, "mass": m} for p, m in atoms]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "AtomicMeasure":

@@ -61,8 +61,8 @@ def critical_exponent(
     and every comparison is that of a one-s-at-a-time bisection, so the
     result is too.
     """
-    if threshold <= 0.0:
-        raise ValidationError(f"threshold must be positive, got {threshold}")
+    if not 0.0 < threshold < math.inf:  # a NaN would fail every comparison below
+        raise ValidationError(f"threshold must be finite and positive, got {threshold}")
     rng = ScaleRange(delta, check_theta(theta))
     solver = cover_cost_function(points, rng, scale_menu_size)
     n = float(points.dimension_n)

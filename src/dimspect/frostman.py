@@ -8,12 +8,13 @@ bounded by c * r**s across the admissible radius band, with c measured
 empirically.  check_mdp verifies such bounds by sampling; a pass
 certifies dimension >= s at sampling confidence.
 
-Both probe ball masses the same way (_ball_masses): a numpy box filter
-over the atoms' coordinate array keeps the atoms within r (1 + 1e-9) of
-the center on every axis, and the exact test, an fsum of squared
-coordinate differences against r*r, decides among those.  The filter
-drops only atoms the exact test rejects, so masses are the full scan's
-bit for bit.
+Measures are AtomicMeasure's two arrays, points and masses, from the
+builders to the probes.  Both builder and check probe ball masses the
+same way (_ball_masses): a numpy box filter over the points array keeps
+the atoms within r (1 + 1e-9) of the center on every axis, and the exact
+test, an fsum of squared coordinate differences against r*r, decides
+among those.  The filter drops only atoms the exact test rejects, so
+masses are the full scan's bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ WEAK_BAND_RATIO = 10.0
 
 @dataclass(frozen=True)
 class DyadicCascade:
-    """Final per-level cube masses of the cap cascade, before normalization.
+    """Levels and exponent of the cap cascade, and norm, its total mass before normalization.
 
     Levels run from stop_level (coarsest, diameter <= delta) down to
     base_level (finest, side >= delta**(1/theta)); a level-j cube has side
@@ -51,7 +52,6 @@ class DyadicCascade:
     base_level: int
     stop_level: int
     norm: float
-    level_masses: dict
 
     def cap(self, level: int) -> float:
         return 2.0 ** (-level * self.s)
@@ -90,13 +90,13 @@ def _squared_distance(p, q) -> float:
         return math.inf
 
 
-def _ball_masses(atoms, probes) -> list[float]:
+def _ball_masses(measure: AtomicMeasure, probes) -> list[float]:
     """mu(B(x, r)) = fsum of the masses of atoms p with _squared_distance(p, x) <= r*r, per probe.
 
-    atoms are (point, mass) pairs, probes (x, r) pairs with r > 0.  Each
-    probe first keeps the atoms inside the box |p_i - x_i| <= r (1 + 1e-9),
-    one numpy pass over the coordinates built here, then runs the exact
-    test on those only.  A dropped atom has some fl(p_i - x_i)**2 above
+    probes are (x, r) pairs with r > 0.  Each probe first keeps the atoms
+    inside the box |p_i - x_i| <= r (1 + 1e-9), one numpy pass over
+    measure.points, then runs the exact test on those only, on their rows
+    as Python floats.  A dropped atom has some fl(p_i - x_i)**2 above
     fl(r*r), so its fsum is above r*r too: the exact test would reject
     it, and the fsum of the kept masses is the full scan's.  This holds
     for correctly rounded squares already; the margin absorbs a `**`
@@ -105,20 +105,15 @@ def _ball_masses(atoms, probes) -> list[float]:
     """
     # one contiguous row per axis: the all() over axis 0 is then a few
     # elementwise ands, where over the atoms' rows it is a slow reduction
-    coords = np.ascontiguousarray(np.array([p for p, _ in atoms]).T)
+    coords = np.ascontiguousarray(measure.points.T)
     masses = []
     for x, r in probes:
         r2 = r * r
         reach = r * (1.0 + 1e-9) if r2 >= sys.float_info.min else math.inf
         inside = np.abs(coords - np.reshape(x, (-1, 1))) <= reach
         near = np.flatnonzero(inside.all(axis=0))
-        masses.append(
-            math.fsum(
-                m
-                for p, m in map(atoms.__getitem__, near.tolist())
-                if _squared_distance(p, x) <= r2
-            )
-        )
+        near_atoms = zip(measure.points[near].tolist(), measure.masses[near].tolist())
+        masses.append(math.fsum(m for p, m in near_atoms if _squared_distance(p, x) <= r2))
     return masses
 
 
@@ -168,37 +163,26 @@ def build_frostman_measure(
 
     # atoms in the order their least points appear in the sorted cloud
     order = np.argsort(tree.first_point)
-    reps = points.array.take(tree.first_point[order], 0).tolist()
+    reps = points.array.take(tree.first_point[order], 0)
     masses = masses[order]
-    level_masses: dict[int, dict[tuple[int, ...], float]] = {}
-    for level, start, cells in zip(range(stop, m + 1), starts, tree.cells):
-        cube = np.repeat(np.arange(len(start)), np.diff(start, append=len(masses)))[order]
-        sums = np.bincount(cube, weights=masses)
-        _, first_seen = np.unique(cube, return_index=True)
-        seen = np.argsort(first_seen)
-        level_masses[level] = dict(
-            zip(map(tuple, cells[seen].tolist()), sums[seen].tolist())
-        )
-    del tree, starts, cells  # the probes below need none of the tree
+    del tree, starts  # the probes below need none of the tree
 
     norm = math.fsum(masses)
-    measure = AtomicMeasure.from_atoms(zip(reps, (masses / norm).tolist()))
-    cascade = DyadicCascade(
-        s=s, base_level=m, stop_level=stop, norm=norm, level_masses=level_masses
-    )
+    measure = AtomicMeasure(reps, masses / norm)
+    cascade = DyadicCascade(s=s, base_level=m, stop_level=stop, norm=norm)
 
     rnd = random.Random(seed)
-    atoms = measure.atoms
+    centres = measure.points.tolist()
     worst = 0.0
     # band-edge probes at every atom, thinned on large clouds
-    stride = max(1, len(atoms) // 200)
-    probes = [(p, r) for p, _ in atoms[::stride] for r in (lo, delta)]
+    stride = max(1, len(centres) // 200)
+    probes = [(x, r) for x in centres[::stride] for r in (lo, delta)]
     log_lo, log_hi = math.log(lo), math.log(delta)
     for _ in range(ball_samples):
-        x = atoms[rnd.randrange(len(atoms))][0]
+        x = centres[rnd.randrange(len(centres))]
         r = math.exp(rnd.uniform(log_lo, log_hi))
         probes.append((x, r))
-    for (_, r), mass in zip(probes, _ball_masses(atoms, probes)):
+    for (_, r), mass in zip(probes, _ball_masses(measure, probes)):
         worst = max(worst, mass / r**s)
     return FrostmanResult(measure=measure, worst_ratio=worst, cascade=cascade, range=rng)
 
@@ -292,12 +276,12 @@ def check_mdp(
             raise ValidationError(f"delta must lie in (0, 1), got {delta}")
         diam_lo, diam_hi = delta, delta**theta
         rnd = random.Random(seed * 1000003 + index)
-        atoms = measure.atoms
+        centres = measure.points.tolist()
         worst = 0.0
         violations = 0
         probes = []
         for _ in range(ball_samples):
-            x = atoms[rnd.randrange(len(atoms))][0]
+            x = centres[rnd.randrange(len(centres))]
             u = (
                 diam_lo
                 if diam_hi <= diam_lo
@@ -305,7 +289,7 @@ def check_mdp(
             )
             probes.append((x, u))
         balls = [(x, u / 2.0) for x, u in probes]
-        for (_, u), mass in zip(probes, _ball_masses(atoms, balls)):
+        for (_, u), mass in zip(probes, _ball_masses(measure, balls)):
             ratio = mass / (c * u**s)
             worst = max(worst, ratio)
             if ratio > 1.0 + 1e-9:
@@ -341,10 +325,9 @@ def fp_witness_measure(p: float, delta: float, theta: float) -> AtomicMeasure:
         raise ValidationError(f"delta must lie in (0, 1), got {delta}")
     s = theta / (p + theta)
     m_count = guarded_ceil(delta ** (-(s + theta * (1.0 - s)) / (p + 1.0)))
-    mass = delta**s
-    return AtomicMeasure.from_atoms(
-        ((k ** (-p),), mass) for k in range(1, m_count + 1)
-    )
+    # Python's k ** -p, as fp_points: np.power may round differently in the last bit
+    xs = np.array([k ** (-p) for k in range(1, m_count + 1)])
+    return AtomicMeasure(xs[:, None], np.full(m_count, delta**s))
 
 
 def separated_witness_measure(points: PointCloud, delta: float) -> AtomicMeasure:
@@ -363,5 +346,4 @@ def separated_witness_measure(points: PointCloud, delta: float) -> AtomicMeasure
     for p in points.array.tolist():
         if all(_squared_distance(p, q) >= threshold for q in kept):
             kept.append(p)
-    mass = 1.0 / len(kept)
-    return AtomicMeasure.from_atoms((p, mass) for p in kept)
+    return AtomicMeasure(np.array(kept), np.full(len(kept), 1.0 / len(kept)))

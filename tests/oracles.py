@@ -23,7 +23,7 @@ import numpy as np
 
 from dimspect import CoverSet, RestrictedCover, mcmullen_weights
 from dimspect.carpet import row_depth
-from dimspect.covers import _bbox_tree
+from dimspect.covers import _bbox_tree, _rescale
 from dimspect.estimate import BISECTION_TOL
 
 mp.mp.dps = 60
@@ -367,6 +367,23 @@ def loop_cap_cascade(points, s: float, base: int, stop: int, origin, scale: floa
     norm = math.fsum(masses)
     atoms = [(p, m / norm) for p, m in zip(reps, masses)]
     return atoms, norm, level_masses
+
+
+def cascade_level_masses(cloud, result) -> dict:
+    """level -> {cube index: mass} of the cap cascade behind a build_frostman_measure result.
+
+    The library keeps no per-level masses, so loop_cap_cascade recomputes
+    them; it first checks, with ==, that its atoms and norm are the
+    result's, so the masses returned are those of the cascade that ran.
+    """
+    cascade = result.cascade
+    origin, scale = _rescale(cloud)
+    atoms, norm, level_masses = loop_cap_cascade(
+        cloud, cascade.s, cascade.base_level, cascade.stop_level, origin, scale
+    )
+    assert result.measure.atoms == tuple(atoms)
+    assert cascade.norm == norm
+    return level_masses
 
 
 def full_scan_ball_mass(atoms, x, r: float) -> float:

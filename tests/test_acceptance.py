@@ -35,7 +35,7 @@ from dimspect import (
     ScaleRange,
 )
 from conftest import random_carpet
-from oracles import brute_force_menu_cost, mp_carpet
+from oracles import brute_force_menu_cost, cascade_level_masses, mp_carpet
 
 DELTAS = [1e-2, 1e-3, 1e-4]
 THETAS = [0.25, 0.5, 0.75, 1.0]
@@ -170,19 +170,19 @@ def test_criterion_5_frostman_certificate():
         ball_samples=200,
         seed=0,
     )
-    cascade = result.cascade
+    cascade, level_masses = result.cascade, cascade_level_masses(cloud, result)
     caps_ok = all(
         mass <= cascade.cap(level) * (1 + 1e-12)
         for level in cascade.levels()
-        for mass in cascade.level_masses[level].values()
+        for mass in level_masses[level].values()
     )
     attain_ok = True
     base = cascade.base_level
-    for idx in cascade.level_masses[base]:
+    for idx in level_masses[base]:
         hit = False
         for level in cascade.levels():
             ancestor = tuple(c >> (base - level) for c in idx)
-            mass = cascade.level_masses[level][ancestor]
+            mass = level_masses[level][ancestor]
             if abs(mass - cascade.cap(level)) <= 1e-12 * cascade.cap(level):
                 hit = True
                 break

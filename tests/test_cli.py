@@ -391,6 +391,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exits_2(self, capsys, tmp_path, threshold):
+        points = tmp_path / "p.txt"
+        points.write_text("0.1\n0.5\n0.9\n")
+        code, out, err = run(
+            capsys, "estimate", "--points", str(points), "--threshold", threshold
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
+
     def test_ragged_points_file_exits_2(self, capsys, tmp_path):
         points = tmp_path / "ragged.txt"
         points.write_text("0.1\n0.2 0.3\n")

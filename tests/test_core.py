@@ -257,6 +257,13 @@ class TestDimensionSpectrum:
         with pytest.raises(ValidationError):
             DimensionSpectrum.from_json_dict({"ambient_n": ambient, "samples": [sample]})
 
+    @pytest.mark.parametrize("method", [None, ["estimated"], 1.0], ids=["null", "list", "number"])
+    def test_json_refuses_a_method_that_is_not_text(self, method):
+        # null used to read as the tag "None", and ["estimated"] as an estimated sample
+        sample = {"theta": 0.5, "lower": 0.0, "upper": 1.0, "method": method}
+        with pytest.raises(ValidationError):
+            DimensionSpectrum.from_json_dict({"ambient_n": 1, "samples": [sample]})
+
 
 @st.composite
 def spectra_on_one_grid(draw, count: int = 3):
@@ -381,7 +388,7 @@ class TestAtomicMeasure:
 
     def test_json_roundtrip(self):
         mu = AtomicMeasure.from_atoms([((0.1, 0.2), 0.4), ((0.3, 0.9), 0.6)])
-        assert AtomicMeasure.from_json_dict(mu.to_json_dict()) == mu
+        assert AtomicMeasure.from_json_dict(mu.to_json_dict()).atoms == mu.atoms
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -396,7 +403,7 @@ class TestAtomicMeasure:
         )
         mu = AtomicMeasure.from_atoms(atoms)
         text = json.dumps(mu.to_json_dict())
-        assert AtomicMeasure.from_json_dict(json.loads(text)) == mu
+        assert AtomicMeasure.from_json_dict(json.loads(text)).atoms == mu.atoms
 
     @pytest.mark.parametrize(
         "atoms",
@@ -411,6 +418,9 @@ class TestAtomicMeasure:
             [((0.1,), "heavy")],
             [("12", 1.0)],
             [(b"12", 1.0)],
+            (np.array([[0.1], [0.2]]), np.array([0.5, 0.0])),
+            (np.array([[0.1], [0.2]]), np.array([1e308, 1e308])),
+            (np.array([[0.1], [0.2]]), np.array([1.0])),
         ],
         ids=[
             "nan-coordinate",
@@ -423,11 +433,15 @@ class TestAtomicMeasure:
             "text-mass",
             "text-point",
             "bytes-point",
+            "constructor-zero-mass",
+            "constructor-total-overflows",
+            "constructor-shape-mismatch",
         ],
     )
     def test_refuses_bad_numbers(self, atoms):
+        # a tuple of (points, masses) arrays goes to the constructor, a list of pairs to from_atoms
         with pytest.raises(ValidationError):
-            AtomicMeasure.from_atoms(atoms)
+            AtomicMeasure(*atoms) if isinstance(atoms, tuple) else AtomicMeasure.from_atoms(atoms)
 
     def test_nan_atom_cannot_certify(self):
         # a NaN atom lies in no ball, so check_mdp used to pass it with ratio 0
@@ -458,10 +472,6 @@ class TestAtomicMeasure:
         # {"x": ["0.25"], "mass": "1"} used to read as the atom ((0.25,), 1.0)
         with pytest.raises(ValidationError):
             AtomicMeasure.from_json_dict({"atoms": [atom]})
-
-    def test_normalized(self):
-        mu = AtomicMeasure.from_atoms([((0.0,), 3.0), ((1.0,), 1.0)])
-        assert mu.normalized().total == pytest.approx(1.0)
 
 
 def test_default_grid_is_101_uniform():

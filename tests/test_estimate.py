@@ -74,6 +74,12 @@ class TestCriticalExponent:
         with pytest.raises(ValidationError):
             critical_exponent(pts, 1e-2, 0.5, threshold=0.0)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_refused(self, threshold):
+        # nan used to walk the bisection to its bottom, inf to pin every root at 0
+        with pytest.raises(ValidationError):
+            critical_exponent(fp_points(1.0, 1e-2), 1e-2, 0.5, threshold=threshold)
+
 
 class _CountingSolver:
     """A cell's cover-cost solver that records the s values of each costs() call."""

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from dimspect import (
 from dimspect.covers import _rescale
 from dimspect.frostman import _ball_masses
 from conftest import point_clouds
-from oracles import full_scan_ball_mass, loop_cap_cascade
+from oracles import cascade_level_masses, full_scan_ball_mass, loop_cap_cascade
 
 
 def witness_delta(p: float, theta: float, atoms: int = 50) -> float:
@@ -43,21 +44,23 @@ class TestBuilder:
 
     def test_cascade_caps_hold_exhaustively(self):
         pts = fp_points(1.0, 0.01)
-        cascade = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5).cascade
+        res = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5)
+        cascade, level_masses = res.cascade, cascade_level_masses(pts, res)
         for level in cascade.levels():
             cap = cascade.cap(level)
-            for mass in cascade.level_masses[level].values():
+            for mass in level_masses[level].values():
                 assert mass <= cap * (1 + 1e-12)
 
     def test_some_ancestor_attains_cap(self):
         pts = fp_points(1.0, 0.01)
-        cascade = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5).cascade
+        res = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5)
+        cascade, level_masses = res.cascade, cascade_level_masses(pts, res)
         base = cascade.base_level
-        for idx in cascade.level_masses[base]:
+        for idx in level_masses[base]:
             attained = False
             for level in cascade.levels():
                 ancestor = tuple(c >> (base - level) for c in idx)
-                mass = cascade.level_masses[level][ancestor]
+                mass = level_masses[level][ancestor]
                 if abs(mass - cascade.cap(level)) <= 1e-12 * cascade.cap(level):
                     attained = True
                     break
@@ -119,7 +122,7 @@ class TestBuilder:
         pts = fp_points(1.0, 0.01)
         a = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5, seed=0)
         b = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5, seed=0)
-        assert a.measure == b.measure and a.constant == b.constant
+        assert a.measure.atoms == b.measure.atoms and a.constant == b.constant
 
 
 def _cascade_scale(cloud: PointCloud) -> float:
@@ -172,7 +175,7 @@ class TestCascadeMatchesLoops:
         delta=st.floats(0.01, 0.5),
         theta=st.floats(0.2, 1.0),
     )
-    def test_atoms_norm_and_level_masses_equal_reference(self, cloud, u, delta, theta):
+    def test_atoms_and_norm_equal_reference(self, cloud, u, delta, theta):
         s = u * cloud.dimension_n
         try:
             res = build_frostman_measure(cloud, s, delta, theta, ball_samples=0)
@@ -180,14 +183,11 @@ class TestCascadeMatchesLoops:
             assume(False)
         cascade = res.cascade
         origin, scale = _rescale(cloud)
-        atoms, norm, level_masses = loop_cap_cascade(
+        atoms, norm, _ = loop_cap_cascade(
             cloud, s, cascade.base_level, cascade.stop_level, origin, scale
         )
         assert res.measure.atoms == tuple(atoms)
         assert cascade.norm == norm
-        assert cascade.level_masses == level_masses
-        for level, masses in level_masses.items():
-            assert list(cascade.level_masses[level]) == list(masses)
 
 
 class TestBallMassesMatchFullScan:
@@ -223,7 +223,7 @@ class TestBallMassesMatchFullScan:
                 )
             probes.append((x, r))
         expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
-        assert _ball_masses(atoms, probes) == expected
+        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
 
     def test_radii_whose_square_underflows(self):
         # where r*r rounds to 0 or to a subnormal, the exact test keeps
@@ -237,7 +237,39 @@ class TestBallMassesMatchFullScan:
         probes = [((0.0,), 1e-200), ((0.0,), 5e-324), ((0.0,), 1e-160)]
         expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
         assert expected == [0.375, 0.375, 0.875]
-        assert _ball_masses(atoms, probes) == expected
+        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+
+
+class TestMeasureArrays:
+    """Every builder hands out read-only float64 arrays that atoms round-trips bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cloud=point_clouds(max_points=40),
+        builder=st.sampled_from(["frostman", "fp-witness", "separated"]),
+        u=st.floats(0.05, 1.0),
+        delta=st.floats(0.01, 0.5),
+        theta=st.floats(0.2, 1.0),
+    )
+    def test_arrays_and_atoms_roundtrip(self, cloud, builder, u, delta, theta):
+        try:
+            if builder == "frostman":
+                s = u * cloud.dimension_n
+                mu = build_frostman_measure(cloud, s, delta, theta, ball_samples=0).measure
+            elif builder == "fp-witness":
+                mu = fp_witness_measure(4.0 * u, delta, theta)
+            else:
+                mu = separated_witness_measure(cloud, delta)
+        except (RangeTooNarrowError, ScaleRangeTooDeepError):
+            assume(False)
+        for array in (mu.points, mu.masses):
+            assert array.dtype == np.float64
+            assert not array.flags.writeable and array.flags.c_contiguous
+        assert mu.points.ndim == 2 and mu.masses.shape == mu.points.shape[:1]
+        again = AtomicMeasure.from_atoms(mu.atoms)
+        # int64 views compare bits, so -0.0 and 0.0 differ
+        for new, old in ((again.points, mu.points), (again.masses, mu.masses)):
+            assert np.array_equal(new.view(np.int64), old.view(np.int64))
 
 
 class TestCheckMdp:
