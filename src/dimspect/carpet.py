@@ -14,17 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_POINTS,
     DimensionSpectrum,
     PointCloud,
     SpectrumSample,
     ValidationError,
     check_theta,
     read_numbers,
+    theta_grid,
 )
 from .formulas import BoundInputs, assouad_lower_bound, envelope_bound
-
-# Most rectangles carpet_points builds (about 3 MB of corners).
-MAX_CARPET_POINTS = 200_000
 
 
 class UpperBoundDomainError(ValidationError):
@@ -238,9 +237,9 @@ def carpet_points(spec: CarpetSpec, depth: int):
     if depth < 1:
         raise ValidationError("depth must be at least 1")
     count = len(spec.digits) ** depth
-    if count > MAX_CARPET_POINTS:
+    if count > MAX_POINTS:
         raise ValidationError(
-            f"{count} rectangles at depth {depth} exceed the limit {MAX_CARPET_POINTS}"
+            f"{count} rectangles at depth {depth} exceed the limit {MAX_POINTS}"
         )
     digits = np.array(spec.digits, dtype=float)
     corners = np.zeros((1, 2))
@@ -259,12 +258,13 @@ def carpet_spectrum(
     Per theta > 0 the lower column is the max of dim_H, the entropy-slope
     bound, and (when an Assouad dimension is supplied) the Assouad-based
     bound; the upper column is the min of the logarithmic bound on its
-    domain, the box dimension, and continuity-envelope propagation from
-    smaller theta.  The lower column is clamped at the upper column: the
-    entropy-slope formula can exceed the box dimension for carpets with
-    very lopsided columns, where it is vacuous.
+    domain, the box dimension, and the continuity envelope from the
+    previous sample, so one pass over the sorted grid builds the spectrum
+    (a repeated theta is refused).  The lower column is clamped at the
+    upper column: the entropy-slope formula can exceed the box dimension
+    for carpets with very lopsided columns, where it is vacuous.
     """
-    thetas = sorted(check_theta(t) for t in grid)
+    thetas = theta_grid(grid)
     der = mcmullen_weights(spec)
     d, box = der.d, der.box
     if spec.columns_equal():
@@ -274,13 +274,13 @@ def carpet_spectrum(
         raise ValidationError(
             f"Assouad dimension must lie in [box dim, 2], got {assouad_dim}"
         )
-
-    uppers: list[float] = []
-    tags: list[str] = []
+    inputs = None if assouad_dim is None else BoundInputs(
+        dim_H=d, dim_B_lower=box, dim_B_upper=box, dim_A=assouad_dim, ambient_n=2
+    )
+    samples: list[SpectrumSample] = []
     for theta in thetas:
         if theta == 0.0:
-            uppers.append(d)
-            tags.append("exact")
+            samples.append(SpectrumSample(theta, d, d, "exact"))
             continue
         upper, tag = box, "trivial"
         try:
@@ -289,25 +289,15 @@ def carpet_spectrum(
             candidate = None
         if candidate is not None and candidate < upper:
             upper, tag = candidate, "bounds"
-        for j, prev_theta in enumerate(thetas):
-            if prev_theta >= theta:
-                break
-            env = envelope_bound(uppers[j], prev_theta, theta, 2)
+        # The envelope from the previous sample alone.  Chaining it from
+        # theta' to theta'' and on to theta gives exactly the bound from
+        # theta' to theta, and it increases with the dimension it starts
+        # from, so the min over all earlier samples is this one (exact in
+        # real arithmetic).
+        if samples:
+            env = envelope_bound(samples[-1].upper, samples[-1].theta, theta, 2)
             if env < upper:
                 upper, tag = env, "envelope"
-        uppers.append(upper)
-        tags.append(tag)
-
-    samples = []
-    inputs = None
-    if assouad_dim is not None:
-        inputs = BoundInputs(
-            dim_H=d, dim_B_lower=box, dim_B_upper=box, dim_A=assouad_dim, ambient_n=2
-        )
-    for theta, upper, tag in zip(thetas, uppers, tags):
-        if theta == 0.0:
-            samples.append(SpectrumSample(theta, d, d, tag))
-            continue
         lower = max(d, lower_bound_theta(spec, theta))
         if inputs is not None:
             lower = max(lower, assouad_lower_bound(inputs, theta))

@@ -19,6 +19,9 @@ MIN_SCALE = 1e-12
 # Deepest dyadic subdivision level; 2**-40 approaches double-precision
 # granularity relative to the unit box.
 MAX_DEPTH = 40
+# Most points a generator builds (carpet_points, fp_points, flog_points):
+# above the 252,385 of fp_points(1, 1e-6, theta_min=0.25).
+MAX_POINTS = 300_000
 # Monotonicity slack for spectra: formulas are exact, estimators carry
 # sampling noise.
 TOL_MONO_EXACT = 1e-9
@@ -92,6 +95,14 @@ def check_theta(theta: float) -> float:
     if math.isnan(theta) or not 0.0 <= theta <= 1.0:
         raise ValidationError(f"theta must lie in [0, 1], got {theta!r}")
     return theta
+
+
+def theta_grid(grid) -> list[float]:
+    """The thetas of grid, each checked by check_theta, sorted; a repeated theta is refused."""
+    thetas = sorted(map(check_theta, grid))
+    if any(a == b for a, b in zip(thetas, thetas[1:])):
+        raise ValidationError("theta grid contains duplicates")
+    return thetas
 
 
 @dataclass(frozen=True)

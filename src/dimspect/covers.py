@@ -28,6 +28,10 @@ from .core import (
     check_theta,
 )
 
+# Most entries a diameter menu may hold, 64 times the default 16: the
+# interval DP's jump table is points x menu entries.
+MAX_MENU = 1024
+
 
 def guarded_ceil(x: float) -> int:
     """Ceiling with a tolerance for values sitting just above an integer."""
@@ -110,8 +114,8 @@ class RestrictedCover:
 
 def geometric_menu(lo: float, hi: float, size: int) -> tuple[float, ...]:
     """size log-uniform diameters spanning [lo, hi], endpoints included."""
-    if size < 2:
-        raise ValidationError("scale menu needs at least 2 entries")
+    if not 2 <= size <= MAX_MENU:
+        raise ValidationError(f"scale menu needs 2 to {MAX_MENU} entries, got {size}")
     if not 0.0 < lo <= hi:
         raise ValidationError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
     if hi / lo < 1.0 + 1e-12:

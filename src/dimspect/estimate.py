@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_POINTS,
     DimensionSpectrum,
     PointCloud,
     ScaleRange,
@@ -24,6 +25,7 @@ from .core import (
     SpectrumSample,
     ValidationError,
     check_theta,
+    theta_grid,
 )
 from .covers import cover_cost_function, guarded_ceil
 
@@ -120,11 +122,9 @@ def _walk_ahead(lo: float, hi: float, front):
 def _drift_corrected(cells: list[CriticalExponent]) -> dict[float, float]:
     """Remove the A + B/log(1/delta) finite-scale drift shared by one theta row.
 
-    Returns delta -> corrected value; with a single scale the raw value is
-    returned unchanged.
+    Returns delta -> corrected value; with a single scale, or deltas whose
+    1/log(1/delta) all coincide, the raw values are returned unchanged.
     """
-    if len(cells) == 1:
-        return {cells[0].delta: cells[0].s_star}
     us = [1.0 / math.log(1.0 / c.delta) for c in cells]
     ss = [c.s_star for c in cells]
     u_mean = math.fsum(us) / len(us)
@@ -148,13 +148,14 @@ def estimate_spectrum(
     """Estimated spectrum of a point cloud over a theta grid.
 
     Per theta > 0, deltas whose band would dip below MIN_SCALE are skipped;
-    at least one admissible delta is required.  The theta = 0 entry uses
-    unrestricted dyadic covers (floored at MAX_DEPTH) and raw exponents:
-    its finite-resolution bias does not follow the drift model.
+    at least one admissible delta is required.  Rows are solved in theta
+    order, each turned into its sample before the next starts, so a theta
+    with no admissible delta raises before later rows are solved.  The
+    theta = 0 entry uses unrestricted dyadic covers (floored at MAX_DEPTH)
+    and raw exponents: its finite-resolution bias does not follow the
+    drift model.
     """
-    thetas = sorted(check_theta(t) for t in grid)
-    if len(set(thetas)) != len(thetas):
-        raise ValidationError("theta grid contains duplicates")
+    thetas = theta_grid(grid)
     deltas = [float(d) for d in delta_sequence]
     if len(deltas) < 3:
         raise ValidationError("need at least 3 deltas")
@@ -163,32 +164,23 @@ def estimate_spectrum(
     if any(a <= b for a, b in zip(deltas, deltas[1:])):
         raise ValidationError("delta sequence must be strictly decreasing")
 
-    solved: dict[tuple[float, float], CriticalExponent] = {}
+    n = float(points.dimension_n)
+    samples = []
     for theta in thetas:
+        row = []
         for delta in deltas:
             try:
                 ScaleRange(delta, theta)
             except ScaleRangeTooDeepError:
                 continue
-            solved[(theta, delta)] = critical_exponent(
-                points, delta, theta, threshold, scale_menu_size
-            )
-
-    n = float(points.dimension_n)
-    samples = []
-    for theta in thetas:
-        row = [solved[(theta, d)] for d in deltas if (theta, d) in solved]
+            row.append(critical_exponent(points, delta, theta, threshold, scale_menu_size))
         if not row:
             raise ScaleRangeTooDeepError(
                 f"no admissible delta at theta={theta}: "
                 f"delta**(1/theta) falls below MIN_SCALE for every delta"
             )
-        if theta == 0.0:
-            values = {c.delta: c.s_star for c in row}
-        else:
-            values = _drift_corrected(row)
-        smallest_two = sorted(values)[: min(2, len(values))]
-        picked = [values[d] for d in smallest_two]
+        values = _drift_corrected(row) if theta > 0.0 else {c.delta: c.s_star for c in row}
+        picked = [values[d] for d in sorted(values)[:2]]
         lower = max(0.0, min(min(picked), n))
         upper = max(0.0, min(max(picked), n))
         samples.append(SpectrumSample(theta, lower, max(lower, upper), "estimated"))
@@ -203,11 +195,14 @@ def coupled_truncation(p: float, delta: float) -> int:
     dimension 0 in the delta -> 0 limit, so the truncation must grow as
     delta shrinks.
     """
-    if not p > 0.0:
-        raise ValidationError(f"decay exponent p must be positive, got {p}")
+    if not (p > 0.0 and delta > 0.0):  # NaN too
+        raise ValidationError(f"need p > 0 and delta > 0, got p={p}, delta={delta}")
     if delta >= 1.0:
         return TRUNCATION_SAFETY
-    return TRUNCATION_SAFETY * guarded_ceil((p / delta) ** (1.0 / (p + 1.0)))
+    root = (p / delta) ** (1.0 / (p + 1.0))
+    if root == math.inf:
+        raise ValidationError(f"the truncation for p={p}, delta={delta} overflows a float")
+    return TRUNCATION_SAFETY * guarded_ceil(root)
 
 
 def fp_points(p: float, delta: float, theta_min: float = 1.0) -> PointCloud:
@@ -223,8 +218,16 @@ def fp_points(p: float, delta: float, theta_min: float = 1.0) -> PointCloud:
     check_theta(theta_min)
     if theta_min <= 0.0:
         raise ValidationError("theta_min must be positive (theta=0 needs no coupling)")
+    if not (p > 0.0 and delta > 0.0):  # NaN too
+        raise ValidationError(f"need p > 0 and delta > 0, got p={p}, delta={delta}")
     effective = delta ** ((p + 1.0) / (p + theta_min)) if delta < 1.0 else delta
-    count = coupled_truncation(p, effective)
+    # effective underflows to 0 only far beyond MAX_POINTS
+    count = coupled_truncation(p, effective) if effective > 0.0 else math.inf
+    if count + 1 > MAX_POINTS:
+        raise ValidationError(
+            f"fp_points(p={p}, delta={delta}, theta_min={theta_min}) "
+            f"needs more than {MAX_POINTS} points"
+        )
     # Python's k ** -p: np.power may round differently in the last bit
     xs = [0.0] + [k ** (-p) for k in range(1, count + 1)]
     return PointCloud.from_points(np.array(xs)[:, None], dimension_n=1)
@@ -237,6 +240,10 @@ def flog_points(delta: float) -> PointCloud:
     k = 2
     while 1.0 / math.log(k) - 1.0 / math.log(k + 1) >= delta:
         k += 1
+        if TRUNCATION_SAFETY * k > MAX_POINTS:
+            raise ValidationError(
+                f"flog_points(delta={delta}) needs more than {MAX_POINTS} points"
+            )
     count = TRUNCATION_SAFETY * k
     xs = [0.0] + [1.0 / math.log(j) for j in range(2, count + 1)]
     return PointCloud.from_points(np.array(xs)[:, None], dimension_n=1)

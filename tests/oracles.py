@@ -5,7 +5,9 @@ arithmetic from the raw digit set; the menu oracle enumerates all
 partition-based interval covers.  Neither shares code with the library
 paths they check.  The reference implementations are the straightforward
 loop forms of vectorized or batched library code (tuple-of-tuples point
-ingestion, the per-word carpet corners, the scalar interval DP over
+ingestion, the per-word carpet corners, the carpet spectrum with the
+continuity envelope taken from every earlier theta, the scalar interval
+DP over
 every point, the per-state pass of the batched interval DP, the
 recursive dyadic solver, the per-level np.unique dyadic cell tree, the
 one-s-at-a-time bisection, the dict-grouped cap cascade, the full-scan
@@ -21,8 +23,18 @@ import math
 import mpmath as mp
 import numpy as np
 
-from dimspect import CoverSet, RestrictedCover, mcmullen_weights
-from dimspect.carpet import row_depth
+from dimspect import (
+    BoundInputs,
+    CoverSet,
+    DimensionSpectrum,
+    RestrictedCover,
+    SpectrumSample,
+    assouad_lower_bound,
+    lower_bound_theta,
+    mcmullen_weights,
+    upper_bound_theta,
+)
+from dimspect.carpet import UpperBoundDomainError, row_depth
 from dimspect.covers import _bbox_tree, _rescale
 from dimspect.estimate import BISECTION_TOL
 
@@ -56,6 +68,61 @@ def loop_carpet_points(spec, depth: int) -> list[tuple[float, float]]:
             y += q * nw
         pts.append((x, y))
     return pts
+
+
+def all_pairs_carpet_spectrum(spec, thetas, assouad_dim=None) -> DimensionSpectrum:
+    """Reference carpet_spectrum over distinct thetas: all upper bounds first, then the lowers.
+
+    Each upper is the min of the box dimension, the logarithmic bound on
+    its domain and the continuity envelope from every earlier theta's
+    upper, so the envelope is evaluated T(T-1)/2 times; tags and the lower
+    clamp follow the library's rules.  The envelope is envelope_bound's
+    formula on numpy arrays: the same correctly rounded operations, so the
+    same bits.
+    """
+    thetas = sorted(thetas)
+    der = mcmullen_weights(spec)
+    d, box = der.d, der.box
+    if spec.columns_equal():
+        return DimensionSpectrum(2, tuple(SpectrumSample(t, d, d, "exact") for t in thetas))
+    earlier, uppers, tags = np.array(thetas), np.zeros(len(thetas)), []
+    for i, theta in enumerate(thetas):
+        if theta == 0.0:
+            uppers[i] = d
+            tags.append("exact")
+            continue
+        upper, tag = box, "trivial"
+        try:
+            candidate = upper_bound_theta(spec, theta)
+        except UpperBoundDomainError:
+            candidate = None
+        if candidate is not None and candidate < upper:
+            upper, tag = candidate, "bounds"
+        if i:
+            env = uppers[:i] + (1.0 - earlier[:i] / theta) * (2 - uppers[:i])
+            if env.min() < upper:
+                upper, tag = float(env.min()), "envelope"
+        uppers[i] = upper
+        tags.append(tag)
+    uppers = uppers.tolist()
+    inputs = None
+    if assouad_dim is not None:
+        inputs = BoundInputs(
+            dim_H=d, dim_B_lower=box, dim_B_upper=box, dim_A=assouad_dim, ambient_n=2
+        )
+    samples = []
+    for theta, upper, tag in zip(thetas, uppers, tags):
+        if theta == 0.0:
+            samples.append(SpectrumSample(theta, d, d, tag))
+            continue
+        lower = max(d, lower_bound_theta(spec, theta))
+        if inputs is not None:
+            lower = max(lower, assouad_lower_bound(inputs, theta))
+        if lower > upper:
+            lower = upper
+            tag = tag + "+clamped"
+        samples.append(SpectrumSample(theta, lower, upper, tag))
+    return DimensionSpectrum(ambient_n=2, samples=tuple(samples))
 
 
 def mp_carpet(m: int, n: int, digits):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -14,16 +15,21 @@ from dimspect import (
     box_dim,
     carpet_points,
     carpet_spectrum,
+    default_theta_grid,
     entropy,
+    envelope_bound,
     hausdorff_dim,
     log_upper_excess,
     lower_bound_theta,
     mcmullen_weights,
     upper_bound_theta,
 )
+from dimspect import carpet
 from dimspect.carpet import UpperBoundDomainError, row_depth
+from dimspect.cli import main, parse_grid, spectrum_to_json
 from conftest import random_carpet
 from oracles import (
+    all_pairs_carpet_spectrum,
     approx_square_measure_alt,
     entropy_displayed,
     loop_carpet_points,
@@ -329,6 +335,73 @@ class TestCarpetSpectrum:
     def test_bad_assouad_rejected(self, worked_carpet):
         with pytest.raises(ValidationError):
             carpet_spectrum(worked_carpet, [0.5], assouad_dim=1.0)
+
+    def test_logarithmic_bound_tags_tiny_thetas(self, worked_carpet):
+        # the logarithmic bound drops below the box dimension only for
+        # theta far below its domain's end (about 0.1 here)
+        spectrum = carpet_spectrum(worked_carpet, [0.0, 1e-100, 1e-60, 1e-40, 0.05])
+        tiny = spectrum.samples[1:4]
+        for s in tiny:
+            assert s.method == "bounds"
+            assert s.upper == upper_bound_theta(worked_carpet, s.theta) < box_dim(worked_carpet)
+        assert spectrum.samples[-1].method == "trivial"
+
+    def test_envelope_from_previous_sample(self, worked_carpet, monkeypatch):
+        # a low upper at theta=0.01 binds the continuity envelope at 0.0101
+        real = carpet.upper_bound_theta
+        low = lower_bound_theta(worked_carpet, 0.01)
+        monkeypatch.setattr(
+            carpet, "upper_bound_theta", lambda spec, t: low if t == 0.01 else real(spec, t)
+        )
+        spectrum = carpet_spectrum(worked_carpet, [0.0, 0.01, 0.0101, 0.5])
+        prev, s = spectrum.samples[1:3]
+        assert prev.upper == low
+        assert s.method == "envelope"
+        assert s.upper == envelope_bound(prev.upper, prev.theta, s.theta, 2)
+        assert s.upper < box_dim(worked_carpet)
+        for earlier in spectrum.samples[:2]:
+            assert s.upper <= envelope_bound(earlier.upper, earlier.theta, s.theta, 2) + 1e-12
+
+    def test_one_envelope_call_per_theta(self, worked_carpet, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return envelope_bound(*args)
+
+        monkeypatch.setattr(carpet, "envelope_bound", counting)
+        grid = default_theta_grid(101)
+        carpet_spectrum(worked_carpet, grid)
+        assert 0 < len(calls) <= len(grid)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0),
+                st.floats(1e-300, 1e-3),
+                st.sampled_from([0.0, 1.0]),
+            ),
+            min_size=1,
+            max_size=40,
+            unique=True,
+        ),
+        assouad=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    def test_one_pass_equals_all_pairs(self, seed, grid, assouad):
+        spec = random_carpet(random.Random(seed), max_m=4, max_n=7)
+        box = box_dim(spec)
+        dim_a = None if assouad is None else box + assouad * (2.0 - box)
+        assert carpet_spectrum(spec, grid, dim_a) == all_pairs_carpet_spectrum(spec, grid, dim_a)
+
+    def test_cli_grid_equals_all_pairs(self, worked_carpet, tmp_path, capsys):
+        path = tmp_path / "carpet.json"
+        path.write_text(json.dumps(worked_carpet.to_json_dict()))
+        grid = "0:1:0.0001"
+        assert main(["carpet", "--spec", str(path), "--grid", grid, "--format", "json"]) == 0
+        expected = all_pairs_carpet_spectrum(worked_carpet, parse_grid(grid))
+        assert capsys.readouterr().out == spectrum_to_json(expected)
 
 
 class TestCarpetPoints:

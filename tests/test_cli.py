@@ -391,6 +391,31 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "family",
+        [
+            ["fp", "--p", "1", "--delta", "1e-300"],
+            ["fp", "--p", "0.5", "--delta", "1e-6", "--theta-min", "0.25"],
+            ["fp", "--p", "1", "--delta", "1e-300", "--theta-min", "0.01"],
+            ["fp", "--p", "1e10", "--delta", "1e-300"],
+            ["fp", "--p", "1", "--delta", "0"],
+            ["fp", "--p", "1", "--delta", "-0.5"],
+            ["flog", "--delta", "1e-300"],
+        ],
+    )
+    def test_oversized_or_bad_generator_exits_2(self, capsys, family):
+        # refused from the count of points, before any is built
+        code, out, err = run(capsys, "gen", "--family", *family)
+        assert code == 2 and out == ""
+        assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
+
+    def test_oversized_menu_exits_2(self, capsys, tmp_path):
+        points = tmp_path / "p.txt"
+        points.write_text("0.1\n0.5\n0.9\n")
+        code, out, err = run(capsys, "estimate", "--points", str(points), "--menu", "100000000")
+        assert code == 2 and out == ""
+        assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_non_finite_threshold_exits_2(self, capsys, tmp_path, threshold):
         points = tmp_path / "p.txt"

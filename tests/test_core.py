@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dimspect import (
     AtomicMeasure,
+    CarpetSpec,
     DimensionSpectrum,
     EmptyIntersectionError,
     GridMismatchError,
@@ -17,10 +18,13 @@ from dimspect import (
     ScaleRangeTooDeepError,
     SpectrumSample,
     ValidationError,
+    carpet_spectrum,
     check_mdp,
     default_theta_grid,
+    estimate_spectrum,
     spectrum_merge,
 )
+from dimspect.core import theta_grid
 from oracles import tuple_from_points
 
 
@@ -163,6 +167,31 @@ def _spectrum(values, ambient=1, method="exact"):
             SpectrumSample(t, v, v, method) for t, v in zip(thetas, values)
         ),
     )
+
+
+class TestThetaGrid:
+    def test_sorted(self):
+        assert theta_grid([1, 0.25, 0.0]) == [0.0, 0.25, 1.0]
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda grid: carpet_spectrum(CarpetSpec.create(2, 3, [(0, 0), (0, 2), (1, 1)]), grid),
+            lambda grid: estimate_spectrum(
+                PointCloud.from_points([(0.1,), (0.7,)]), grid, [1e-1, 1e-2, 1e-3]
+            ),
+        ],
+        ids=["carpet_spectrum", "estimate_spectrum"],
+    )
+    @pytest.mark.parametrize("grid", [[0.5, 0.25, 0.5], [0.0, 0.0]])
+    def test_builders_refuse_a_repeated_theta(self, build, grid):
+        with pytest.raises(ValidationError, match="theta grid contains duplicates"):
+            build(grid)
+
+    @pytest.mark.parametrize("grid", [[0.5, 1.5], [math.nan], [-0.1]])
+    def test_out_of_range_refused(self, grid):
+        with pytest.raises(ValidationError, match="theta must lie in"):
+            theta_grid(grid)
 
 
 class TestDimensionSpectrum:

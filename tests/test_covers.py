@@ -24,7 +24,7 @@ from dimspect import (
     refine_cover,
 )
 from dimspect.core import MAX_DEPTH
-from dimspect.covers import _bbox_tree, _DyadicTree, _IntervalDP, cover_cost_function
+from dimspect.covers import MAX_MENU, _bbox_tree, _DyadicTree, _IntervalDP, cover_cost_function
 from conftest import point_clouds
 from oracles import (
     ScalarIntervalDP,
@@ -49,6 +49,12 @@ class TestGeometricMenu:
 
     def test_degenerate_band(self):
         assert geometric_menu(0.01, 0.01, 16) == (0.01,)
+
+    def test_size_capped(self):
+        assert len(geometric_menu(1e-4, 1e-2, MAX_MENU)) == MAX_MENU
+        for size in (MAX_MENU + 1, 10**7):
+            with pytest.raises(ValidationError, match=f"2 to {MAX_MENU} entries"):
+                geometric_menu(1e-4, 1e-2, size)
 
 
 class TestOptimalCover1d:

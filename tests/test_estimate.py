@@ -19,6 +19,7 @@ from dimspect import (
     geometric_menu,
 )
 from dimspect import estimate
+from dimspect.core import MAX_POINTS
 from dimspect.estimate import BISECTION_TOL, _drift_corrected
 from conftest import point_clouds
 from oracles import ScalarIntervalDP, recursive_dyadic_cover, sequential_critical_exponent
@@ -201,6 +202,27 @@ class TestEstimateSpectrum:
         with pytest.raises(ScaleRangeTooDeepError):
             estimate_spectrum(pts, [0.05], [1e-2, 1e-3, 1e-4])
 
+    def test_one_admissible_delta_reports_raw_exponent(self):
+        # at theta=0.2 only delta=1e-2 keeps its band above MIN_SCALE
+        pts = fp_points(1.0, 1e-3, theta_min=0.2)
+        spectrum = estimate_spectrum(pts, [0.2], [1e-2, 1e-3, 1e-4])
+        raw = critical_exponent(pts, 1e-2, 0.2).s_star
+        assert spectrum.samples[0].lower == raw == spectrum.samples[0].upper
+        assert 0.0 < raw < 1.0
+
+    def test_raises_before_later_rows_are_solved(self, monkeypatch):
+        solved = []
+        real = estimate.critical_exponent
+
+        def recording(points, delta, theta, *args):
+            solved.append(theta)
+            return real(points, delta, theta, *args)
+
+        monkeypatch.setattr(estimate, "critical_exponent", recording)
+        with pytest.raises(ScaleRangeTooDeepError, match="theta=0.05"):
+            estimate_spectrum(fp_points(1.0, 1e-2), [0.05, 1.0], [1e-2, 1e-3, 1e-4])
+        assert solved == []
+
     def test_theta_zero_entry_bounded(self):
         pts = fp_points(1.0, 1e-3, theta_min=0.25)
         spectrum = estimate_spectrum(pts, [0.0, 0.5, 1.0], [1e-2, 1e-3, 1e-4])
@@ -278,6 +300,15 @@ class TestCoupledTruncation:
         with pytest.raises(ValidationError):
             coupled_truncation(0.0, 1e-3)
 
+    @pytest.mark.parametrize("delta", [0.0, -1e-3, math.nan])
+    def test_bad_delta(self, delta):
+        with pytest.raises(ValidationError):
+            coupled_truncation(1.0, delta)
+
+    def test_overflow_refused(self):
+        with pytest.raises(ValidationError, match="overflows"):
+            coupled_truncation(1e10, 1e-300)
+
 
 class TestFamilies:
     def test_fp_points_include_zero_and_largest(self):
@@ -290,6 +321,30 @@ class TestFamilies:
         shallow = fp_points(1.0, 1e-4)
         deep = fp_points(1.0, 1e-4, theta_min=0.25)
         assert len(deep) > len(shallow)
+
+    @pytest.mark.parametrize(
+        "p, delta, theta_min",
+        [(0.5, 1e-6, 0.25), (1.0, 1e-300, 1.0), (1.0, 1e-300, 0.01), (1e10, 1e-300, 1.0)],
+    )
+    def test_fp_points_refuse_more_than_max_points(self, p, delta, theta_min):
+        # (0.5, 1e-6, 0.25) asks for 251,984,212 points and (1, 1e-300) for
+        # about 4e150; at theta_min=0.01 the coupled scale underflows to 0
+        with pytest.raises(ValidationError, match=f"more than {MAX_POINTS} points|overflows"):
+            fp_points(p, delta, theta_min)
+
+    def test_fp_points_delta_1e6_cloud_fits(self):
+        assert len(fp_points(1.0, 1e-6, theta_min=0.25)) == 252_385 <= MAX_POINTS
+
+    @pytest.mark.parametrize(
+        "p, delta", [(1.0, 0.0), (1.0, -0.5), (1.0, math.nan), (-1.0, 1e-2), (math.nan, 1e-2)]
+    )
+    def test_fp_points_refuse_bad_numbers(self, p, delta):
+        with pytest.raises(ValidationError):
+            fp_points(p, delta)
+
+    def test_flog_points_refuse_more_than_max_points(self):
+        with pytest.raises(ValidationError, match=f"more than {MAX_POINTS} points"):
+            flog_points(1e-300)
 
     def test_flog_points(self):
         cloud = flog_points(1e-3)
