@@ -187,13 +187,12 @@ def log_upper_excess(spec: CarpetSpec, theta: float) -> float:
     check_theta(theta)
     if theta <= 0.0:
         raise ValidationError("excess is defined for theta > 0")
-    der = mcmullen_weights(spec)
-    coef = (
-        2.0
-        * math.log(math.log(spec.n) / math.log(spec.m))
-        * math.log(der.a_max)
-        / math.log(spec.n)
-    )
+    return _log_upper_excess(mcmullen_weights(spec), theta)
+
+
+def _log_upper_excess(der: CarpetDerived, theta: float) -> float:
+    m, n = der.spec.m, der.spec.n
+    coef = 2.0 * math.log(math.log(n) / math.log(m)) * math.log(der.a_max) / math.log(n)
     return coef / (-math.log(theta))
 
 
@@ -213,7 +212,8 @@ def upper_bound_theta(spec: CarpetSpec, theta: float) -> float:
         raise UpperBoundDomainError(
             f"theta={theta} outside (0, {L * L / 4.0:.6g}), the bound's domain"
         )
-    return min(hausdorff_dim(spec) + log_upper_excess(spec, theta), box_dim(spec))
+    der = mcmullen_weights(spec)
+    return min(der.d + _log_upper_excess(der, theta), der.box)
 
 
 def lower_bound_theta(spec: CarpetSpec, theta: float) -> float:
@@ -223,8 +223,12 @@ def lower_bound_theta(spec: CarpetSpec, theta: float) -> float:
     hold unequal numbers of cells (entropy strictly below log|D|).
     """
     check_theta(theta)
-    der = mcmullen_weights(spec)
-    return der.d + theta * (math.log(len(spec.digits)) - der.entropy_H) / math.log(spec.m)
+    return _lower_bound_theta(mcmullen_weights(spec), theta)
+
+
+def _lower_bound_theta(der: CarpetDerived, theta: float) -> float:
+    digits, m = len(der.spec.digits), der.spec.m
+    return der.d + theta * (math.log(digits) - der.entropy_H) / math.log(m)
 
 
 def carpet_points(spec: CarpetSpec, depth: int):
@@ -298,7 +302,7 @@ def carpet_spectrum(
             env = envelope_bound(samples[-1].upper, samples[-1].theta, theta, 2)
             if env < upper:
                 upper, tag = env, "envelope"
-        lower = max(d, lower_bound_theta(spec, theta))
+        lower = max(d, _lower_bound_theta(der, theta))
         if inputs is not None:
             lower = max(lower, assouad_lower_bound(inputs, theta))
         if lower > upper:

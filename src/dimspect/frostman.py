@@ -10,11 +10,16 @@ certifies dimension >= s at sampling confidence.
 
 Measures are AtomicMeasure's two arrays, points and masses, from the
 builders to the probes.  Both builder and check probe ball masses the
-same way (_ball_masses): a numpy box filter over the points array keeps
-the atoms within r (1 + 1e-9) of the center on every axis, and the exact
-test, an fsum of squared coordinate differences against r*r, decides
-among those.  The filter drops only atoms the exact test rejects, so
-masses are the full scan's bit for bit.
+same way (_ball_masses): with the atoms sorted by their first coordinate,
+searchsorted finds the window within r (1 + 1e-9) of the center on that
+axis, and a numpy sum of squared coordinate differences decides the
+atoms clearly inside or outside the ball, within a relative 1e-9 of
+r*r.  Only the atoms in between go to the exact test, an fsum of the
+squared differences against r*r.  Window and pre-test agree with the
+exact test, so masses are the full scan's bit for bit.  The cascade
+sums each cube's masses with np.add.reduceat the same way: only a cube
+whose float total, widened by its rounding bound, exceeds the cap has
+its total taken with fsum.
 """
 
 from __future__ import annotations
@@ -37,6 +42,9 @@ from .covers import _cascade_tree, guarded_ceil
 
 # Band ratios below this certify too narrow a range of scales to mean much.
 WEAK_BAND_RATIO = 10.0
+
+# Most random probes one call draws: 500x the default of 200.
+MAX_BALL_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -90,31 +98,109 @@ def _squared_distance(p, q) -> float:
         return math.inf
 
 
+def _check_ball_samples(ball_samples: int, least: int) -> None:
+    if not least <= ball_samples <= MAX_BALL_SAMPLES:
+        raise ValidationError(
+            f"ball_samples must lie in [{least}, {MAX_BALL_SAMPLES}], got {ball_samples}"
+        )
+
+
 def _ball_masses(measure: AtomicMeasure, probes) -> list[float]:
     """mu(B(x, r)) = fsum of the masses of atoms p with _squared_distance(p, x) <= r*r, per probe.
 
-    probes are (x, r) pairs with r > 0.  Each probe first keeps the atoms
-    inside the box |p_i - x_i| <= r (1 + 1e-9), one numpy pass over
-    measure.points, then runs the exact test on those only, on their rows
-    as Python floats.  A dropped atom has some fl(p_i - x_i)**2 above
-    fl(r*r), so its fsum is above r*r too: the exact test would reject
-    it, and the fsum of the kept masses is the full scan's.  This holds
-    for correctly rounded squares already; the margin absorbs a `**`
-    that is off by more.  It needs r*r normal: where r*r underflows, the
-    box is unbounded and every atom goes to the exact test.
+    probes are (x, r) pairs with r > 0.  The atoms are put once in stable
+    order by coordinate 0; fsum is exact, so their order does not change
+    a mass.  Each probe then reads the window of atoms with p_0 in
+    [fl(x_0 - reach), fl(x_0 + reach)], reach = fl(r (1 + 1e-9)), found
+    by searchsorted, and sums their squared coordinate differences in
+    numpy.  Atoms whose numpy sum is below r*r (1 - 1e-9) are inside,
+    those above r*r (1 + 1e-9) outside, and only the ones in between go
+    to the exact test.  Both shortcuts agree with it:
+
+    - The window drops only atoms the exact test rejects.  Rounding is
+      monotone, so an atom with p_0 < fl(x_0 - reach) has p_0 < x_0 -
+      reach, and then |fl(p_0 - x_0)| >= reach (the same from above).
+      Its square, within a few ulps, is above fl(r*r), and so is the
+      fsum, which is at least its largest term.
+    - The numpy differences are the exact test's bits (both are one
+      rounded subtraction), and d * d is the correctly rounded square.
+      A float sum of n non-negative terms is within gamma(n-1) of their
+      exact sum, gamma(k) = k u / (1 - k u), u = 2**-53, and fsum's
+      rounding adds u; a `**` that is off by a few ulps adds a few u
+      more.  The margin of 1e-9 covers all of that for n < 10**6 terms,
+      and underflowed squares, off by at most 2**-1075 each, are
+      negligible against r*r >= 2**-1022.  A square or sum that
+      overflows reads inf on both sides.
+
+    So the fsum of the kept masses is the full scan's bit for bit.  It
+    needs r*r normal: where r*r underflows or overflows, the window and
+    the pre-test are skipped and every atom goes to the exact test.
     """
-    # one contiguous row per axis: the all() over axis 0 is then a few
-    # elementwise ands, where over the atoms' rows it is a slow reduction
-    coords = np.ascontiguousarray(measure.points.T)
+    order = np.argsort(measure.points[:, 0], kind="stable")
+    # one contiguous row per axis: summing the squares over axis 0 is then
+    # n - 1 elementwise adds, where over the atoms' rows it is a slow reduction
+    coords = np.ascontiguousarray(measure.points.take(order, 0).T)
+    weights = measure.masses.take(order)
+    n, axis0 = len(coords), coords[0]
+    # past 10**6 coordinates the margin no longer covers the sum's rounding
+    margin = 1e-9 if n < 10**6 else math.inf
+    centres = np.array([x for x, _ in probes], dtype=float).reshape(len(probes), n, 1)
+    radii = np.array([r for _, r in probes], dtype=float)
     masses = []
-    for x, r in probes:
-        r2 = r * r
-        reach = r * (1.0 + 1e-9) if r2 >= sys.float_info.min else math.inf
-        inside = np.abs(coords - np.reshape(x, (-1, 1))) <= reach
-        near = np.flatnonzero(inside.all(axis=0))
-        near_atoms = zip(measure.points[near].tolist(), measure.masses[near].tolist())
-        masses.append(math.fsum(m for p, m in near_atoms if _squared_distance(p, x) <= r2))
+    with np.errstate(over="ignore", under="ignore"):
+        # r*r and the window's ends, rounded as Python rounds them; where
+        # r*r is not normal, the window is everything and every atom unsure
+        r2s = radii * radii
+        normal = (r2s >= sys.float_info.min) & (r2s <= sys.float_info.max)
+        reach = np.where(normal, radii * (1.0 + 1e-9), np.inf)
+        begins = axis0.searchsorted(centres[:, 0, 0] - reach, "left")
+        ends = axis0.searchsorted(centres[:, 0, 0] + reach, "right")
+        inner = np.where(normal, r2s * (1.0 - margin), -np.inf)
+        outer = np.where(normal, r2s * (1.0 + margin), np.inf)
+        bounds = (v.tolist() for v in (r2s, begins, ends, inner, outer))
+        for (x, _), centre, r2, a, b, lo, hi in zip(probes, centres, *bounds):
+            d = coords[:, a:b] - centre
+            d *= d
+            sq = d.sum(0)
+            keep = sq < lo
+            near = sq <= hi
+            if np.count_nonzero(near) > np.count_nonzero(keep):
+                unsure = np.flatnonzero(near & ~keep)
+                rows = coords[:, a:b].take(unsure, 1).T.tolist()
+                keep[unsure] = [_squared_distance(p, x) <= r2 for p in rows]
+            masses.append(math.fsum(weights[a:b][keep].tolist()))
     return masses
+
+
+def _cap_runs(masses: np.ndarray, begins: np.ndarray, cap: float) -> None:
+    """Scale, in place, each run of masses whose fsum exceeds cap by cap / fsum.
+
+    Run i is masses[begins[i]:begins[i + 1]] (the last runs to the end),
+    the masses non-negative.  np.add.reduceat sums every run in floats; a
+    float sum of k non-negative terms times 1 + gamma(k - 1) is at least
+    their exact sum (Higham, ch. 4), and gamma(k + 2), the factor used,
+    is 3u more, which covers the rounding of the factor and of the
+    product.  So a run whose widened float sum is at most cap has an
+    exact sum, and an fsum, of at most cap too, and only the other runs
+    are summed with fsum.  Below the normal range a product rounds by an
+    absolute amount, not a relative one, so under a subnormal cap every
+    run is.
+    """
+    ends = np.append(begins[1:], len(masses))
+    if cap >= sys.float_info.min:
+        g = (ends - begins + 2) * 2.0**-53
+        with np.errstate(over="ignore"):  # an overflow reads inf, and is summed
+            bound = np.add.reduceat(masses, begins) * (1.0 + g / (1.0 - g))
+        suspect = np.flatnonzero(bound > cap)
+    else:
+        suspect = np.arange(len(begins))
+    # a capped run scales by cap / fsum, every other by 1.0 (exactly)
+    values, factors = masses.tolist(), np.ones(len(begins))
+    for i, begin, end in zip(suspect.tolist(), *(v[suspect].tolist() for v in (begins, ends))):
+        total = math.fsum(values[begin:end])
+        if total > cap:
+            factors[i] = cap / total
+    masses *= np.repeat(factors, ends - begins)
 
 
 def build_frostman_measure(
@@ -140,8 +226,7 @@ def build_frostman_measure(
     """
     if not (math.isfinite(s) and s > 0.0):
         raise ValidationError(f"exponent s must be finite and positive, got {s}")
-    if ball_samples < 0:
-        raise ValidationError(f"ball_samples must be at least 0, got {ball_samples}")
+    _check_ball_samples(ball_samples, 0)
     check_theta(theta)
     if theta == 0.0:
         raise ValidationError("the cascade needs theta > 0 (theta = 0 is classical)")
@@ -153,13 +238,7 @@ def build_frostman_measure(
     # masses of the base cubes, in tree order
     masses = np.full(len(tree.first_point), 2.0 ** (-m * s))
     for level in range(m - 1, stop - 1, -1):
-        cap = 2.0 ** (-level * s)
-        # a cube's base cubes form one run; np.split returns views, so
-        # scaling a run scales masses
-        for members in np.split(masses, starts[level - stop][1:]):
-            total = math.fsum(members)
-            if total > cap:
-                members *= cap / total
+        _cap_runs(masses, starts[level - stop], 2.0 ** (-level * s))
 
     # atoms in the order their least points appear in the sorted cloud
     order = np.argsort(tree.first_point)
@@ -262,8 +341,7 @@ def check_mdp(
     for name, value in (("exponent s", s), ("mass floor a", a), ("constant c", c)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValidationError(f"{name} must be finite and positive, got {value}")
-    if ball_samples < 1:
-        raise ValidationError(f"ball_samples must be at least 1, got {ball_samples}")
+    _check_ball_samples(ball_samples, 1)
     check_theta(theta)
     if theta == 0.0:
         raise ValidationError("check_mdp needs theta > 0 (theta = 0 is classical)")

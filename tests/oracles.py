@@ -436,6 +436,20 @@ def loop_cap_cascade(points, s: float, base: int, stop: int, origin, scale: floa
     return atoms, norm, level_masses
 
 
+def split_cap_runs(masses, begins, cap: float):
+    """Reference run capping: a copy of masses with each run over cap scaled by cap / fsum.
+
+    One fsum per run over np.split's views, the loop build_frostman_measure
+    ran at each level before its float pre-test.
+    """
+    masses = np.array(masses, dtype=float)
+    for members in np.split(masses, begins[1:]):
+        total = math.fsum(members)
+        if total > cap:
+            members *= cap / total
+    return masses
+
+
 def cascade_level_masses(cloud, result) -> dict:
     """level -> {cube index: mass} of the cap cascade behind a build_frostman_measure result.
 
@@ -454,8 +468,17 @@ def cascade_level_masses(cloud, result) -> dict:
 
 
 def full_scan_ball_mass(atoms, x, r: float) -> float:
-    """Reference ball mass: the exact distance test on every atom."""
+    """Reference ball mass: the exact distance test on every atom.
+
+    A squared distance whose square or sum overflows (Python raises) reads
+    inf: the atom is outside unless r*r overflows too.
+    """
     r2 = r * r
-    return math.fsum(
-        m for p, m in atoms if math.fsum((a - b) ** 2 for a, b in zip(p, x)) <= r2
-    )
+
+    def squared_distance(p):
+        try:
+            return math.fsum((a - b) ** 2 for a, b in zip(p, x))
+        except OverflowError:
+            return math.inf
+
+    return math.fsum(m for p, m in atoms if squared_distance(p) <= r2)

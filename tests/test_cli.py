@@ -409,6 +409,21 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+    def test_oversized_samples_exits_2(self, capsys, tmp_path, to_file):
+        # refused before a probe is drawn, whether the report goes to stdout or --out
+        points = tmp_path / "p.txt"
+        points.write_text("0.1\n0.5\n0.9\n")
+        target = tmp_path / "cert.json"
+        code, out, err = run(
+            capsys, "frostman", "--points", str(points),
+            "--s", "0.5", "--delta", "0.01", "--theta", "0.5", "--samples", str(10**12),
+            *(["--out", str(target)] if to_file else []),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
+        assert "ball_samples" in err and not target.exists()
+
     def test_oversized_menu_exits_2(self, capsys, tmp_path):
         points = tmp_path / "p.txt"
         points.write_text("0.1\n0.5\n0.9\n")

@@ -1,4 +1,7 @@
+import itertools
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +21,16 @@ from dimspect import (
     fp_witness_measure,
     separated_witness_measure,
 )
+from dimspect import frostman
 from dimspect.covers import _rescale
-from dimspect.frostman import _ball_masses
+from dimspect.frostman import MAX_BALL_SAMPLES, _ball_masses, _cap_runs
 from conftest import point_clouds
-from oracles import cascade_level_masses, full_scan_ball_mass, loop_cap_cascade
+from oracles import (
+    cascade_level_masses,
+    full_scan_ball_mass,
+    loop_cap_cascade,
+    split_cap_runs,
+)
 
 
 def witness_delta(p: float, theta: float, atoms: int = 50) -> float:
@@ -118,6 +127,16 @@ class TestBuilder:
         result = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5, ball_samples=0)
         assert result.worst_ratio > 0.0
 
+    def test_rejects_oversized_ball_samples(self):
+        # refused before a probe is drawn, by the builder and the check alike
+        pts = fp_points(1.0, 0.01)
+        mu = AtomicMeasure.from_atoms([((0.25,), 0.5), ((0.75,), 0.5)])
+        for samples in (MAX_BALL_SAMPLES + 1, 10**12):
+            with pytest.raises(ValidationError, match="ball_samples"):
+                build_frostman_measure(pts, 0.3, 0.01, 0.5, ball_samples=samples)
+            with pytest.raises(ValidationError, match="ball_samples"):
+                check_mdp([(1e-3, mu)], 0.5, 0.5, 1.0, 100.0, ball_samples=samples)
+
     def test_deterministic(self):
         pts = fp_points(1.0, 0.01)
         a = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5, seed=0)
@@ -190,8 +209,90 @@ class TestCascadeMatchesLoops:
         assert cascade.norm == norm
 
 
+def _nudged(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+@st.composite
+def run_near_cap(draw, cap: float) -> list[float]:
+    """Masses whose exact total sits within a few ulps of cap, or anywhere below it.
+
+    equal: k copies of cap / k, nudged; big-and-tiny: about cap, then
+    half-ulp terms that a float sum drops one by one but fsum adds up.
+    """
+    k = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["equal", "big-and-tiny", "random"]))
+    if kind == "equal":
+        return [_nudged(cap / k, draw(st.integers(-2, 2)))] * k
+    if kind == "big-and-tiny":
+        half_ulp = math.ulp(cap) / 2.0
+        tiny = st.sampled_from([half_ulp / 2.0, half_ulp, 1.5 * half_ulp])
+        big = _nudged(cap, draw(st.integers(-3, 1)))
+        return [big] + [draw(tiny) for _ in range(k - 1)]
+    return draw(st.lists(st.floats(cap * 1e-3, cap), min_size=k, max_size=k))
+
+
+class TestCapRunsMatchLoop:
+    """The reduceat pre-test sends every run whose fsum may exceed the cap to fsum."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cap=st.one_of(
+            st.floats(1e-30, 1.0),
+            st.integers(-60, 0).map(lambda e: 2.0**e),
+            st.sampled_from([1e-310, 2.0**-1030]),  # subnormal: every run is summed
+        ),
+        data=st.data(),
+    )
+    def test_equal_to_fsum_per_run(self, cap, data):
+        runs = data.draw(st.lists(run_near_cap(cap), min_size=1, max_size=8))
+        masses = np.array([m for run in runs for m in run])
+        begins = np.cumsum([0] + [len(run) for run in runs[:-1]])
+        expected = split_cap_runs(masses, begins, cap)
+        _cap_runs(masses, begins, cap)
+        assert masses.tolist() == expected.tolist()
+
+
+class TestCascadeNearTheCap:
+    """Cube totals a few ulps from their cap: the float pre-test must defer to fsum."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 2),
+        grid=st.integers(2, 5),
+        nudge=st.integers(-3, 3),
+        delta=st.floats(0.05, 0.7),
+        theta=st.floats(0.2, 1.0),
+        data=st.data(),
+    )
+    def test_atoms_and_norm_equal_reference(self, n, grid, nudge, delta, theta, data):
+        # every cell of a 2**-grid lattice in the unit box, less a few: at
+        # s = n a full cube's equal base masses sum to exactly its cap, and
+        # s a few ulps off puts the total just above or below it
+        cells = list(itertools.product(range(2**grid), repeat=n))
+        removed = data.draw(st.sets(st.sampled_from(cells), max_size=3))
+        cloud = PointCloud.from_points(
+            [tuple(c / 2**grid for c in cell) for cell in cells if cell not in removed],
+            dimension_n=n,
+        )
+        s = _nudged(float(n), nudge)
+        try:
+            res = build_frostman_measure(cloud, s, delta, theta, ball_samples=0)
+        except (RangeTooNarrowError, ScaleRangeTooDeepError):
+            assume(False)
+        cascade = res.cascade
+        origin, scale = _rescale(cloud)
+        atoms, norm, _ = loop_cap_cascade(
+            cloud, s, cascade.base_level, cascade.stop_level, origin, scale
+        )
+        assert res.measure.atoms == tuple(atoms)
+        assert cascade.norm == norm
+
+
 class TestBallMassesMatchFullScan:
-    """The box-filtered ball masses equal the full scan's with ==."""
+    """The windowed, pre-tested ball masses equal the full scan's with ==."""
 
     @settings(max_examples=200, deadline=None)
     @given(cloud=point_clouds(max_points=40), data=st.data())
@@ -238,6 +339,81 @@ class TestBallMassesMatchFullScan:
         expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
         assert expected == [0.375, 0.375, 0.875]
         assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_shuffled_atoms(self, n, data):
+        # a measure read from JSON need not be sorted by coordinate 0
+        cloud = data.draw(point_clouds(max_points=40, dimension=n))
+        pts = data.draw(st.permutations(cloud.points))
+        masses = data.draw(
+            st.lists(st.floats(1e-6, 1.0), min_size=len(pts), max_size=len(pts))
+        )
+        atoms = tuple(zip(pts, masses))
+        probes = [
+            (data.draw(st.sampled_from(pts)), data.draw(st.floats(1e-4, 10.0)))
+            for _ in range(data.draw(st.integers(1, 10)))
+        ]
+        expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
+        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+
+    def test_coordinates_whose_squares_overflow(self):
+        # squares of 1e200 overflow: numpy reads inf without a warning,
+        # the exact test reads inf for the OverflowError, and both agree
+        big = 1e200
+        atoms = (
+            ((-big, 0.0), 0.0625),
+            ((0.0, 0.0), 0.0625),
+            ((big, -big), 0.125),
+            ((big, 0.0), 0.125),
+            ((big, 1.0), 0.25),
+            ((math.nextafter(big, math.inf), 0.5), 0.375),
+        )
+        probes = [
+            ((big, 0.0), 1.0),
+            ((big, 0.0), 2.0),
+            ((big, 0.5), 1e150),
+            ((0.0, 0.0), 1e154),
+            ((-big, 0.0), 1e154),
+            ((big, -big), 1.0),
+            # r*r overflows, and so does every squared distance it is
+            # compared with: each reads inf, and every atom is inside
+            ((0.0, 0.0), 1e200),
+            ((0.0, 0.0), 1e160),
+            ((-big, 0.0), 1e155),
+        ]
+        expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
+        assert expected == [0.375, 0.375, 0.375, 0.0625, 0.0625, 0.125, 1.0, 1.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=point_clouds(max_points=30), data=st.data())
+    def test_atoms_within_ulps_of_the_sphere(self, cloud, data):
+        # radii 0-4 ulps either side of an atom's distance: the float sum
+        # cannot decide it, and the exact test must run
+        pts = cloud.points
+        atoms = tuple((p, 1.0 / len(pts)) for p in pts)
+        coord = st.floats(-1.0, 6.0, allow_nan=False, allow_infinity=False)
+        probes = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            x = data.draw(
+                st.one_of(st.sampled_from(pts), st.tuples(*[coord] * cloud.dimension_n))
+            )
+            p = data.draw(st.sampled_from(pts))
+            r = math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(p, x)))
+            if r > 0.0:
+                probes.append((x, _nudged(r, data.draw(st.integers(-4, 4)))))
+        assume(probes)
+        expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
+        wrapped = mock.patch.object(
+            frostman, "_squared_distance", wraps=frostman._squared_distance
+        )
+        with wrapped as exact:
+            assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+        assert exact.call_count > 0
 
 
 class TestMeasureArrays:
