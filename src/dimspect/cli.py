@@ -2,9 +2,10 @@
 
 Exit codes: 0 ok, 2 usage, parse or I/O failure (a file that cannot be
 read, decoded as UTF-8 or written), 3 internal invariant violation,
-4 numeric-range refusal.  The only randomness is the probe sampling of frostman, behind
-its --seed (default 0); identical invocations produce byte-identical
-files.
+4 numeric-range refusal (among them an estimate that falls in theta by
+more than TOL_MONO_ESTIMATED: the deltas are too coarse for the cloud).
+The only randomness is the probe sampling of frostman, behind its --seed
+(default 0); identical invocations produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .core import (
     DepthLimitError,
     DimensionSpectrum,
     DimspectError,
+    EstimateNotMonotoneError,
     InvariantError,
     PointCloud,
     RangeTooNarrowError,
@@ -303,7 +305,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScaleRangeTooDeepError, RangeTooNarrowError, DepthLimitError) as exc:
+    except (
+        ScaleRangeTooDeepError, RangeTooNarrowError, DepthLimitError, EstimateNotMonotoneError
+    ) as exc:
         print(f"dimspect: {exc}", file=sys.stderr)
         return RANGE_EXIT
     except InvariantError as exc:

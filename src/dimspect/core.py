@@ -56,6 +56,10 @@ class DepthLimitError(DimspectError):
     """A dyadic recursion would need levels deeper than MAX_DEPTH."""
 
 
+class EstimateNotMonotoneError(DimspectError):
+    """An estimate fell in theta by more than TOL_MONO_ESTIMATED: the deltas are too coarse."""
+
+
 class InvariantError(DimspectError):
     """An internal invariant failed; indicates a bug or inconsistent bounds."""
 

@@ -31,6 +31,10 @@ from .core import (
 # Most entries a diameter menu may hold, 64 times the default 16: the
 # interval DP's jump table is points x menu entries.
 MAX_MENU = 1024
+# Bytes the interval DP's cost table (states x s values, float64) may take
+# at its wide batch: 16 MiB, 32,263 states at 65 values.  The 252,385
+# states of fp_points(1, 1e-6, theta_min=.25) would need 131 MB at 65.
+TABLE_BUDGET = 16 * 2**20
 
 
 def guarded_ceil(x: float) -> int:
@@ -151,17 +155,24 @@ class _IntervalDP:
     finished costs, and the pass fills it with one take, add and minimum.
     blocks lists the runs of two or more states, right to left; every
     other state is a run of its own, which the pass fills as a (menu, s)
-    array, cheaper to index than a (menu, 1, s) one.  Cells whose smallest
-    diameter is below the gaps between points have no blocks.
+    array, cheaper to index than a (menu, 1, s) one.  Serial cells, whose
+    smallest diameter is below the gaps between points, have no blocks,
+    and there every state is reachable: the build skips the walk.
+
+    batch_size, the s values one costs() call should carry, is wide_batch
+    while the cost table fits TABLE_BUDGET, else narrow_batch.
     """
 
-    # s values one costs() call should carry.  A pass costs about as much
-    # for 17 values as for one (per-run numpy calls dominate), and 17 is
-    # the two endpoints plus four bisection levels: a bisection takes 3
-    # passes.  Larger batches save no pass until 65 values, at several MB.
-    batch_size = 17
-    # States one run holds at most; it bounds the pass's temporary to
-    # menu x max_run x batch_size floats, 139 KB at the default 16 x 64 x 17.
+    # A pass costs about as much for 65 values of s as for one on a serial
+    # cell (per-state numpy calls dominate).  critical_exponent's first call
+    # holds the 2 endpoints and bisection depths 0..k-1, 2**k + 1 values,
+    # and a bisection ends at depth 10 (1 / 2**10 <= 1e-3): k = 6 gives 65
+    # values and 2 calls (the second holds depths 6..10, 31 values); k = 4
+    # gives 17 and 3 calls (17, 15 and 7 values).
+    wide_batch, narrow_batch = 65, 17
+    # States one run holds at most.  The pass's temporary is menu x the
+    # cell's longest run x batch_size floats: none on a serial cell, at
+    # most 532 KB at the default 16 x 64 x 65.
     max_run = 64
 
     def __init__(self, xs: np.ndarray, menu: tuple[float, ...]):
@@ -170,17 +181,22 @@ class _IntervalDP:
         jump = np.empty((len(xs), len(menu)), dtype=np.intp)
         for j, d in enumerate(menu):  # one (N,) float temporary at a time
             jump[:, j] = np.searchsorted(xs, xs + d, side="right")
-        reach = np.zeros(len(xs) + 1, dtype=bool)
-        reach[0] = True
-        for i in range(len(xs)):
-            if reach[i]:
-                reach[jump[i]] = True
-        self.states = np.flatnonzero(reach)
-        rank = np.cumsum(reach) - 1
-        self.jump = jump.take(self.states[:-1], 0)
+        if (jump[:, 0] == np.arange(1, len(xs) + 1)).all():
+            # serial: each point leads to the next, so every point is a state, its own rank
+            self.states, self.jump = np.arange(len(xs) + 1), jump
+        else:
+            reach = np.zeros(len(xs) + 1, dtype=bool)
+            reach[0] = True
+            for i in range(len(xs)):
+                if reach[i]:
+                    reach[jump[i]] = True
+            self.states = np.flatnonzero(reach)
+            rank = np.cumsum(reach) - 1
+            self.jump = jump.take(self.states[:-1], 0)
+            # in place: each entry is read once, just before it is written
+            rank.take(self.jump, out=self.jump, mode="clip")
         del jump
-        # in place: each entry is read once, just before it is written
-        rank.take(self.jump, out=self.jump, mode="clip")
+        self.batch_size = self.batch_for(len(self.states))
         # The run that ends at b starts at first[b], the first state whose
         # nearest jump lands at or past b, or max_run back.  first[b] ==
         # b - 1 is a run of one state; skip[b] is where a walk through such
@@ -195,6 +211,11 @@ class _IntervalDP:
             self.blocks.append((a, b))
             b = skip[a]
 
+    @classmethod
+    def batch_for(cls, states: int) -> int:
+        """batch_size for this many kept states: wide while the table fits TABLE_BUDGET."""
+        return cls.wide_batch if states * cls.wide_batch * 8 <= TABLE_BUDGET else cls.narrow_batch
+
     def table(self, ss) -> np.ndarray:
         """Optimal cost from each kept state at each s in ss, in one right-to-left pass.
 
@@ -208,7 +229,7 @@ class _IntervalDP:
         size, width = powers.shape
         cost = np.zeros((len(self.states), width))
         one, column = np.empty_like(powers), powers[:, None]
-        buf = np.empty(size * self.max_run * width)
+        buf = np.empty(size * max((b - a for a, b in self.blocks), default=0) * width)
         top = len(self.jump)
         for a, b in self.blocks + [(0, 0)]:  # the empty last block ends the pass at state 0
             for k in range(top - 1, b - 1, -1):  # the one-state runs above the block

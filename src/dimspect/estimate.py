@@ -18,7 +18,9 @@ import numpy as np
 
 from .core import (
     MAX_POINTS,
+    TOL_MONO_ESTIMATED,
     DimensionSpectrum,
+    EstimateNotMonotoneError,
     PointCloud,
     ScaleRange,
     ScaleRangeTooDeepError,
@@ -59,9 +61,10 @@ def critical_exponent(
     Each solver call evaluates several levels of the walk ahead (the two
     endpoints, then the midpoints of the bisection tree below the current
     interval), as many as the solver's batch_size holds, so the interval
-    DP needs 3 calls where one s per call would take about 13.  Every s
-    and every comparison is that of a one-s-at-a-time bisection, so the
-    result is too.
+    DP needs 2 calls (65 values, then 31) where one s per call would take
+    about 13; 3 calls (17, 15 and 7) on a cell whose cost table would pass
+    covers.TABLE_BUDGET at 65.  Every s and every comparison is that of a
+    one-s-at-a-time bisection, so the result is too.
     """
     if not 0.0 < threshold < math.inf:  # a NaN would fail every comparison below
         raise ValidationError(f"threshold must be finite and positive, got {threshold}")
@@ -153,7 +156,10 @@ def estimate_spectrum(
     with no admissible delta raises before later rows are solved.  The
     theta = 0 entry uses unrestricted dyadic covers (floored at MAX_DEPTH)
     and raw exponents: its finite-resolution bias does not follow the
-    drift model.
+    drift model.  A row whose lower or upper value falls below the running
+    max of the rows before it (theta > 0) by more than TOL_MONO_ESTIMATED
+    raises EstimateNotMonotoneError: the deltas are too coarse for the
+    cloud.
     """
     thetas = theta_grid(grid)
     deltas = [float(d) for d in delta_sequence]
@@ -166,6 +172,7 @@ def estimate_spectrum(
 
     n = float(points.dimension_n)
     samples = []
+    peaks = [-math.inf, -math.inf]  # running max of the lower and upper columns over theta > 0
     for theta in thetas:
         row = []
         for delta in deltas:
@@ -182,8 +189,17 @@ def estimate_spectrum(
         values = _drift_corrected(row) if theta > 0.0 else {c.delta: c.s_star for c in row}
         picked = [values[d] for d in sorted(values)[:2]]
         lower = max(0.0, min(min(picked), n))
-        upper = max(0.0, min(max(picked), n))
-        samples.append(SpectrumSample(theta, lower, max(lower, upper), "estimated"))
+        upper = max(lower, min(max(picked), n))
+        columns = (("lower", lower), ("upper", upper)) if theta > 0.0 else ()
+        for i, (column, v) in enumerate(columns):  # theta = 0 is exempt, as in DimensionSpectrum
+            if v < peaks[i] - TOL_MONO_ESTIMATED:
+                raise EstimateNotMonotoneError(
+                    f"estimated {column} value falls at theta={theta}: {v} < running max "
+                    f"{peaks[i]} - {TOL_MONO_ESTIMATED}; the deltas {deltas} are too "
+                    f"coarse for the cloud"
+                )
+            peaks[i] = max(peaks[i], v)
+        samples.append(SpectrumSample(theta, lower, upper, "estimated"))
     return DimensionSpectrum(ambient_n=points.dimension_n, samples=tuple(samples))
 
 

@@ -222,7 +222,8 @@ def build_frostman_measure(
     delta (covers.dyadic_levels).  Each occupied base cube contributes one
     atom at its lexicographically least point.  The reported constant is
     twice the worst sampled ratio mu(B(x,r)) / r**s (radius form), a
-    safety factor over the probes.
+    safety factor over the probes.  An s whose base mass 2**(-m*s) is not
+    a positive normal float is refused before the cascade runs.
     """
     if not (math.isfinite(s) and s > 0.0):
         raise ValidationError(f"exponent s must be finite and positive, got {s}")
@@ -234,9 +235,15 @@ def build_frostman_measure(
     lo = rng.lo
     tree = _cascade_tree(points, lo, delta)
     m, stop = tree.bottom, tree.top
+    base_mass = 2.0 ** (-m * s)
+    if base_mass < sys.float_info.min:  # 0 or subnormal: the masses would lose their ratios
+        raise ValidationError(
+            f"exponent s={s} is too large for base level m={m}: the base mass "
+            f"2**(-m*s) = {base_mass} is not a positive normal float"
+        )
     starts = tree.leaf_starts()
     # masses of the base cubes, in tree order
-    masses = np.full(len(tree.first_point), 2.0 ** (-m * s))
+    masses = np.full(len(tree.first_point), base_mass)
     for level in range(m - 1, stop - 1, -1):
         _cap_runs(masses, starts[level - stop], 2.0 ** (-level * s))
 

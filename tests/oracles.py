@@ -7,16 +7,17 @@ paths they check.  The reference implementations are the straightforward
 loop forms of vectorized or batched library code (tuple-of-tuples point
 ingestion, the per-word carpet corners, the carpet spectrum with the
 continuity envelope taken from every earlier theta, the scalar interval
-DP over
-every point, the per-state pass of the batched interval DP, the
-recursive dyadic solver, the per-level np.unique dyadic cell tree, the
-one-s-at-a-time bisection, the dict-grouped cap cascade, the full-scan
-ball mass) and second closed-form routes to carpet quantities; the
-library must match them exactly or to rounding.
+DP over every point, the walk for the DP's reachable states, the
+per-state pass of the batched interval DP, the recursive dyadic solver,
+the per-level np.unique dyadic cell tree, the one-s-at-a-time bisection,
+the dict-grouped cap cascade, the full-scan ball mass) and second
+closed-form routes to carpet quantities; the library must match them
+exactly or to rounding.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -236,6 +237,25 @@ class ScalarIntervalDP:
             picks.append((self.xs[i], self.menu[choice[i]]))
             i = self.jump[choice[i]][i]
         return picks
+
+
+def reachable_interval_states(xs, menu) -> tuple[list[int], list[list[int]]]:
+    """Reference states and jump of covers._IntervalDP: a plain walk over every point.
+
+    A point's interval of diameter d ends past the points x <= x_i + d
+    (bisect_right); the walk marks every state some marked state's jump
+    lands on, from point 0, and renumbers the marked states in order.
+    """
+    xs = list(xs)
+    jump = [[bisect.bisect_right(xs, x + d) for d in menu] for x in xs]
+    reach = [True] + [False] * len(xs)
+    for i in range(len(xs)):
+        if reach[i]:
+            for k in jump[i]:
+                reach[k] = True
+    states = [i for i, r in enumerate(reach) if r]
+    rank = {i: k for k, i in enumerate(states)}
+    return states, [[rank[k] for k in jump[i]] for i in states[:-1]]
 
 
 def serial_interval_table(dp, ss) -> np.ndarray:

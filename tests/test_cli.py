@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,19 @@ class TestEstimateCommand:
         )
         assert code == 4
 
+    def test_estimate_falling_in_theta_exits_4(self, capsys, tmp_path):
+        # the drift fit over deltas this coarse drops theta=1 below theta=.75:
+        # a numeric-range refusal, not an internal fault
+        points = tmp_path / "p.txt"
+        points.write_text("0.028\n0.035\n0.37\n0.378\n0.995\n")
+        code, out, err = run(
+            capsys, "estimate", "--points", str(points), "--grid", "0.25,0.5,0.75,1",
+            "--deltas", "1e-1,1e-2,1e-3",
+        )
+        assert code == 4
+        assert out == ""
+        assert "theta=1.0" in err and "[0.1, 0.01, 0.001]" in err and "invariant" not in err
+
     def test_json_roundtrip(self, capsys, tmp_path):
         points = tmp_path / "p.txt"
         points.write_text("0.1\n0.5\n0.9\n")
@@ -289,6 +303,20 @@ class TestFrostmanCommand:
         )
         assert code == 2
         assert out == "" and "finite" in err
+
+    def test_underflowing_base_mass_exits_2(self, capsys, tmp_path):
+        # 2**(-13 * 400) is 0: refused by name before the cascade divides by it
+        points = tmp_path / "p.txt"
+        points.write_text("0.1\n0.2\n0.7\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "frostman", "--points", str(points),
+                "--s", "400", "--delta", "0.01", "--theta", "0.5",
+            )
+        assert code == 2
+        assert out == ""
+        assert "s=400.0" in err and "base level m=13" in err
 
     def test_range_too_narrow_exit_4(self, capsys, tmp_path):
         points = tmp_path / "p.txt"

@@ -24,11 +24,19 @@ from dimspect import (
     refine_cover,
 )
 from dimspect.core import MAX_DEPTH
-from dimspect.covers import MAX_MENU, _bbox_tree, _DyadicTree, _IntervalDP, cover_cost_function
+from dimspect.covers import (
+    MAX_MENU,
+    TABLE_BUDGET,
+    _bbox_tree,
+    _DyadicTree,
+    _IntervalDP,
+    cover_cost_function,
+)
 from conftest import point_clouds
 from oracles import (
     ScalarIntervalDP,
     brute_force_menu_cost,
+    reachable_interval_states,
     recursive_dyadic_cover,
     serial_interval_table,
     unique_dyadic_tree,
@@ -437,7 +445,7 @@ def fp_dp_cells(draw):
     p, delta = draw(st.sampled_from([(0.5, 1e-3), (1.0, 1e-4)]))
     xs = fp_points(p, delta, theta_min=0.5).array[:, 0]
     rng = ScaleRange(draw(st.sampled_from([0.1, 0.03, 0.01])), draw(st.sampled_from([0.5, 0.75, 1.0])))
-    ss = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=_IntervalDP.batch_size))
+    ss = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=_IntervalDP.wide_batch))
     return xs, geometric_menu(rng.lo, rng.hi, 16), ss
 
 
@@ -470,6 +478,38 @@ class TestIntervalDPRuns:
             dp = _IntervalDP(xs, geometric_menu(rng.lo, rng.hi, 16))
             lengths[theta] = {b - a for a, b in dp.blocks}
         assert max(lengths[0.5]) == _IntervalDP.max_run and not lengths[1.0]
+
+
+# The serial cells of the interval-dp benchmark: fp_points(1, 1e-4, theta_min=.25)
+# at (delta, theta), where the smallest diameter is below every gap.
+SERIAL_CELLS = [(1e-2, 0.25), (1e-3, 0.25), (1e-4, 0.5)]
+
+
+class TestIntervalDPStates:
+    @settings(max_examples=60, deadline=None)
+    @given(cell=st.one_of(fp_dp_cells(), dp_cells().map(lambda c: (c[0].array[:, 0], c[3], c[4]))))
+    def test_states_and_jump_equal_walk(self, cell):
+        xs, menu, _ = cell
+        dp = _IntervalDP(xs, menu)
+        states, jump = reachable_interval_states(xs.tolist(), menu)
+        assert dp.states.tolist() == states and dp.jump.tolist() == jump
+
+    @pytest.mark.parametrize("delta, theta", SERIAL_CELLS)
+    def test_serial_cell_keeps_every_point(self, delta, theta):
+        xs = fp_points(1.0, 1e-4, theta_min=0.25).array[:, 0]
+        rng = ScaleRange(delta, theta)
+        menu = geometric_menu(rng.lo, rng.hi, 16)
+        dp = _IntervalDP(xs, menu)
+        states, jump = reachable_interval_states(xs.tolist(), menu)
+        assert dp.states.tolist() == states == list(range(len(xs) + 1))
+        assert dp.jump.tolist() == jump and not dp.blocks
+        assert dp.batch_size == _IntervalDP.wide_batch
+
+    def test_batch_width_by_table_budget(self):
+        wide, narrow = _IntervalDP.wide_batch, _IntervalDP.narrow_batch
+        most = TABLE_BUDGET // (wide * 8)  # the most states whose wide table fits
+        assert [_IntervalDP.batch_for(k) for k in (1, 6342, most)] == [wide] * 3
+        assert [_IntervalDP.batch_for(k) for k in (most + 1, 252_385)] == [narrow] * 2
 
 
 class TestRefineCover:

@@ -5,6 +5,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimspect import (
+    EstimateNotMonotoneError,
+    InvariantError,
     PointCloud,
     ScaleRangeTooDeepError,
     ValidationError,
@@ -123,11 +125,11 @@ class TestSolverCalls:
         assert len(solver_calls) == (1 if theta > 0.0 else 2)
 
     @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0])
-    def test_interval_dp_cell_takes_at_most_three_calls(self, solver_calls, theta):
+    def test_interval_dp_cell_takes_at_most_two_calls(self, solver_calls, theta):
         pts = fp_points(1.0, 1e-3, theta_min=0.25)
         critical_exponent(pts, 1e-3, theta)
         flat = [s for call in solver_calls for s in call]
-        assert len(solver_calls) <= 3
+        assert len(solver_calls) <= 2
         assert len(flat) == len(set(flat))
 
     def test_dyadic_cell_one_s_per_bisection_level(self, solver_calls, worked_carpet):
@@ -201,6 +203,12 @@ class TestEstimateSpectrum:
         pts = fp_points(1.0, 1e-2)
         with pytest.raises(ScaleRangeTooDeepError):
             estimate_spectrum(pts, [0.05], [1e-2, 1e-3, 1e-4])
+
+    def test_falling_estimate_is_refused_as_too_coarse(self):
+        pc = PointCloud.from_points([(x,) for x in (0.028, 0.035, 0.37, 0.378, 0.995)])
+        with pytest.raises(EstimateNotMonotoneError, match="theta=1.0") as info:
+            estimate_spectrum(pc, [0.25, 0.5, 0.75, 1.0], [1e-1, 1e-2, 1e-3])
+        assert not isinstance(info.value, InvariantError)
 
     def test_one_admissible_delta_reports_raw_exponent(self):
         # at theta=0.2 only delta=1e-2 keeps its band above MIN_SCALE
