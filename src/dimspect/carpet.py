@@ -14,11 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_DEPTH,
     MAX_POINTS,
     DimensionSpectrum,
     PointCloud,
     SpectrumSample,
     ValidationError,
+    check_number,
     check_theta,
     read_numbers,
     theta_grid,
@@ -181,12 +183,11 @@ def approx_square_measure(spec: CarpetSpec, word) -> float:
 def log_upper_excess(spec: CarpetSpec, theta: float) -> float:
     """Raw excess of the logarithmic upper bound over the Hausdorff dimension.
 
-    Equals (2 log(log_m n) log(a_max) / log n) / (-log theta); tends to 0
-    as theta -> 0, which is the numerical content of continuity at 0.
+    Equals (2 log(log_m n) log(a_max) / log n) / (-log theta) for 0 <
+    theta < 1; tends to 0 as theta -> 0, which is the numerical content
+    of continuity at 0.
     """
-    check_theta(theta)
-    if theta <= 0.0:
-        raise ValidationError("excess is defined for theta > 0")
+    theta = check_number(theta, "theta", 0, 1)
     return _log_upper_excess(mcmullen_weights(spec), theta)
 
 
@@ -238,8 +239,8 @@ def carpet_points(spec: CarpetSpec, depth: int):
     Per level, widths /= (m, n) and corner += digit * width: a per-word
     loop's float operations in its order, so its corners bit for bit.
     """
-    if depth < 1:
-        raise ValidationError("depth must be at least 1")
+    # past MAX_DEPTH the count below is a huge power; it passes MAX_POINTS long before
+    depth = check_number(depth, "levels of depth", 1, MAX_DEPTH, "[]", integral=True)
     count = len(spec.digits) ** depth
     if count > MAX_POINTS:
         raise ValidationError(

@@ -25,6 +25,7 @@ from .core import (
     RangeTooNarrowError,
     ScaleRangeTooDeepError,
     ValidationError,
+    theta_grid,
 )
 from .estimate import estimate_spectrum, flog_points, fp_points
 from .formulas import sequence_spectrum
@@ -70,12 +71,9 @@ def parse_grid(spec: str) -> list[float]:
         raise ValidationError(f"cannot parse grid {spec!r}: {exc}") from exc
     # snap accumulated step error at the endpoints
     values = [0.0 if abs(v) < 1e-12 else 1.0 if abs(v - 1.0) < 1e-12 else v for v in values]
-    values = sorted(set(values))
     if not values:
         raise ValidationError(f"grid {spec!r} is empty")
-    if any(not 0.0 <= v <= 1.0 for v in values):
-        raise ValidationError(f"grid {spec!r} has thetas outside [0, 1]")
-    return values
+    return theta_grid(set(values))
 
 
 def parse_deltas(spec: str) -> list[float]:
@@ -133,13 +131,6 @@ def spectrum_to_json(spectrum: DimensionSpectrum, metadata: dict | None = None) 
     if metadata:
         doc["metadata"] = metadata
     return json.dumps(doc, indent=2) + "\n"
-
-
-def spectrum_from_json(text: str) -> DimensionSpectrum:
-    try:
-        return DimensionSpectrum.from_json_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed spectrum JSON: {exc}") from exc
 
 
 def _write(out: str | None, text: str) -> None:

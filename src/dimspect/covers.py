@@ -25,6 +25,7 @@ from .core import (
     RangeTooNarrowError,
     ScaleRange,
     ValidationError,
+    check_number,
     check_theta,
 )
 
@@ -118,8 +119,7 @@ class RestrictedCover:
 
 def geometric_menu(lo: float, hi: float, size: int) -> tuple[float, ...]:
     """size log-uniform diameters spanning [lo, hi], endpoints included."""
-    if not 2 <= size <= MAX_MENU:
-        raise ValidationError(f"scale menu needs 2 to {MAX_MENU} entries, got {size}")
+    size = check_number(size, "entries in the scale menu", 2, MAX_MENU, "[]", integral=True)
     if not 0.0 < lo <= hi:
         raise ValidationError(f"need 0 < lo <= hi, got [{lo}, {hi}]")
     if hi / lo < 1.0 + 1e-12:
@@ -264,8 +264,7 @@ def optimal_cover_1d(
     """
     if points.dimension_n != 1:
         raise ValidationError("optimal_cover_1d needs a 1-D point cloud")
-    if not 0.0 <= s <= 1.0:  # s = 0 minimizes the set count
-        raise ValidationError(f"s must lie in [0, 1], got {s}")
+    s = check_number(s, "s", 0, 1, "[]")  # s = 0 minimizes the set count
     if rng.theta == 0.0:
         raise ValidationError("theta=0 has no finite menu; use optimal_cover_dyadic")
     xs = points.array[:, 0]
@@ -472,9 +471,7 @@ def optimal_cover_dyadic(
     MAX_DEPTH / MIN_SCALE, whichever binds first.  Sets come in
     depth-first order, siblings lexicographic.
     """
-    n = points.dimension_n
-    if not 0.0 <= s <= n:  # s = 0 minimizes the set count
-        raise ValidationError(f"s must lie in [0, {n}], got {s}")
+    s = check_number(s, "s", 0, points.dimension_n, "[]")  # s = 0 minimizes the set count
     tree = _bbox_tree(points, rng)
     _, rows = tree.chosen(s)
     picks = []  # (first bottom-level row, set): sorting gives depth-first order
@@ -544,13 +541,8 @@ def fp_witness_cover(
     centred on the M largest points, plus intervals of length delta**theta
     tiling [0, M**-p].  Its cost stays bounded iff s >= theta/(p+theta).
     """
-    if not p > 0.0:
-        raise ValidationError(f"decay exponent p must be positive, got {p}")
-    if not 0.0 < s < 1.0:
-        raise ValidationError(f"s must lie in (0, 1), got {s}")
-    check_theta(theta)
-    if theta == 0.0:
-        raise ValidationError("witness cover needs theta > 0")
+    p, s = check_number(p, "p", 0), check_number(s, "s", 0, 1)
+    delta, theta = check_number(delta, "delta", 0, 1), check_number(theta, "theta", 0, 1, "(]")
     rng = ScaleRange(delta**theta, theta)  # band [delta, delta**theta]
     m_count = guarded_ceil(delta ** (-(s + theta * (1.0 - s)) / (p + 1.0)))
     sets = [CoverSet((k ** (-p),), delta) for k in range(1, m_count + 1)]

@@ -26,6 +26,7 @@ from .core import (
     ScaleRangeTooDeepError,
     SpectrumSample,
     ValidationError,
+    check_number,
     check_theta,
     theta_grid,
 )
@@ -66,8 +67,7 @@ def critical_exponent(
     covers.TABLE_BUDGET at 65.  Every s and every comparison is that of a
     one-s-at-a-time bisection, so the result is too.
     """
-    if not 0.0 < threshold < math.inf:  # a NaN would fail every comparison below
-        raise ValidationError(f"threshold must be finite and positive, got {threshold}")
+    threshold = check_number(threshold, "threshold", 0)
     rng = ScaleRange(delta, check_theta(theta))
     solver = cover_cost_function(points, rng, scale_menu_size)
     n = float(points.dimension_n)
@@ -162,11 +162,9 @@ def estimate_spectrum(
     cloud.
     """
     thetas = theta_grid(grid)
-    deltas = [float(d) for d in delta_sequence]
+    deltas = [check_number(d, "delta", 0, 1) for d in delta_sequence]
     if len(deltas) < 3:
         raise ValidationError("need at least 3 deltas")
-    if any(not 0.0 < d < 1.0 for d in deltas):
-        raise ValidationError("deltas must lie in (0, 1)")
     if any(a <= b for a, b in zip(deltas, deltas[1:])):
         raise ValidationError("delta sequence must be strictly decreasing")
 
@@ -211,8 +209,7 @@ def coupled_truncation(p: float, delta: float) -> int:
     dimension 0 in the delta -> 0 limit, so the truncation must grow as
     delta shrinks.
     """
-    if not (p > 0.0 and delta > 0.0):  # NaN too
-        raise ValidationError(f"need p > 0 and delta > 0, got p={p}, delta={delta}")
+    p, delta = check_number(p, "p", 0), check_number(delta, "delta", 0, ends="(]")
     if delta >= 1.0:
         return TRUNCATION_SAFETY
     root = (p / delta) ** (1.0 / (p + 1.0))
@@ -231,11 +228,8 @@ def fp_points(p: float, delta: float, theta_min: float = 1.0) -> PointCloud:
     delta**((p+1)/(p+theta_min)).  Leave theta_min = 1 for box-counting
     style runs.
     """
-    check_theta(theta_min)
-    if theta_min <= 0.0:
-        raise ValidationError("theta_min must be positive (theta=0 needs no coupling)")
-    if not (p > 0.0 and delta > 0.0):  # NaN too
-        raise ValidationError(f"need p > 0 and delta > 0, got p={p}, delta={delta}")
+    theta_min = check_number(theta_min, "theta_min", 0, 1, "(]")  # theta = 0 needs no coupling
+    p, delta = check_number(p, "p", 0), check_number(delta, "delta", 0, ends="(]")
     effective = delta ** ((p + 1.0) / (p + theta_min)) if delta < 1.0 else delta
     # effective underflows to 0 only far beyond MAX_POINTS
     count = coupled_truncation(p, effective) if effective > 0.0 else math.inf
@@ -251,8 +245,7 @@ def fp_points(p: float, delta: float, theta_min: float = 1.0) -> PointCloud:
 
 def flog_points(delta: float) -> PointCloud:
     """Truncation of {0} u {1/log k : k >= 2} with gaps below delta at the cut."""
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
+    delta = check_number(delta, "delta", 0, 1)
     k = 2
     while 1.0 / math.log(k) - 1.0 / math.log(k + 1) >= delta:
         k += 1

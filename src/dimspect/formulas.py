@@ -14,6 +14,7 @@ from .core import (
     GridMismatchError,
     SpectrumSample,
     ValidationError,
+    check_number,
     check_theta,
 )
 
@@ -44,8 +45,7 @@ def sequence_dim(p: float, theta: float) -> float:
     dimension); strictly increasing and concave in between.
     """
     check_theta(theta)
-    if not p > 0.0:
-        raise ValidationError(f"decay exponent p must be positive, got {p}")
+    p = check_number(p, "p", 0)
     if theta == 0.0:
         return 0.0
     return theta / (p + theta)
@@ -101,9 +101,7 @@ def assouad_lower_bound(
     returns the box dimension exactly; clamping at dim_H is left to the
     caller (combine via spectrum_merge).
     """
-    check_theta(theta)
-    if theta == 0.0:
-        raise ValidationError("the Assouad-based bound needs theta > 0")
+    theta = check_number(theta, "theta", 0, 1, "(]")
     dim_b = inputs.dim_B_upper if use_upper_box else inputs.dim_B_lower
     return max(0.0, inputs.dim_A - (inputs.dim_A - dim_b) / theta)
 
@@ -136,10 +134,8 @@ def product_bounds(
 
 def sequence_spectrum(p: float, grid) -> DimensionSpectrum:
     """Exact spectrum of the sequence family 1/k**p over a theta grid."""
-    samples = tuple(
-        SpectrumSample(t, sequence_dim(p, t), sequence_dim(p, t), "exact")
-        for t in grid
-    )
+    values = [(t, sequence_dim(p, t)) for t in grid]
+    samples = tuple(SpectrumSample(t, v, v, "exact") for t, v in values)
     return DimensionSpectrum(ambient_n=1, samples=samples)
 
 

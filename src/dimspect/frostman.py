@@ -36,7 +36,7 @@ from .core import (
     PointCloud,
     ScaleRange,
     ValidationError,
-    check_theta,
+    check_number,
 )
 from .covers import _cascade_tree, guarded_ceil
 
@@ -96,13 +96,6 @@ def _squared_distance(p, q) -> float:
         return math.fsum((a - b) ** 2 for a, b in zip(p, q))
     except OverflowError:
         return math.inf
-
-
-def _check_ball_samples(ball_samples: int, least: int) -> None:
-    if not least <= ball_samples <= MAX_BALL_SAMPLES:
-        raise ValidationError(
-            f"ball_samples must lie in [{least}, {MAX_BALL_SAMPLES}], got {ball_samples}"
-        )
 
 
 def _ball_masses(measure: AtomicMeasure, probes) -> list[float]:
@@ -222,24 +215,24 @@ def build_frostman_measure(
     delta (covers.dyadic_levels).  Each occupied base cube contributes one
     atom at its lexicographically least point.  The reported constant is
     twice the worst sampled ratio mu(B(x,r)) / r**s (radius form), a
-    safety factor over the probes.  An s whose base mass 2**(-m*s) is not
-    a positive normal float is refused before the cascade runs.
+    safety factor over the probes.  An s for which the base mass
+    2**(-m*s) or lo**s, the smallest r**s, is not a positive normal float
+    is refused before the cascade runs: with both normal, the masses keep
+    their ratios and every ratio, at most 1 / lo**s, and the constant stay
+    finite.
     """
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValidationError(f"exponent s must be finite and positive, got {s}")
-    _check_ball_samples(ball_samples, 0)
-    check_theta(theta)
-    if theta == 0.0:
-        raise ValidationError("the cascade needs theta > 0 (theta = 0 is classical)")
+    s = check_number(s, "s", 0)
+    ball_samples = check_number(ball_samples, "ball_samples", 0, MAX_BALL_SAMPLES, "[]", True)
+    theta = check_number(theta, "theta", 0, 1, "(]")  # theta = 0 is classical
     rng = ScaleRange(delta, theta)
     lo = rng.lo
     tree = _cascade_tree(points, lo, delta)
     m, stop = tree.bottom, tree.top
     base_mass = 2.0 ** (-m * s)
-    if base_mass < sys.float_info.min:  # 0 or subnormal: the masses would lose their ratios
+    if min(base_mass, lo**s) < sys.float_info.min:  # 0 or subnormal
         raise ValidationError(
-            f"exponent s={s} is too large for base level m={m}: the base mass "
-            f"2**(-m*s) = {base_mass} is not a positive normal float"
+            f"exponent s={s} is too large for base level m={m} and band end lo={lo}: "
+            f"2**(-m*s) = {base_mass} and lo**s = {lo**s} must be positive normal floats"
         )
     starts = tree.leaf_starts()
     # masses of the base cubes, in tree order
@@ -345,20 +338,15 @@ def check_mdp(
     would read [delta, 1], large balls only, not the diameters up to delta
     that unrestricted covers use.
     """
-    for name, value in (("exponent s", s), ("mass floor a", a), ("constant c", c)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ValidationError(f"{name} must be finite and positive, got {value}")
-    _check_ball_samples(ball_samples, 1)
-    check_theta(theta)
-    if theta == 0.0:
-        raise ValidationError("check_mdp needs theta > 0 (theta = 0 is classical)")
+    s, a, c = (check_number(v, name, 0) for v, name in ((s, "s"), (a, "a"), (c, "c")))
+    ball_samples = check_number(ball_samples, "ball_samples", 1, MAX_BALL_SAMPLES, "[]", True)
+    theta = check_number(theta, "theta", 0, 1, "(]")
     measures = list(measures)
     if not measures:
         raise ValidationError("empty measure list")
     entries = []
     for index, (delta, measure) in enumerate(measures):
-        if not 0.0 < delta < 1.0:
-            raise ValidationError(f"delta must lie in (0, 1), got {delta}")
+        delta = check_number(delta, "delta", 0, 1)
         diam_lo, diam_hi = delta, delta**theta
         rnd = random.Random(seed * 1000003 + index)
         centres = measure.points.tolist()
@@ -401,13 +389,8 @@ def fp_witness_measure(p: float, delta: float, theta: float) -> AtomicMeasure:
     M = ceil(delta**(-(s + theta(1-s))/(p+1))) makes the total mass at
     least 1 while every admissible set carries at most (1 + 1/p)|U|**s.
     """
-    if not p > 0.0:
-        raise ValidationError(f"decay exponent p must be positive, got {p}")
-    check_theta(theta)
-    if theta == 0.0:
-        raise ValidationError("witness measure needs theta > 0")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError(f"delta must lie in (0, 1), got {delta}")
+    p, delta = check_number(p, "p", 0), check_number(delta, "delta", 0, 1)
+    theta = check_number(theta, "theta", 0, 1, "(]")
     s = theta / (p + theta)
     m_count = guarded_ceil(delta ** (-(s + theta * (1.0 - s)) / (p + 1.0)))
     # Python's k ** -p, as fp_points: np.power may round differently in the last bit
@@ -422,8 +405,7 @@ def separated_witness_measure(points: PointCloud, delta: float) -> AtomicMeasure
     >= delta from everything kept so far.  The atom count is the
     separation number driving box-counting style lower bounds.
     """
-    if not 0.0 < delta < math.sqrt(sys.float_info.max):
-        raise ValidationError(f"delta must be positive with a finite square, got {delta}")
+    delta = check_number(delta, "delta", 0, math.sqrt(sys.float_info.max))  # a finite square
     threshold = (delta * (1.0 - 1e-9)) ** 2
     if threshold < sys.float_info.min:  # squared distances below it would read 0
         raise ValidationError(f"delta {delta} is too small: its squared separation underflows")

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -6,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dimspect import PointCloud, ValidationError
-from dimspect.cli import main, parse_grid, parse_points_text, spectrum_from_json
+from dimspect import DimensionSpectrum, PointCloud, ValidationError
+from dimspect.cli import main, parse_grid, parse_points_text
 
 
 def run(capsys, *argv):
@@ -248,8 +250,8 @@ class TestEstimateCommand:
             capsys, "estimate", "--points", str(points), "--grid", "0.5,1",
             "--deltas", "1e-2,1e-3,1e-4", "--format", "json",
         )
-        spectrum = spectrum_from_json(out)
-        again = spectrum_from_json(json.dumps(spectrum.to_json_dict()))
+        spectrum = DimensionSpectrum.from_json_dict(json.loads(out))
+        again = DimensionSpectrum.from_json_dict(json.loads(json.dumps(spectrum.to_json_dict())))
         assert again == spectrum
 
 
@@ -317,6 +319,23 @@ class TestFrostmanCommand:
         assert code == 2
         assert out == ""
         assert "s=400.0" in err and "base level m=13" in err
+
+    @pytest.mark.parametrize("s, code", [("76", 0), ("77", 2), ("78", 2)])
+    def test_subnormal_smallest_power_exits_2(self, capsys, tmp_path, s, code):
+        # lo = 1e-4 and lo**s: normal at 76, subnormal at 77; at 78 (1e-312) the
+        # constant used to overflow and the refusal blamed "constant c"
+        points = tmp_path / "p.txt"
+        points.write_text("0.1\n0.2\n0.7\n")
+        got, out, err = run(
+            capsys, "frostman", "--points", str(points),
+            "--s", s, "--delta", "0.01", "--theta", "0.5",
+        )
+        assert got == code
+        if code:
+            assert out == "" and f"s={s}.0" in err and "lo=0.0001" in err
+            assert "constant c" not in err
+        else:
+            assert math.isfinite(json.loads(out)["constant_c"])
 
     def test_range_too_narrow_exit_4(self, capsys, tmp_path):
         points = tmp_path / "p.txt"
@@ -520,3 +539,67 @@ class TestDeterminism:
             )
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+# Every number the fuzzer passes: non-finite, signed zeros, the smallest
+# subnormal, the largest magnitudes (10**400 is past the float range) and
+# a few plain values.
+FUZZ_NUMBERS = ["nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e308", str(10**400), "-1", "0.5", "2"]
+
+
+@st.composite
+def cli_argvs(draw, points: str, spec: str) -> list[str]:
+    """An argv for one subcommand with every number drawn from FUZZ_NUMBERS.
+
+    Options are written --name=value, so a value starting with '-' is not
+    read as an option.  Grids are comma lists only: a start:stop:step grid
+    with a tiny step is a legal 10**6-theta job.
+    """
+    number = st.sampled_from(FUZZ_NUMBERS)
+    numbers = st.lists(number, min_size=1, max_size=3).map(",".join)
+
+    def options(**choices) -> list[str]:
+        return [f"--{name.replace('_', '-')}={draw(values)}" for name, values in choices.items()
+                if draw(st.booleans())]
+
+    command = draw(st.sampled_from(["sequence", "carpet", "estimate", "frostman", "gen"]))
+    if command == "sequence":
+        return [command, f"--p={draw(number)}", f"--grid={draw(numbers)}"]
+    if command == "carpet":
+        return [command, f"--spec={spec}", f"--grid={draw(numbers)}", *options(assouad=number)]
+    if command == "estimate":
+        return [command, f"--points={points}", f"--grid={draw(numbers)}",
+                *options(deltas=numbers, threshold=number, menu=number)]
+    if command == "frostman":
+        return [command, f"--points={points}", f"--s={draw(number)}", f"--delta={draw(number)}",
+                f"--theta={draw(number)}", *options(samples=number, seed=number)]
+    family = draw(st.sampled_from(["fp", "flog", "carpet-points"]))
+    if family == "fp":
+        return [command, "--family=fp", *options(p=number, delta=number, theta_min=number)]
+    if family == "flog":
+        return [command, "--family=flog", *options(delta=number)]
+    return [command, "--family=carpet-points", f"--spec={spec}", *options(depth=number)]
+
+
+class TestCliFuzz:
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        (root / "p.txt").write_text("0.1\n0.5\n0.9\n")
+        (root / "carpet.json").write_text('{"m":2,"n":3,"digits":[[0,0],[0,2],[1,1]]}')
+        return str(root / "p.txt"), str(root / "carpet.json")
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_documented_exit_codes(self, inputs, data):
+        argv = data.draw(cli_argvs(*inputs), label="argv")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing an option
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+        if code:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().strip(), argv

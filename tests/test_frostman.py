@@ -119,6 +119,16 @@ class TestBuilder:
         with pytest.raises(ValidationError):
             build_frostman_measure(fp_points(1.0, 0.01), s=s, delta=0.01, theta=0.5)
 
+    def test_refuses_s_whose_smallest_power_is_subnormal(self):
+        # lo = 0.01**2 = 1e-4: lo**76 is normal, lo**77 = 1.0e-308 is not, and
+        # at s = 78 (lo**s = 1e-312) the worst ratio used to overflow to inf
+        pts = PointCloud.from_points([(0.1,), (0.2,), (0.7,)])
+        result = build_frostman_measure(pts, s=76.0, delta=0.01, theta=0.5)
+        assert math.isfinite(result.constant)
+        for s in (77.0, 78.0):
+            with pytest.raises(ValidationError, match=r"s=7\d\.0 .*m=13 .*lo=0\.0001"):
+                build_frostman_measure(pts, s=s, delta=0.01, theta=0.5)
+
     def test_rejects_negative_ball_samples(self):
         pts = fp_points(1.0, 0.01)
         with pytest.raises(ValidationError):
