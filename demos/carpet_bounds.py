@@ -11,9 +11,10 @@ import dimspect as ds
 
 spec = ds.CarpetSpec.create(2, 3, [(0, 0), (0, 2), (1, 1)])
 der = ds.mcmullen_weights(spec)
+columns = spec.column_counts()
 
 print("carpet m=2, n=3, digits {(0,0), (0,2), (1,1)}")
-print(f"  columns:            {der.n_p} (occupied: {der.m0})")
+print(f"  columns:            {columns} (occupied: {sum(c > 0 for c in columns)})")
 print(f"  hausdorff dimension {der.d:.10f}")
 print(f"  box dimension       {der.box:.10f}")
 print(f"  digit weights       {[round(b, 6) for b in der.b_ell]}")

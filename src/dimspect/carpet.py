@@ -21,7 +21,6 @@ from .core import (
     SpectrumSample,
     ValidationError,
     check_number,
-    check_theta,
     read_numbers,
     theta_grid,
 )
@@ -95,8 +94,6 @@ class CarpetDerived:
     """
 
     spec: CarpetSpec
-    m0: int
-    n_p: tuple[int, ...]
     a_ell: tuple[int, ...]
     L: float
     d: float
@@ -104,9 +101,6 @@ class CarpetDerived:
     b_ell: tuple[float, ...]
     a_max: int
     entropy_H: float
-
-    def weight(self, digit: tuple[int, int]) -> float:
-        return self.b_ell[self.spec.digits.index(digit)]
 
 
 def box_dim(spec: CarpetSpec) -> float:
@@ -134,8 +128,6 @@ def mcmullen_weights(spec: CarpetSpec) -> CarpetDerived:
     b_ell = tuple(a ** (L - 1.0) / md for a in a_ell)
     return CarpetDerived(
         spec=spec,
-        m0=sum(1 for c in counts if c > 0),
-        n_p=counts,
         a_ell=a_ell,
         L=L,
         d=d,
@@ -205,15 +197,22 @@ def upper_bound_theta(spec: CarpetSpec, theta: float) -> float:
     dimension.  Equal-column carpets have dim_H = dim_B and return that
     constant for every theta.
     """
-    check_theta(theta)
+    theta = check_number(theta, "theta", 0, 1, "[]")
     if spec.columns_equal():
         return hausdorff_dim(spec)
-    L = math.log(spec.m) / math.log(spec.n)
-    if not 0.0 < theta < L * L / 4.0:
-        raise UpperBoundDomainError(
-            f"theta={theta} outside (0, {L * L / 4.0:.6g}), the bound's domain"
-        )
     der = mcmullen_weights(spec)
+    bound = _upper_bound_theta(der, theta)
+    if bound is None:
+        raise UpperBoundDomainError(
+            f"theta={theta} outside (0, {der.L * der.L / 4.0:.6g}), the bound's domain"
+        )
+    return bound
+
+
+def _upper_bound_theta(der: CarpetDerived, theta: float) -> float | None:
+    """upper_bound_theta's value from der, or None outside the bound's domain."""
+    if not 0.0 < theta < der.L * der.L / 4.0:
+        return None
     return min(der.d + _log_upper_excess(der, theta), der.box)
 
 
@@ -223,7 +222,7 @@ def lower_bound_theta(spec: CarpetSpec, theta: float) -> float:
     Strictly exceeds dim_H for theta > 0 whenever the occupied columns
     hold unequal numbers of cells (entropy strictly below log|D|).
     """
-    check_theta(theta)
+    theta = check_number(theta, "theta", 0, 1, "[]")
     return _lower_bound_theta(mcmullen_weights(spec), theta)
 
 
@@ -288,10 +287,7 @@ def carpet_spectrum(
             samples.append(SpectrumSample(theta, d, d, "exact"))
             continue
         upper, tag = box, "trivial"
-        try:
-            candidate = upper_bound_theta(spec, theta)
-        except UpperBoundDomainError:
-            candidate = None
+        candidate = _upper_bound_theta(der, theta)
         if candidate is not None and candidate < upper:
             upper, tag = candidate, "bounds"
         # The envelope from the previous sample alone.  Chaining it from

@@ -104,8 +104,7 @@ def check_number(
     integral, a number with a fractional part (2.0 reads as 2) are refused
     with one ValidationError wording: "need p finite and positive", "need
     delta in (0, 1)", or for a count "need 2 to 1024 entries in the scale
-    menu".  This is the rule for parameters checked once per call;
-    check_theta, which runs per sample, keeps a plain comparison.
+    menu".  Every theta is read as check_number(theta, "theta", 0, 1, "[]").
     """
     x = math.nan
     # the type test first: an ABC isinstance costs about 1 us, five times the rest
@@ -126,17 +125,9 @@ def check_number(
     raise ValidationError(f"need {what}, got {value!r}")
 
 
-def check_theta(theta: float) -> float:
-    """Validate a covering-restriction parameter in [0, 1]."""
-    theta = float(theta)
-    if math.isnan(theta) or not 0.0 <= theta <= 1.0:
-        raise ValidationError(f"theta must lie in [0, 1], got {theta!r}")
-    return theta
-
-
 def theta_grid(grid) -> list[float]:
-    """The thetas of grid, each checked by check_theta, sorted; a repeated theta is refused."""
-    thetas = sorted(map(check_theta, grid))
+    """The thetas of grid, each read by check_number, sorted; a repeated theta is refused."""
+    thetas = sorted(check_number(theta, "theta", 0, 1, "[]") for theta in grid)
     if any(a == b for a, b in zip(thetas, thetas[1:])):
         raise ValidationError("theta grid contains duplicates")
     return thetas
@@ -154,8 +145,8 @@ class ScaleRange:
     theta: float
 
     def __post_init__(self) -> None:
-        check_theta(self.theta)
-        check_number(self.delta, "delta", 0, 1)
+        object.__setattr__(self, "theta", check_number(self.theta, "theta", 0, 1, "[]"))
+        object.__setattr__(self, "delta", check_number(self.delta, "delta", 0, 1))
         if self.theta > 0.0:
             lo = self.delta ** (1.0 / self.theta)
             if lo < MIN_SCALE * (1.0 - _MIN_SCALE_SLACK):
@@ -246,7 +237,8 @@ class SpectrumSample:
 
 
 def _is_estimated(method: str) -> bool:
-    return method.startswith("estimated")
+    """True if the tag, or any of the parts spectrum_merge joined with "|", is an estimate's."""
+    return any(part.startswith("estimated") for part in method.split("|"))
 
 
 @dataclass(frozen=True)
@@ -271,8 +263,11 @@ class DimensionSpectrum:
         if self.ambient_n < 1:
             raise ValidationError("ambient dimension must be positive")
         prev_theta = -1.0
-        for s in self.samples:
-            check_theta(s.theta)
+        samples = list(self.samples)
+        for i, s in enumerate(samples):
+            theta = check_number(s.theta, "theta", 0, 1, "[]")
+            if type(s.theta) is not float:  # an int or another real: keep the float
+                samples[i] = s = SpectrumSample(theta, s.lower, s.upper, s.method)
             if not isinstance(s.method, str):
                 raise ValidationError(f"a sample's method tag must be text, got {s.method!r}")
             if s.theta <= prev_theta:
@@ -286,6 +281,7 @@ class DimensionSpectrum:
                 raise InvariantError(
                     f"upper {s.upper} exceeds ambient dimension {self.ambient_n}"
                 )
+        object.__setattr__(self, "samples", tuple(samples))
         for values in (self.lowers(), self.uppers()):
             running = -math.inf
             for s, v in zip(self.samples, values):

@@ -26,7 +26,6 @@ from .core import (
     ScaleRange,
     ValidationError,
     check_number,
-    check_theta,
 )
 
 # Most entries a diameter menu may hold, 64 times the default 16: the
@@ -506,7 +505,7 @@ def refine_cover(cover: RestrictedCover, phi: float, new_delta: float) -> Restri
     sets are tiled by coordinate cubes of diameter new_delta, at most
     4**n * n**(n/2) * |U|**n * new_delta**(-n) pieces per set.
     """
-    check_theta(phi)
+    phi = check_number(phi, "phi", 0, 1, "[]")
     if phi <= cover.range.theta:
         raise ValidationError(
             f"need phi > cover theta, got phi={phi}, theta={cover.range.theta}"

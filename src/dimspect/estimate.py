@@ -27,10 +27,9 @@ from .core import (
     SpectrumSample,
     ValidationError,
     check_number,
-    check_theta,
     theta_grid,
 )
-from .covers import cover_cost_function, guarded_ceil
+from .covers import MAX_MENU, cover_cost_function, guarded_ceil
 
 BISECTION_TOL = 1e-3
 TRUNCATION_SAFETY = 4
@@ -65,10 +64,16 @@ def critical_exponent(
     DP needs 2 calls (65 values, then 31) where one s per call would take
     about 13; 3 calls (17, 15 and 7) on a cell whose cost table would pass
     covers.TABLE_BUDGET at 65.  Every s and every comparison is that of a
-    one-s-at-a-time bisection, so the result is too.
+    one-s-at-a-time bisection, so the result is too.  scale_menu_size (2
+    to covers.MAX_MENU) is read here, so a cell the dyadic tree solves,
+    which has no menu, refuses it as the interval DP does.
     """
     threshold = check_number(threshold, "threshold", 0)
-    rng = ScaleRange(delta, check_theta(theta))
+    scale_menu_size = check_number(
+        scale_menu_size, "entries in the scale menu", 2, MAX_MENU, "[]", integral=True
+    )
+    rng = ScaleRange(delta, theta)
+    delta, theta = rng.delta, rng.theta
     solver = cover_cost_function(points, rng, scale_menu_size)
     n = float(points.dimension_n)
     known: dict[float, float] = {}

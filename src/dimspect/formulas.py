@@ -15,7 +15,7 @@ from .core import (
     SpectrumSample,
     ValidationError,
     check_number,
-    check_theta,
+    theta_grid,
 )
 
 
@@ -44,8 +44,7 @@ def sequence_dim(p: float, theta: float) -> float:
     Equals 0 at theta=0 (countable set) and 1/(p+1) at theta=1 (its box
     dimension); strictly increasing and concave in between.
     """
-    check_theta(theta)
-    p = check_number(p, "p", 0)
+    theta, p = check_number(theta, "theta", 0, 1, "[]"), check_number(p, "p", 0)
     if theta == 0.0:
         return 0.0
     return theta / (p + theta)
@@ -60,7 +59,7 @@ def example_spectrum(which: int, theta: float) -> tuple[float, float]:
        -> max(theta/(1+theta), 1/4) on (0,1], 0 at 0.
     4: F_1 x F_log in the plane -> theta/(1+theta) + 1 on (0,1], 0 at 0.
     """
-    check_theta(theta)
+    theta = check_number(theta, "theta", 0, 1, "[]")
     if which == 1:
         value = 0.0 if theta == 0.0 else 1.0
     elif which == 2:
@@ -81,8 +80,8 @@ def envelope_bound(dim_at_theta: float, theta: float, phi: float, ambient_n: int
         dim(phi) <= dim(theta) + (1 - theta/phi) * (n - dim(theta)),
     which also proves continuity on (0, 1].
     """
-    check_theta(theta)
-    check_theta(phi)
+    theta = check_number(theta, "theta", 0, 1, "[]")
+    phi = check_number(phi, "phi", 0, 1, "[]")
     if theta >= phi:
         raise ValidationError(f"need theta < phi, got theta={theta}, phi={phi}")
     if not 0.0 <= dim_at_theta <= ambient_n + 1e-12:
@@ -132,24 +131,22 @@ def product_bounds(
     return DimensionSpectrum(ambient_n=ambient, samples=tuple(samples))
 
 
+def _exact_spectrum(grid, ambient_n: int, values) -> DimensionSpectrum:
+    """Exact spectrum over the thetas theta_grid reads; values(theta) gives (lower, upper)."""
+    samples = tuple(SpectrumSample(t, *values(t), "exact") for t in theta_grid(grid))
+    return DimensionSpectrum(ambient_n=ambient_n, samples=samples)
+
+
 def sequence_spectrum(p: float, grid) -> DimensionSpectrum:
     """Exact spectrum of the sequence family 1/k**p over a theta grid."""
-    values = [(t, sequence_dim(p, t)) for t in grid]
-    samples = tuple(SpectrumSample(t, v, v, "exact") for t, v in values)
-    return DimensionSpectrum(ambient_n=1, samples=samples)
+    return _exact_spectrum(grid, 1, lambda t: (sequence_dim(p, t),) * 2)
 
 
 def example_spectrum_curve(which: int, grid) -> DimensionSpectrum:
     """Exact spectrum of one of the four example sets over a theta grid."""
-    ambient = 2 if which == 4 else 1
-    samples = []
-    for t in grid:
-        lower, upper = example_spectrum(which, t)
-        samples.append(SpectrumSample(t, lower, upper, "exact"))
-    return DimensionSpectrum(ambient_n=ambient, samples=tuple(samples))
+    return _exact_spectrum(grid, 2 if which == 4 else 1, lambda t: example_spectrum(which, t))
 
 
 def constant_spectrum(value: float, grid, ambient_n: int) -> DimensionSpectrum:
     """Spectrum of a set whose dimension does not depend on theta."""
-    samples = tuple(SpectrumSample(t, value, value, "exact") for t in grid)
-    return DimensionSpectrum(ambient_n=ambient_n, samples=samples)
+    return _exact_spectrum(grid, ambient_n, lambda t: (value, value))

@@ -64,9 +64,6 @@ class DyadicCascade:
     def cap(self, level: int) -> float:
         return 2.0 ** (-level * self.s)
 
-    def levels(self) -> range:
-        return range(self.stop_level, self.base_level + 1)
-
 
 @dataclass(frozen=True)
 class FrostmanResult:

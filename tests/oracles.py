@@ -391,11 +391,16 @@ def entropy_displayed(spec) -> float:
     ) / md
 
 
+def weight(derived, digit) -> float:
+    """The natural measure's weight b_ell of one digit of a carpet."""
+    return derived.b_ell[derived.spec.digits.index(tuple(digit))]
+
+
 def rectangle_measure(derived, word) -> float:
     """Measure of the level-k rectangle addressed by a digit word: product of weights."""
     measure = 1.0
     for digit in word:
-        measure *= derived.weight(tuple(digit))
+        measure *= weight(derived, digit)
     return measure
 
 

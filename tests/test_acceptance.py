@@ -173,14 +173,14 @@ def test_criterion_5_frostman_certificate():
     cascade, level_masses = result.cascade, cascade_level_masses(cloud, result)
     caps_ok = all(
         mass <= cascade.cap(level) * (1 + 1e-12)
-        for level in cascade.levels()
+        for level in range(cascade.stop_level, cascade.base_level + 1)
         for mass in level_masses[level].values()
     )
     attain_ok = True
     base = cascade.base_level
     for idx in level_masses[base]:
         hit = False
-        for level in cascade.levels():
+        for level in range(cascade.stop_level, cascade.base_level + 1):
             ancestor = tuple(c >> (base - level) for c in idx)
             mass = level_masses[level][ancestor]
             if abs(mass - cascade.cap(level)) <= 1e-12 * cascade.cap(level):

@@ -348,10 +348,10 @@ class TestCarpetSpectrum:
 
     def test_envelope_from_previous_sample(self, worked_carpet, monkeypatch):
         # a low upper at theta=0.01 binds the continuity envelope at 0.0101
-        real = carpet.upper_bound_theta
+        real = carpet._upper_bound_theta
         low = lower_bound_theta(worked_carpet, 0.01)
         monkeypatch.setattr(
-            carpet, "upper_bound_theta", lambda spec, t: low if t == 0.01 else real(spec, t)
+            carpet, "_upper_bound_theta", lambda der, t: low if t == 0.01 else real(der, t)
         )
         spectrum = carpet_spectrum(worked_carpet, [0.0, 0.01, 0.0101, 0.5])
         prev, s = spectrum.samples[1:3]

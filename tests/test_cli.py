@@ -478,6 +478,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("dimspect: ") and len(err.splitlines()) == 1
 
+    def test_menu_below_two_exits_2_on_a_theta_zero_cell(self, capsys, tmp_path):
+        # theta = 0 cells are solved on the dyadic tree, which reads no menu
+        points = tmp_path / "p.txt"
+        points.write_text("0.1\n0.2\n0.7\n")
+        code, out, err = run(
+            capsys, "estimate", "--points", str(points), "--grid", "0", "--menu", "0"
+        )
+        assert code == 2 and out == ""
+        assert err == "dimspect: need 2 to 1024 entries in the scale menu, got 0\n"
+
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_non_finite_threshold_exits_2(self, capsys, tmp_path, threshold):
         points = tmp_path / "p.txt"

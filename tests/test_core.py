@@ -21,7 +21,10 @@ from dimspect import (
     carpet_spectrum,
     check_mdp,
     default_theta_grid,
+    constant_spectrum,
     estimate_spectrum,
+    example_spectrum_curve,
+    sequence_spectrum,
     spectrum_merge,
 )
 from dimspect.core import theta_grid
@@ -180,8 +183,17 @@ class TestThetaGrid:
             lambda grid: estimate_spectrum(
                 PointCloud.from_points([(0.1,), (0.7,)]), grid, [1e-1, 1e-2, 1e-3]
             ),
+            lambda grid: sequence_spectrum(1.0, grid),
+            lambda grid: example_spectrum_curve(2, grid),
+            lambda grid: constant_spectrum(0.5, grid, 1),
         ],
-        ids=["carpet_spectrum", "estimate_spectrum"],
+        ids=[
+            "carpet_spectrum",
+            "estimate_spectrum",
+            "sequence_spectrum",
+            "example_spectrum_curve",
+            "constant_spectrum",
+        ],
     )
     @pytest.mark.parametrize("grid", [[0.5, 0.25, 0.5], [0.0, 0.0]])
     def test_builders_refuse_a_repeated_theta(self, build, grid):
@@ -190,8 +202,25 @@ class TestThetaGrid:
 
     @pytest.mark.parametrize("grid", [[0.5, 1.5], [math.nan], [-0.1]])
     def test_out_of_range_refused(self, grid):
-        with pytest.raises(ValidationError, match="theta must lie in"):
+        with pytest.raises(ValidationError, match=r"need theta in \[0, 1\]"):
             theta_grid(grid)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda grid: sequence_spectrum(1.0, grid),
+            lambda grid: example_spectrum_curve(4, grid),
+            lambda grid: constant_spectrum(0.5, grid, 1),
+        ],
+        ids=["sequence_spectrum", "example_spectrum_curve", "constant_spectrum"],
+    )
+    def test_formula_builders_sort_their_grid_as_floats(self, build):
+        thetas = build([1, 0.5, 0]).thetas()
+        assert thetas == (0.0, 0.5, 1.0) and all(type(t) is float for t in thetas)
+
+    def test_sample_keeps_the_float_theta(self):
+        spectrum = DimensionSpectrum(1, (SpectrumSample(1, 0.5, 0.5, "exact"),))
+        assert json.dumps(spectrum.to_json_dict()["samples"][0]["theta"]) == "1.0"
 
 
 class TestDimensionSpectrum:
@@ -404,6 +433,20 @@ class TestSpectrumMerge:
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatchError):
             spectrum_merge(_spectrum([0.0, 0.5]), _spectrum([0.0, 0.4, 0.5]), "max")
+
+    @pytest.mark.parametrize("exact_first", [True, False])
+    def test_joined_tag_with_an_estimate_keeps_its_slack(self, exact_first):
+        # the estimate falls by 0.01 in theta: within TOL_MONO_ESTIMATED, past TOL_MONO_EXACT
+        grid = [0.2, 0.5, 0.8]
+        exact = DimensionSpectrum(1, tuple(SpectrumSample(t, 0.1, 0.1, "exact") for t in grid))
+        estimated = DimensionSpectrum(
+            1,
+            tuple(SpectrumSample(t, v, v, "estimated") for t, v in zip(grid, [0.1, 0.2, 0.19])),
+        )
+        a, b = (exact, estimated) if exact_first else (estimated, exact)
+        merged = spectrum_merge(a, b, "max")
+        assert merged.lowers() == (0.1, 0.2, 0.19)
+        assert {s.method for s in merged.samples} == {f"{a.samples[0].method}|{b.samples[0].method}"}
 
 
 class TestAtomicMeasure:

@@ -14,41 +14,62 @@ import pytest
 from dimspect import (
     AtomicMeasure,
     CarpetSpec,
+    DimensionSpectrum,
     PointCloud,
     ScaleRange,
+    SpectrumSample,
     ValidationError,
     assouad_lower_bound,
     build_frostman_measure,
     check_mdp,
     default_theta_grid,
+    envelope_bound,
     estimate_spectrum,
+    example_spectrum,
     fp_points,
+    lower_bound_theta,
     sequence_dim,
+    upper_bound_theta,
 )
 from dimspect.carpet import carpet_points, log_upper_excess
-from dimspect.core import check_number
+from dimspect.core import check_number, theta_grid
 from dimspect.covers import (
     fp_witness_cover,
     geometric_menu,
     optimal_cover_1d,
     optimal_cover_dyadic,
+    refine_cover,
 )
 from dimspect.estimate import coupled_truncation, critical_exponent, flog_points
 from dimspect.formulas import BoundInputs
 from dimspect.frostman import fp_witness_measure
 
 SPEC = CarpetSpec.create(2, 3, [(0, 0), (0, 2), (1, 1)])
+EQUAL_COLUMNS = CarpetSpec.create(2, 3, [(0, 0), (1, 1)])
 INPUTS = BoundInputs(dim_H=0.5, dim_B_lower=0.6, dim_B_upper=0.6, dim_A=1.0, ambient_n=1)
 CLOUD = PointCloud.from_points([(0.1,), (0.5,), (0.9,)])
 SQUARE = PointCloud.from_points([(0.1, 0.2), (0.5, 0.5), (0.9, 0.7)])
 MEASURE = AtomicMeasure.from_atoms([((0.25,), 0.5), ((0.75,), 0.5)])
 FP = fp_points(1.0, 0.01)
+COVER = optimal_cover_1d(CLOUD, ScaleRange(0.01, 0.5), 0.5)
 
 # Values every parameter refuses; each row adds the ends its interval leaves out.
 ALWAYS = [math.nan, math.inf, -math.inf, True, "0.5"]
 
 # (row id, call, values beyond ALWAYS)
 ROWS = [
+    # theta in [0, 1]
+    ("ScaleRange.theta", lambda v: ScaleRange(0.01, v), [-0.1, 1.1]),
+    ("DimensionSpectrum.theta",
+     lambda v: DimensionSpectrum(1, (SpectrumSample(v, 0.5, 0.5, "exact"),)), [-0.1, 1.1]),
+    ("theta_grid.theta", lambda v: theta_grid([v]), [-0.1, 1.1]),
+    ("refine_cover.phi", lambda v: refine_cover(COVER, v, 1e-4), [-0.1, 1.1]),
+    ("envelope_bound.theta", lambda v: envelope_bound(0.5, v, 1.0, 1), [-0.1, 1.1]),
+    ("envelope_bound.phi", lambda v: envelope_bound(0.5, 0.2, v, 1), [-0.1, 1.1]),
+    ("sequence_dim.theta", lambda v: sequence_dim(1.0, v), [-0.1, 1.1]),
+    ("example_spectrum.theta", lambda v: example_spectrum(2, v), [-0.1, 1.1]),
+    ("upper_bound_theta.theta", lambda v: upper_bound_theta(EQUAL_COLUMNS, v), [-0.1, 1.1]),
+    ("lower_bound_theta.theta", lambda v: lower_bound_theta(SPEC, v), [-0.1, 1.1]),
     # theta > 0
     ("log_upper_excess.theta", lambda v: log_upper_excess(SPEC, v), [0.0, 1.0]),
     ("assouad_lower_bound.theta", lambda v: assouad_lower_bound(INPUTS, v), [0.0]),
@@ -89,6 +110,11 @@ ROWS = [
     ("check_mdp.ball_samples",
      lambda v: check_mdp([(1e-3, MEASURE)], 0.5, 0.5, 1.0, 100.0, ball_samples=v), [0, 2.5]),
     ("geometric_menu.size", lambda v: geometric_menu(1e-4, 1e-2, v), [1, 2.5]),
+    ("critical_exponent.scale_menu_size",
+     lambda v: critical_exponent(SQUARE, 0.01, 0.5, scale_menu_size=v), [1, 2.5, 1025]),
+    ("estimate_spectrum.scale_menu_size",
+     lambda v: estimate_spectrum(CLOUD, [0.0], [1e-2, 1e-3, 1e-4], scale_menu_size=v),
+     [1, 2.5, 1025]),
     ("carpet_points.depth", lambda v: carpet_points(SPEC, v), [0, 2.5]),
     ("default_theta_grid.count", default_theta_grid, [1, 2.5]),
 ]

@@ -55,7 +55,7 @@ class TestBuilder:
         pts = fp_points(1.0, 0.01)
         res = build_frostman_measure(pts, s=0.3, delta=0.01, theta=0.5)
         cascade, level_masses = res.cascade, cascade_level_masses(pts, res)
-        for level in cascade.levels():
+        for level in range(cascade.stop_level, cascade.base_level + 1):
             cap = cascade.cap(level)
             for mass in level_masses[level].values():
                 assert mass <= cap * (1 + 1e-12)
@@ -67,7 +67,7 @@ class TestBuilder:
         base = cascade.base_level
         for idx in level_masses[base]:
             attained = False
-            for level in cascade.levels():
+            for level in range(cascade.stop_level, cascade.base_level + 1):
                 ancestor = tuple(c >> (base - level) for c in idx)
                 mass = level_masses[level][ancestor]
                 if abs(mass - cascade.cap(level)) <= 1e-12 * cascade.cap(level):
