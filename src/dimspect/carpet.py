@@ -24,7 +24,7 @@ from .core import (
     read_numbers,
     theta_grid,
 )
-from .formulas import BoundInputs, assouad_lower_bound, envelope_bound
+from .formulas import _assouad_lower_bound, _envelope_bound
 
 
 class UpperBoundDomainError(ValidationError):
@@ -266,21 +266,17 @@ def carpet_spectrum(
     previous sample, so one pass over the sorted grid builds the spectrum
     (a repeated theta is refused).  The lower column is clamped at the
     upper column: the entropy-slope formula can exceed the box dimension
-    for carpets with very lopsided columns, where it is vacuous.
+    for carpets with very lopsided columns, where it is vacuous.  An
+    Assouad dimension must lie in [box dimension, 2].
     """
     thetas = theta_grid(grid)
     der = mcmullen_weights(spec)
     d, box = der.d, der.box
+    if assouad_dim is not None:
+        assouad_dim = check_number(assouad_dim, "assouad_dim", box - 1e-12, 2.0 + 1e-12, "[]")
     if spec.columns_equal():
         samples = tuple(SpectrumSample(t, d, d, "exact") for t in thetas)
         return DimensionSpectrum(ambient_n=2, samples=samples)
-    if assouad_dim is not None and not box - 1e-12 <= assouad_dim <= 2.0 + 1e-12:
-        raise ValidationError(
-            f"Assouad dimension must lie in [box dim, 2], got {assouad_dim}"
-        )
-    inputs = None if assouad_dim is None else BoundInputs(
-        dim_H=d, dim_B_lower=box, dim_B_upper=box, dim_A=assouad_dim, ambient_n=2
-    )
     samples: list[SpectrumSample] = []
     for theta in thetas:
         if theta == 0.0:
@@ -296,12 +292,12 @@ def carpet_spectrum(
         # from, so the min over all earlier samples is this one (exact in
         # real arithmetic).
         if samples:
-            env = envelope_bound(samples[-1].upper, samples[-1].theta, theta, 2)
+            env = _envelope_bound(samples[-1].upper, samples[-1].theta, theta, 2)
             if env < upper:
                 upper, tag = env, "envelope"
         lower = max(d, _lower_bound_theta(der, theta))
-        if inputs is not None:
-            lower = max(lower, assouad_lower_bound(inputs, theta))
+        if assouad_dim is not None:
+            lower = max(lower, _assouad_lower_bound(assouad_dim, box, theta))
         if lower > upper:
             lower = upper
             tag = tag + "+clamped"

@@ -245,11 +245,13 @@ def _is_estimated(method: str) -> bool:
 class DimensionSpectrum:
     """Sampled map theta -> (lower value, upper value, method tag).
 
-    Invariants checked on construction: thetas strictly increasing, every
-    method tag a str, every sample satisfying 0 <= lower <= upper <=
-    ambient_n, and each column monotone non-decreasing in theta up to
-    TOL_MONO_EXACT (closed forms) or TOL_MONO_ESTIMATED (estimator
-    output).  An estimated sample at theta = 0 is exempt from the
+    Construction reads ambient_n as a whole number >= 1, every theta by
+    check_number and the lower and upper columns by read_numbers, keeping
+    the int and floats they return, then checks the invariants: thetas
+    strictly increasing, every method tag a str, every sample satisfying
+    0 <= lower <= upper <= ambient_n, and each column monotone
+    non-decreasing in theta up to TOL_MONO_EXACT (closed forms) or
+    TOL_MONO_ESTIMATED (estimator output).  An estimated sample at theta = 0 is exempt from the
     monotonicity check: it comes from the unrestricted-cover fallback
     whose finite-resolution bias is one-sided.
     """
@@ -260,14 +262,16 @@ class DimensionSpectrum:
     def __post_init__(self) -> None:
         if not self.samples:
             raise ValidationError("a spectrum needs at least one sample")
-        if self.ambient_n < 1:
-            raise ValidationError("ambient dimension must be positive")
+        ambient_n = check_number(self.ambient_n, "for ambient_n", 1, ends="[)", integral=True)
+        object.__setattr__(self, "ambient_n", ambient_n)
         prev_theta = -1.0
         samples = list(self.samples)
+        lowers = read_numbers((s.lower for s in samples), "lower values")
+        uppers = read_numbers((s.upper for s in samples), "upper values")
         for i, s in enumerate(samples):
             theta = check_number(s.theta, "theta", 0, 1, "[]")
-            if type(s.theta) is not float:  # an int or another real: keep the float
-                samples[i] = s = SpectrumSample(theta, s.lower, s.upper, s.method)
+            if not type(s.theta) is type(s.lower) is type(s.upper) is float:  # keep the floats
+                samples[i] = s = SpectrumSample(theta, lowers[i], uppers[i], s.method)
             if not isinstance(s.method, str):
                 raise ValidationError(f"a sample's method tag must be text, got {s.method!r}")
             if s.theta <= prev_theta:
@@ -277,9 +281,9 @@ class DimensionSpectrum:
                 raise InvariantError(
                     f"lower {s.lower} > upper {s.upper} at theta={s.theta}"
                 )
-            if s.upper > self.ambient_n + 1e-9:
+            if s.upper > ambient_n + 1e-9:
                 raise InvariantError(
-                    f"upper {s.upper} exceeds ambient dimension {self.ambient_n}"
+                    f"upper {s.upper} exceeds ambient dimension {ambient_n}"
                 )
         object.__setattr__(self, "samples", tuple(samples))
         for values in (self.lowers(), self.uppers()):
@@ -317,14 +321,10 @@ class DimensionSpectrum:
     def from_json_dict(cls, obj: dict) -> "DimensionSpectrum":
         try:
             samples = tuple(
-                SpectrumSample(
-                    *read_numbers((s["theta"], s["lower"], s["upper"]), "theta, lower and upper"),
-                    method=s["method"],
-                )
+                SpectrumSample(s["theta"], s["lower"], s["upper"], s["method"])
                 for s in obj["samples"]
             )
-            [ambient_n] = read_numbers([obj["ambient_n"]], "ambient_n", integral=True)
-            return cls(ambient_n=ambient_n, samples=samples)
+            return cls(ambient_n=obj["ambient_n"], samples=samples)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed spectrum JSON: {exc}") from exc
 

@@ -531,6 +531,11 @@ def refine_cover(cover: RestrictedCover, phi: float, new_delta: float) -> Restri
     return RestrictedCover(out, new_rng, cover.s, min(new_rng.lo, cover.effective_lo))
 
 
+def _fp_witness_count(p: float, delta: float, theta: float, s: float) -> int:
+    """M = ceil(delta**(-(s + theta(1-s))/(p+1))), the points 1/k**p the fp witnesses single out."""
+    return guarded_ceil(delta ** (-(s + theta * (1.0 - s)) / (p + 1.0)))
+
+
 def fp_witness_cover(
     p: float, delta: float, theta: float, s: float
 ) -> RestrictedCover:
@@ -543,7 +548,7 @@ def fp_witness_cover(
     p, s = check_number(p, "p", 0), check_number(s, "s", 0, 1)
     delta, theta = check_number(delta, "delta", 0, 1), check_number(theta, "theta", 0, 1, "(]")
     rng = ScaleRange(delta**theta, theta)  # band [delta, delta**theta]
-    m_count = guarded_ceil(delta ** (-(s + theta * (1.0 - s)) / (p + 1.0)))
+    m_count = _fp_witness_count(p, delta, theta, s)
     sets = [CoverSet((k ** (-p),), delta) for k in range(1, m_count + 1)]
     tail_len = m_count ** (-p)
     big = delta**theta

@@ -2,12 +2,14 @@
 
 Covers the solved families: convergent sequences 1/k**p, the four standard
 union/product examples, the continuity envelope linking values at different
-theta, the Assouad-based lower bound, and product bounds.
+theta, the Assouad-based lower bound, and product bounds.  The bounds take
+plain numbers (dimensions, theta, the ambient dimension), each read by
+core.check_number at the public entry; the unchecked twins
+_envelope_bound and _assouad_lower_bound serve callers, such as
+carpet_spectrum, whose inputs already lie in the domain.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import (
     DimensionSpectrum,
@@ -17,25 +19,6 @@ from .core import (
     check_number,
     theta_grid,
 )
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Known dimensions of a set, used to derive bounds at intermediate theta."""
-
-    dim_H: float
-    dim_B_lower: float
-    dim_B_upper: float
-    dim_A: float
-    ambient_n: int
-
-    def __post_init__(self) -> None:
-        chain = (0.0, self.dim_H, self.dim_B_lower, self.dim_B_upper, self.dim_A, float(self.ambient_n))
-        if any(a > b + 1e-12 for a, b in zip(chain, chain[1:])):
-            raise ValidationError(
-                "need 0 <= dim_H <= dim_B_lower <= dim_B_upper <= dim_A <= ambient_n, "
-                f"got {chain[1:]}"
-            )
 
 
 def sequence_dim(p: float, theta: float) -> float:
@@ -59,6 +42,7 @@ def example_spectrum(which: int, theta: float) -> tuple[float, float]:
        -> max(theta/(1+theta), 1/4) on (0,1], 0 at 0.
     4: F_1 x F_log in the plane -> theta/(1+theta) + 1 on (0,1], 0 at 0.
     """
+    which = check_number(which, "for the example", 1, 4, "[]", integral=True)
     theta = check_number(theta, "theta", 0, 1, "[]")
     if which == 1:
         value = 0.0 if theta == 0.0 else 1.0
@@ -66,10 +50,8 @@ def example_spectrum(which: int, theta: float) -> tuple[float, float]:
         value = max(theta / (1.0 + theta), 1.0 / 3.0)
     elif which == 3:
         value = 0.0 if theta == 0.0 else max(theta / (1.0 + theta), 0.25)
-    elif which == 4:
-        value = 0.0 if theta == 0.0 else theta / (1.0 + theta) + 1.0
     else:
-        raise ValidationError(f"unknown example {which!r}, expected 1..4")
+        value = 0.0 if theta == 0.0 else theta / (1.0 + theta) + 1.0
     return value, value
 
 
@@ -78,31 +60,38 @@ def envelope_bound(dim_at_theta: float, theta: float, phi: float, ambient_n: int
 
     The value cannot rise faster than
         dim(phi) <= dim(theta) + (1 - theta/phi) * (n - dim(theta)),
-    which also proves continuity on (0, 1].
+    which also proves continuity on (0, 1].  ambient_n is a whole number
+    >= 1 and dim_at_theta lies in [0, ambient_n].
     """
     theta = check_number(theta, "theta", 0, 1, "[]")
     phi = check_number(phi, "phi", 0, 1, "[]")
     if theta >= phi:
         raise ValidationError(f"need theta < phi, got theta={theta}, phi={phi}")
-    if not 0.0 <= dim_at_theta <= ambient_n + 1e-12:
-        raise ValidationError(
-            f"dim_at_theta must lie in [0, {ambient_n}], got {dim_at_theta}"
-        )
+    ambient_n = check_number(ambient_n, "for ambient_n", 1, ends="[)", integral=True)
+    dim_at_theta = check_number(dim_at_theta, "dim_at_theta", 0, ambient_n + 1e-12, "[]")
+    return _envelope_bound(dim_at_theta, theta, phi, ambient_n)
+
+
+def _envelope_bound(dim_at_theta: float, theta: float, phi: float, ambient_n: int) -> float:
     return dim_at_theta + (1.0 - theta / phi) * (ambient_n - dim_at_theta)
 
 
-def assouad_lower_bound(
-    inputs: BoundInputs, theta: float, use_upper_box: bool = False
-) -> float:
-    """Lower bound dim_A - (dim_A - dim_B)/theta, clamped below at 0.
+def assouad_lower_bound(dim_a: float, dim_b: float, theta: float) -> float:
+    """Lower bound dim_a - (dim_a - dim_b)/theta, clamped below at 0.
 
-    Uses the lower or upper box dimension per the flag.  At theta=1 it
-    returns the box dimension exactly; clamping at dim_H is left to the
+    dim_a is the Assouad dimension and dim_b a box dimension, lower or
+    upper (finite, 0 <= dim_b <= dim_a); theta lies in (0, 1].  At
+    theta=1 it returns dim_b exactly; clamping at dim_H is left to the
     caller (combine via spectrum_merge).
     """
     theta = check_number(theta, "theta", 0, 1, "(]")
-    dim_b = inputs.dim_B_upper if use_upper_box else inputs.dim_B_lower
-    return max(0.0, inputs.dim_A - (inputs.dim_A - dim_b) / theta)
+    dim_b = check_number(dim_b, "dim_b", 0, ends="[)")
+    dim_a = check_number(dim_a, "dim_a", dim_b - 1e-12, ends="[)")
+    return _assouad_lower_bound(dim_a, dim_b, theta)
+
+
+def _assouad_lower_bound(dim_a: float, dim_b: float, theta: float) -> float:
+    return max(0.0, dim_a - (dim_a - dim_b) / theta)
 
 
 def product_bounds(
@@ -112,8 +101,9 @@ def product_bounds(
 
     Per theta: lower = lower_E + lower_F (Frostman product measures),
     upper = upper_E + upper box dimension of F, capped at the sum of the
-    ambient dimensions.
+    ambient dimensions.  box_upper_f is finite and >= 0.
     """
+    box_upper_f = check_number(box_upper_f, "box_upper_f", 0, ends="[)")
     if spec_e.thetas() != spec_f.thetas():
         raise GridMismatchError("factor spectra sampled on different theta grids")
     if any(s.upper > box_upper_f + 1e-12 for s in spec_f.samples):
@@ -144,9 +134,12 @@ def sequence_spectrum(p: float, grid) -> DimensionSpectrum:
 
 def example_spectrum_curve(which: int, grid) -> DimensionSpectrum:
     """Exact spectrum of one of the four example sets over a theta grid."""
+    which = check_number(which, "for the example", 1, 4, "[]", integral=True)
     return _exact_spectrum(grid, 2 if which == 4 else 1, lambda t: example_spectrum(which, t))
 
 
 def constant_spectrum(value: float, grid, ambient_n: int) -> DimensionSpectrum:
-    """Spectrum of a set whose dimension does not depend on theta."""
+    """Spectrum of a set whose dimension, value in [0, ambient_n], does not depend on theta."""
+    ambient_n = check_number(ambient_n, "for ambient_n", 1, ends="[)", integral=True)
+    value = check_number(value, "value", 0, ambient_n, "[]")
     return _exact_spectrum(grid, ambient_n, lambda t: (value, value))

@@ -38,7 +38,7 @@ from .core import (
     ValidationError,
     check_number,
 )
-from .covers import _cascade_tree, guarded_ceil
+from .covers import _cascade_tree, _fp_witness_count
 
 # Band ratios below this certify too narrow a range of scales to mean much.
 WEAK_BAND_RATIO = 10.0
@@ -389,7 +389,7 @@ def fp_witness_measure(p: float, delta: float, theta: float) -> AtomicMeasure:
     p, delta = check_number(p, "p", 0), check_number(delta, "delta", 0, 1)
     theta = check_number(theta, "theta", 0, 1, "(]")
     s = theta / (p + theta)
-    m_count = guarded_ceil(delta ** (-(s + theta * (1.0 - s)) / (p + 1.0)))
+    m_count = _fp_witness_count(p, delta, theta, s)
     # Python's k ** -p, as fp_points: np.power may round differently in the last bit
     xs = np.array([k ** (-p) for k in range(1, m_count + 1)])
     return AtomicMeasure(xs[:, None], np.full(m_count, delta**s))

@@ -25,7 +25,6 @@ import mpmath as mp
 import numpy as np
 
 from dimspect import (
-    BoundInputs,
     CoverSet,
     DimensionSpectrum,
     RestrictedCover,
@@ -106,19 +105,14 @@ def all_pairs_carpet_spectrum(spec, thetas, assouad_dim=None) -> DimensionSpectr
         uppers[i] = upper
         tags.append(tag)
     uppers = uppers.tolist()
-    inputs = None
-    if assouad_dim is not None:
-        inputs = BoundInputs(
-            dim_H=d, dim_B_lower=box, dim_B_upper=box, dim_A=assouad_dim, ambient_n=2
-        )
     samples = []
     for theta, upper, tag in zip(thetas, uppers, tags):
         if theta == 0.0:
             samples.append(SpectrumSample(theta, d, d, tag))
             continue
         lower = max(d, lower_bound_theta(spec, theta))
-        if inputs is not None:
-            lower = max(lower, assouad_lower_bound(inputs, theta))
+        if assouad_dim is not None:
+            lower = max(lower, assouad_lower_bound(assouad_dim, box, theta))
         if lower > upper:
             lower = upper
             tag = tag + "+clamped"

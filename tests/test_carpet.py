@@ -369,7 +369,7 @@ class TestCarpetSpectrum:
             calls.append(args)
             return envelope_bound(*args)
 
-        monkeypatch.setattr(carpet, "envelope_bound", counting)
+        monkeypatch.setattr(carpet, "_envelope_bound", counting)
         grid = default_theta_grid(101)
         carpet_spectrum(worked_carpet, grid)
         assert 0 < len(calls) <= len(grid)

@@ -21,14 +21,19 @@ from dimspect import (
     ValidationError,
     assouad_lower_bound,
     build_frostman_measure,
+    carpet_spectrum,
     check_mdp,
+    constant_spectrum,
     default_theta_grid,
     envelope_bound,
     estimate_spectrum,
     example_spectrum,
+    example_spectrum_curve,
     fp_points,
     lower_bound_theta,
+    product_bounds,
     sequence_dim,
+    sequence_spectrum,
     upper_bound_theta,
 )
 from dimspect.carpet import carpet_points, log_upper_excess
@@ -41,12 +46,11 @@ from dimspect.covers import (
     refine_cover,
 )
 from dimspect.estimate import coupled_truncation, critical_exponent, flog_points
-from dimspect.formulas import BoundInputs
 from dimspect.frostman import fp_witness_measure
 
 SPEC = CarpetSpec.create(2, 3, [(0, 0), (0, 2), (1, 1)])
 EQUAL_COLUMNS = CarpetSpec.create(2, 3, [(0, 0), (1, 1)])
-INPUTS = BoundInputs(dim_H=0.5, dim_B_lower=0.6, dim_B_upper=0.6, dim_A=1.0, ambient_n=1)
+SEQ = sequence_spectrum(1.0, [0.5, 1.0])
 CLOUD = PointCloud.from_points([(0.1,), (0.5,), (0.9,)])
 SQUARE = PointCloud.from_points([(0.1, 0.2), (0.5, 0.5), (0.9, 0.7)])
 MEASURE = AtomicMeasure.from_atoms([((0.25,), 0.5), ((0.75,), 0.5)])
@@ -72,12 +76,26 @@ ROWS = [
     ("lower_bound_theta.theta", lambda v: lower_bound_theta(SPEC, v), [-0.1, 1.1]),
     # theta > 0
     ("log_upper_excess.theta", lambda v: log_upper_excess(SPEC, v), [0.0, 1.0]),
-    ("assouad_lower_bound.theta", lambda v: assouad_lower_bound(INPUTS, v), [0.0]),
+    ("assouad_lower_bound.theta", lambda v: assouad_lower_bound(1.0, 0.6, v), [0.0]),
     ("fp_witness_cover.theta", lambda v: fp_witness_cover(1.0, 0.01, v, 0.5), [0.0]),
     ("fp_witness_measure.theta", lambda v: fp_witness_measure(1.0, 0.01, v), [0.0]),
     ("build_frostman_measure.theta", lambda v: build_frostman_measure(FP, 0.3, 0.01, v), [0.0]),
     ("check_mdp.theta", lambda v: check_mdp([(1e-3, MEASURE)], 0.5, v, 1.0, 100.0), [0.0]),
     ("fp_points.theta_min", lambda v: fp_points(1.0, 0.01, v), [0.0]),
+    # dimensions: finite, 0 <= dim_b <= dim_a, dim_at_theta and value in [0, n],
+    # an Assouad dimension in [box dimension, 2] (1.3691 for SPEC, 1 for EQUAL_COLUMNS)
+    ("assouad_lower_bound.dim_a", lambda v: assouad_lower_bound(v, 0.6, 0.5), [0.5]),
+    ("assouad_lower_bound.dim_b", lambda v: assouad_lower_bound(1.0, v, 0.5), [-0.1, 1.1]),
+    ("envelope_bound.dim_at_theta", lambda v: envelope_bound(v, 0.2, 0.5, 1), [-0.1, 1.1]),
+    ("constant_spectrum.value", lambda v: constant_spectrum(v, [0.0, 1.0], 1), [-0.1, 1.1]),
+    ("product_bounds.box_upper_f", lambda v: product_bounds(SEQ, SEQ, v), [-0.1]),
+    ("DimensionSpectrum.lower",
+     lambda v: DimensionSpectrum(1, (SpectrumSample(0.5, v, 0.5, "exact"),)), []),
+    ("DimensionSpectrum.upper",
+     lambda v: DimensionSpectrum(1, (SpectrumSample(0.5, 0.5, v, "exact"),)), []),
+    ("carpet_spectrum.assouad_dim", lambda v: carpet_spectrum(SPEC, [0.5], v), [1.0, 2.1]),
+    ("carpet_spectrum.assouad_dim on equal columns",
+     lambda v: carpet_spectrum(EQUAL_COLUMNS, [0.5], v), [0.9, 2.1]),
     # delta in (0, 1)
     ("ScaleRange.delta", lambda v: ScaleRange(v, 0.5), [0.0, 1.0]),
     ("check_mdp.delta", lambda v: check_mdp([(v, MEASURE)], 0.5, 0.5, 1.0, 100.0), [0.0, 1.0]),
@@ -104,7 +122,8 @@ ROWS = [
     ("optimal_cover_dyadic.s", lambda v: optimal_cover_dyadic(SQUARE, ScaleRange(0.01, 0.5), v),
      [-0.5, 2.5]),
     ("fp_witness_cover.s", lambda v: fp_witness_cover(1.0, 0.01, 0.5, v), [0.0, 1.0]),
-    # counts: the smallest legal count less one, and a fractional count
+    # counts and whole numbers: the smallest legal value less one, a fractional value,
+    # and the largest legal value plus one where there is one
     ("build_frostman_measure.ball_samples",
      lambda v: build_frostman_measure(FP, 0.3, 0.01, 0.5, ball_samples=v), [-1, 2.5]),
     ("check_mdp.ball_samples",
@@ -116,6 +135,11 @@ ROWS = [
      lambda v: estimate_spectrum(CLOUD, [0.0], [1e-2, 1e-3, 1e-4], scale_menu_size=v),
      [1, 2.5, 1025]),
     ("carpet_points.depth", lambda v: carpet_points(SPEC, v), [0, 2.5]),
+    ("envelope_bound.ambient_n", lambda v: envelope_bound(0.5, 0.2, 0.5, v), [0, 2.5]),
+    ("DimensionSpectrum.ambient_n",
+     lambda v: DimensionSpectrum(v, (SpectrumSample(0.5, 0.5, 0.5, "exact"),)), [0, 2.5]),
+    ("example_spectrum.which", lambda v: example_spectrum(v, 0.5), [0, 5, 2.5]),
+    ("example_spectrum_curve.which", lambda v: example_spectrum_curve(v, [0.5]), [0, 5, 2.5]),
     ("default_theta_grid.count", default_theta_grid, [1, 2.5]),
 ]
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -163,7 +164,12 @@ class TestLookaheadMatchesSequentialBisection:
                 return recursive_dyadic_cover(cloud, rng, s).cost
         # where in [0, 1] puts the threshold log-uniformly between cost(1)
         # and cost(0); -1 forces the clamp at 0 and 2 the clamp at 1
-        threshold = cost(1.0) ** where * cost(0.0) ** (1.0 - where)
+        try:
+            threshold = cost(1.0) ** where * cost(0.0) ** (1.0 - where)
+        except OverflowError:
+            # where=-1 on clouds of width ~1e-300: the largest float still
+            # lies above cost(0) and forces the same clamp
+            threshold = sys.float_info.max
         assume(threshold > 0.0)  # cost(1.0)**2 underflows on clouds of width ~1e-240
         ce = critical_exponent(cloud, delta, theta, threshold)
         reference = sequential_critical_exponent(cost, 1.0, threshold)

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from dimspect import (
-    BoundInputs,
     ValidationError,
     assouad_lower_bound,
     constant_spectrum,
@@ -96,30 +95,23 @@ class TestEnvelopeBound:
 
 class TestAssouadLowerBound:
     def test_equal_box_and_assouad_pins_value(self):
-        inputs = BoundInputs(0.0, 1.0, 1.0, 1.0, 1)
-        assert assouad_lower_bound(inputs, 0.3) == pytest.approx(1.0)
+        assert assouad_lower_bound(1.0, 1.0, 0.3) == pytest.approx(1.0)
 
     def test_clamped_at_zero(self):
-        inputs = BoundInputs(0.0, 0.5, 0.5, 1.0, 1)
-        assert assouad_lower_bound(inputs, 0.5) == 0.0
+        assert assouad_lower_bound(1.0, 0.5, 0.5) == 0.0
 
     def test_theta_one_recovers_box(self):
-        inputs = BoundInputs(0.0, 0.5, 0.5, 1.0, 1)
-        assert assouad_lower_bound(inputs, 1.0) == pytest.approx(0.5, abs=0)
+        assert assouad_lower_bound(1.0, 0.5, 1.0) == pytest.approx(0.5, abs=0)
 
     def test_upper_box_flag(self):
-        inputs = BoundInputs(0.0, 0.4, 0.6, 1.0, 1)
-        low = assouad_lower_bound(inputs, 1.0, use_upper_box=False)
-        high = assouad_lower_bound(inputs, 1.0, use_upper_box=True)
+        # the lower and the upper box dimension are each passed as dim_b
+        low = assouad_lower_bound(1.0, 0.4, 1.0)
+        high = assouad_lower_bound(1.0, 0.6, 1.0)
         assert (low, high) == (pytest.approx(0.4), pytest.approx(0.6))
 
     def test_theta_zero_rejected(self):
         with pytest.raises(ValidationError):
-            assouad_lower_bound(BoundInputs(0.0, 0.5, 0.5, 1.0, 1), 0.0)
-
-    def test_chain_validated(self):
-        with pytest.raises(ValidationError):
-            BoundInputs(0.5, 0.4, 0.6, 1.0, 1)
+            assouad_lower_bound(1.0, 0.5, 0.0)
 
 
 class TestProductBounds:
