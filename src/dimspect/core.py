@@ -277,10 +277,10 @@ class DimensionSpectrum:
             if s.theta <= prev_theta:
                 raise ValidationError("sample thetas must be strictly increasing")
             prev_theta = s.theta
-            if not (-1e-12 <= s.lower <= s.upper + 1e-12):
-                raise InvariantError(
-                    f"lower {s.lower} > upper {s.upper} at theta={s.theta}"
-                )
+            if s.lower < -1e-12:
+                raise InvariantError(f"lower {s.lower} < 0 at theta={s.theta}")
+            if s.lower > s.upper + 1e-12:
+                raise InvariantError(f"lower {s.lower} > upper {s.upper} at theta={s.theta}")
             if s.upper > ambient_n + 1e-9:
                 raise InvariantError(
                     f"upper {s.upper} exceeds ambient dimension {ambient_n}"

@@ -6,11 +6,16 @@ covers (any ambient dimension) on _DyadicTree, the dyadic cell tree the
 Frostman cap cascade shares; covers anchor it at the bounding box.  Both
 return the full cover, not just its cost, so admissibility and coverage
 can be checked directly; cover_cost_function gives a cell's solver of
-cost(s), built once per cell, that evaluates a list of s per call.
+cost(s), which evaluates a list of s per call: an interval DP built for
+the cell, or the cell's band of levels in a dyadic tree, one that
+estimate_spectrum builds for all its dyadic cells (_shared_bbox_tree)
+or one built for the cell alone.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -284,21 +289,31 @@ class _DyadicTree:
     """Occupied dyadic cells of a point cloud on levels top..bottom, built once.
 
     A point x lies in the level-j cell with integer code
-    floor((x - origin) / scale * 2**j), clamped to 2**j - 1.  cells[i]
-    holds the cells of level top + i in depth-first order (the top level
-    lexicographic, then grouped by parent with siblings lexicographic), and
-    parents[i] maps each cell of level top + i + 1 to its parent's row in
-    cells[i].  Dyadic covers anchor the tree at the bounding box
-    (_bbox_tree); the Frostman cap cascade at the unit box when the points
-    lie in it (_cascade_tree).  dyadic_levels picks the levels of both.
+    floor((x - origin) / scale * 2**j), clamped to 2**j - 1.  Dyadic
+    covers anchor the tree at the bounding box (_bbox_tree); the Frostman
+    cap cascade at the unit box when the points lie in it (_cascade_tree).
+    dyadic_levels picks the levels of both.
+
+    The tree stops at alone, the first level whose cells hold one point
+    each (bottom if none does).  cells[i] holds the cells of level top + i
+    <= alone in depth-first order (the top level lexicographic, then
+    grouped by parent with siblings lexicographic), and parents[i] maps
+    each cell of level top + i + 1 to its parent's row in cells[i].  Below
+    alone every cell is a one-point chain down to bottom, so those levels
+    are derived: level_cells shifts them from codes, the points' bottom
+    codes in tree order, and each has the rows of the level above.
 
     The build sorts the points once, stably, into depth-first order; in
     that order every cell of every level is one run of consecutive points,
     so each level is read off its run starts, and first_point (each bottom
-    cell's least row in points) off the bottom level's.  Its integer work
+    cell's least row in points) off the last level's.  Its integer work
     is shifts, sums and takes only: numpy's int64 comparison and bitwise
     loops are code nothing else in a dyadic solve runs, and paging it in
     cost about 0.3 MB of peak RSS.
+
+    One tree serves every band of levels inside its own: chosen and cost
+    take any top..bottom within top..bottom, and give what a tree built
+    on just those levels gives, bit for bit (see cost).
     """
 
     def __init__(self, points: PointCloud, origin, scale: float, top: int, bottom: int):
@@ -335,7 +350,7 @@ class _DyadicTree:
         del cell, parent, fields
         order = np.lexsort(keys[::-1])
         del keys
-        codes = codes.take(order, 0)
+        self.codes = codes = codes.take(order, 0)
         self.cells, self.parents = [], []
         for level in range(top, bottom + 1):
             cell = codes >> (bottom - level)
@@ -350,57 +365,95 @@ class _DyadicTree:
                 self.parents[-1] -= 1
             self.cells.append(cell.take(rows, 0))
             parent_starts = starts
-        # the sort is stable, so each bottom run starts at its cell's least row
+            if len(rows) == count:  # every point alone: the levels below are chains
+                break
+        self.alone = level
+        # the sort is stable, so each run starts at its cell's least row
         self.first_point = order.take(rows)
 
     def diameter(self, level: int) -> float:
         return self.scale * math.sqrt(self.n) * 2.0**-level
 
+    def level_cells(self, level: int) -> np.ndarray:
+        """The cells of a level, in tree order: stored down to alone, shifted from codes below."""
+        if level <= self.alone:
+            return self.cells[level - self.top]
+        return self.codes >> (self.bottom - level)
+
     def leaf_starts(self) -> list[np.ndarray]:
         """Per level, the first bottom-level row of each cell's (contiguous) descendants."""
-        starts = [np.arange(len(self.cells[-1]))]
+        starts = [np.arange(len(self.first_point))] * (self.bottom - self.alone + 1)
         for parent in reversed(self.parents):
             starts.insert(0, starts[0][np.flatnonzero(np.diff(parent, prepend=-1))])
         return starts
 
-    def chosen(self, s: float) -> tuple[list[float], list[np.ndarray]]:
-        """diam**s per level and the rows an optimal cover takes whole.
+    def chosen(self, s: float, top=None, bottom=None) -> tuple[list[float], list[np.ndarray]]:
+        """diam**s per level top..bottom and the rows of level_cells an optimal cover takes whole.
 
-        Bottom-up, a cell costs min(diam**s, sum of its children's costs in
-        row order); ties go to the larger cube.  Top-down, a cell is taken
-        if diam**s is the smaller and no ancestor was taken.
+        The levels default to the tree's own.  Bottom-up, a cell costs
+        min(diam**s, sum of its children's costs in row order); ties go to
+        the larger cube.  Top-down, a cell is taken if diam**s is the
+        smaller and no ancestor was taken.  The pass starts at leaf: the
+        coarser of the band's bottom and alone, or the band's top if that
+        is finer still.  Each leaf heads a chain of lone children down to
+        bottom, which costs the least diam**s on it (a lone child's sum is
+        its cost) and is taken at the topmost level attaining it, so the
+        leaves' open rows go to that level.
         """
-        powers = [self.diameter(self.top + i) ** s for i in range(len(self.cells))]
-        cost = np.full(len(self.cells[-1]), powers[-1])
-        takes = [np.ones(len(cost), dtype=bool)]
-        for i in range(len(self.parents) - 1, -1, -1):
-            split = np.bincount(self.parents[i], weights=cost)
+        top = self.top if top is None else top
+        bottom = self.bottom if bottom is None else bottom
+        powers = [self.diameter(level) ** s for level in range(top, bottom + 1)]
+        leaf = max(top, min(bottom, self.alone))
+        chain = powers[leaf - top :]
+        least = min(chain)
+        count = len(self.cells[min(leaf, self.alone) - self.top])  # below alone, as at alone
+        cost = np.full(count, least)
+        parents = self.parents[top - self.top : leaf - self.top]
+        takes = [np.ones(count, dtype=bool)]
+        for i in range(len(parents) - 1, -1, -1):
+            split = np.bincount(parents[i], weights=cost)
             takes.insert(0, powers[i] <= split)
             cost = np.where(takes[0], powers[i], split)
         rows, open_ = [np.flatnonzero(takes[0])], ~takes[0]
-        for parent, take in zip(self.parents, takes[1:]):
+        for parent, take in zip(parents, takes[1:]):
             open_ = open_[parent]
             rows.append(np.flatnonzero(open_ & take))
             open_ &= ~take
+        rows += [rows[-1][:0]] * (bottom - leaf)
+        pick = leaf - top + chain.index(least)
+        rows[leaf - top], rows[pick] = rows[pick], rows[leaf - top]
         return powers, rows
 
-    def cost(self, s: float) -> float:
-        """cover_cost of the optimal cover at s, without building its sets.
+    def cost(self, s: float, top=None, bottom=None) -> float:
+        """cover_cost of the optimal cover at s on levels top..bottom, without building its sets.
 
         With each diam**s written a / d (d a power of two), the sum of
         count * a / d over levels is an integer over the largest d; the
         integer true division rounds it once, correctly, as fsum does.
+        So the cost depends on the counts per level only, and a band's
+        counts are those of a tree built on the band: a cell's children,
+        and their order, are the same in both, and only the order of the
+        band's top level differs.
         """
-        powers, rows = self.chosen(s)
+        powers, rows = self.chosen(s, top, bottom)
         ratios = [p.as_integer_ratio() for p in powers]
         den = max(d for _, d in ratios)
         return sum(len(r) * a * (den // d) for (a, d), r in zip(ratios, rows)) / den
+
+
+@dataclass(frozen=True)
+class _DyadicBand:
+    """A dyadic cell's cover-cost solver: the levels top..bottom of a _DyadicTree."""
+
+    tree: _DyadicTree
+    top: int
+    bottom: int
 
     # Every s is a full pass, so a bisection asks for one s per call.
     batch_size = 1
 
     def costs(self, ss) -> list[float]:
-        return [self.cost(s) for s in ss]
+        return [self.tree.cost(s, self.top, self.bottom) for s in ss]
 
 
 def dyadic_levels(size: float, lo: float, hi: float) -> tuple[int, int]:
@@ -416,13 +469,12 @@ def dyadic_levels(size: float, lo: float, hi: float) -> tuple[int, int]:
     return top, math.floor(math.log2(size) - math.log2(lo) + 1e-9)
 
 
-def _bbox_tree(points: PointCloud, rng: ScaleRange) -> _DyadicTree:
-    """The tree of optimal_cover_dyadic: bounding-box anchor, levels admissible for rng.
+def _bbox_levels(points: PointCloud, rng: ScaleRange) -> tuple[int, int]:
+    """(top, bottom): the levels of optimal_cover_dyadic's tree, those admissible for rng.
 
-    Level j has diameter scale * sqrt(n) * 2**-j.
+    Level j has diameter points.side * sqrt(n) * 2**-j.
     """
-    scale = points.side
-    root_diam = scale * math.sqrt(points.dimension_n)
+    root_diam = points.side * math.sqrt(points.dimension_n)
     top, bottom = dyadic_levels(root_diam, max(rng.lo, MIN_SCALE), rng.hi)
     if top > MAX_DEPTH:
         raise DepthLimitError(
@@ -430,8 +482,50 @@ def _bbox_tree(points: PointCloud, rng: ScaleRange) -> _DyadicTree:
         )
     # A band narrower than one dyadic step contains no dyadic diameter:
     # snap to the single level just below hi.
-    bottom = max(min(bottom, MAX_DEPTH), top)
-    return _DyadicTree(points, points.bbox[0], scale, top, bottom)
+    return top, max(min(bottom, MAX_DEPTH), top)
+
+
+def _bbox_tree(points: PointCloud, rng: ScaleRange) -> _DyadicTree:
+    """The tree of optimal_cover_dyadic: bounding-box anchor, levels admissible for rng."""
+    return _DyadicTree(points, points.bbox[0], points.side, *_bbox_levels(points, rng))
+
+
+# The cloud and bounding-box tree of the spectrum being estimated in this
+# context, while _shared_bbox_tree is open.
+_shared_tree = contextvars.ContextVar("_shared_tree", default=(None, None))
+
+
+def _solves_dyadic(points: PointCloud, rng: ScaleRange) -> bool:
+    """Whether cover_cost_function solves the cell on the dyadic tree (else the interval DP)."""
+    return points.dimension_n > 1 or rng.theta == 0.0
+
+
+@contextlib.contextmanager
+def _shared_bbox_tree(points: PointCloud, ranges):
+    """While open, cover_cost_function solves the dyadic cells of ranges on one tree.
+
+    The tree spans the levels of every such cell, from the coarsest top to
+    the finest bottom, and each cell solves on its own band of it; a cell
+    past MAX_DEPTH is left out, to raise DepthLimitError when it is solved.
+    It is held in a context variable, so other threads and tasks do not
+    see it, and dropped on exit.
+    """
+    levels = []
+    for rng in ranges:
+        if _solves_dyadic(points, rng):
+            try:
+                levels.append(_bbox_levels(points, rng))
+            except DepthLimitError:
+                pass
+    tree = None
+    if levels:
+        tops, bottoms = zip(*levels)
+        tree = _DyadicTree(points, points.bbox[0], points.side, min(tops), max(bottoms))
+    token = _shared_tree.set((points, tree))
+    try:
+        yield
+    finally:
+        _shared_tree.reset(token)
 
 
 def _rescale(points: PointCloud):
@@ -474,9 +568,9 @@ def optimal_cover_dyadic(
     tree = _bbox_tree(points, rng)
     _, rows = tree.chosen(s)
     picks = []  # (first bottom-level row, set): sorting gives depth-first order
-    for i, (start, r) in enumerate(zip(tree.leaf_starts(), rows)):
-        side = tree.scale * 2.0 ** -(tree.top + i)
-        for key, cell in zip(start[r].tolist(), tree.cells[i][r].tolist()):
+    for level, start, r in zip(itertools.count(tree.top), tree.leaf_starts(), rows):
+        side = tree.scale * 2.0**-level
+        for key, cell in zip(start[r].tolist(), tree.level_cells(level)[r].tolist()):
             center = tuple(lo + (c + 0.5) * side for c, lo in zip(cell, points.bbox[0]))
             picks.append((key, CoverSet(center, side)))
     sets = [cube for _, cube in sorted(picks, key=lambda pick: pick[0])]
@@ -489,13 +583,20 @@ def cover_cost_function(points: PointCloud, rng: ScaleRange, scale_menu_size: in
     The solver's costs(ss) gives the optimal cover cost at each s in a
     list, and its batch_size how many s values one call should carry.
     1-D with theta > 0: the interval DP over the geometric menu, as in
-    optimal_cover_1d, one pass for a batch of s.  Otherwise the dyadic
-    tree, giving the cost optimal_cover_dyadic reports, one pass per s.
+    optimal_cover_1d, one pass for a batch of s.  Otherwise the band of
+    the cell's levels in the dyadic tree, giving the cost
+    optimal_cover_dyadic reports, one pass per s: a band of the cloud's
+    shared tree while _shared_bbox_tree holds one that spans them, else of
+    a tree built on just those levels.
     """
-    if points.dimension_n == 1 and rng.theta > 0.0:
+    if not _solves_dyadic(points, rng):
         menu = geometric_menu(rng.lo, rng.hi, scale_menu_size)
         return _IntervalDP(points.array[:, 0], menu)
-    return _bbox_tree(points, rng)
+    top, bottom = _bbox_levels(points, rng)
+    cloud, tree = _shared_tree.get()
+    if cloud is not points or tree is None or not tree.top <= top <= bottom <= tree.bottom:
+        tree = _DyadicTree(points, points.bbox[0], points.side, top, bottom)
+    return _DyadicBand(tree, top, bottom)
 
 
 def refine_cover(cover: RestrictedCover, phi: float, new_delta: float) -> RestrictedCover:

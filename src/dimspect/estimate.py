@@ -29,7 +29,7 @@ from .core import (
     check_number,
     theta_grid,
 )
-from .covers import MAX_MENU, cover_cost_function, guarded_ceil
+from .covers import MAX_MENU, _shared_bbox_tree, cover_cost_function, guarded_ceil
 
 BISECTION_TOL = 1e-3
 TRUNCATION_SAFETY = 4
@@ -161,10 +161,13 @@ def estimate_spectrum(
     with no admissible delta raises before later rows are solved.  The
     theta = 0 entry uses unrestricted dyadic covers (floored at MAX_DEPTH)
     and raw exponents: its finite-resolution bias does not follow the
-    drift model.  A row whose lower or upper value falls below the running
-    max of the rows before it (theta > 0) by more than TOL_MONO_ESTIMATED
-    raises EstimateNotMonotoneError: the deltas are too coarse for the
-    cloud.
+    drift model.  Its cells, like every dyadic cell (any theta in R^2 and
+    R^3), solve on their bands of levels in one bounding-box tree built
+    before the rows, which stores levels only down to where every point
+    is alone, however deep the bands reach.  A row whose lower or upper
+    value falls below the running max of the rows before it (theta > 0)
+    by more than TOL_MONO_ESTIMATED raises EstimateNotMonotoneError: the
+    deltas are too coarse for the cloud.
     """
     thetas = theta_grid(grid)
     deltas = [check_number(d, "delta", 0, 1) for d in delta_sequence]
@@ -174,35 +177,42 @@ def estimate_spectrum(
         raise ValidationError("delta sequence must be strictly decreasing")
 
     n = float(points.dimension_n)
-    samples = []
-    peaks = [-math.inf, -math.inf]  # running max of the lower and upper columns over theta > 0
+    rows = []  # per theta, the bands of its admissible deltas
     for theta in thetas:
-        row = []
+        rows.append([])
         for delta in deltas:
             try:
-                ScaleRange(delta, theta)
+                rows[-1].append(ScaleRange(delta, theta))
             except ScaleRangeTooDeepError:
                 continue
-            row.append(critical_exponent(points, delta, theta, threshold, scale_menu_size))
-        if not row:
-            raise ScaleRangeTooDeepError(
-                f"no admissible delta at theta={theta}: "
-                f"delta**(1/theta) falls below MIN_SCALE for every delta"
-            )
-        values = _drift_corrected(row) if theta > 0.0 else {c.delta: c.s_star for c in row}
-        picked = [values[d] for d in sorted(values)[:2]]
-        lower = max(0.0, min(min(picked), n))
-        upper = max(lower, min(max(picked), n))
-        columns = (("lower", lower), ("upper", upper)) if theta > 0.0 else ()
-        for i, (column, v) in enumerate(columns):  # theta = 0 is exempt, as in DimensionSpectrum
-            if v < peaks[i] - TOL_MONO_ESTIMATED:
-                raise EstimateNotMonotoneError(
-                    f"estimated {column} value falls at theta={theta}: {v} < running max "
-                    f"{peaks[i]} - {TOL_MONO_ESTIMATED}; the deltas {deltas} are too "
-                    f"coarse for the cloud"
+    samples = []
+    peaks = [-math.inf, -math.inf]  # running max of the lower and upper columns over theta > 0
+    with _shared_bbox_tree(points, [rng for ranges in rows for rng in ranges]):
+        for theta, ranges in zip(thetas, rows):
+            row = [
+                critical_exponent(points, rng.delta, theta, threshold, scale_menu_size)
+                for rng in ranges
+            ]
+            if not row:
+                raise ScaleRangeTooDeepError(
+                    f"no admissible delta at theta={theta}: "
+                    f"delta**(1/theta) falls below MIN_SCALE for every delta"
                 )
-            peaks[i] = max(peaks[i], v)
-        samples.append(SpectrumSample(theta, lower, upper, "estimated"))
+            values = _drift_corrected(row) if theta > 0.0 else {c.delta: c.s_star for c in row}
+            picked = [values[d] for d in sorted(values)[:2]]
+            lower = max(0.0, min(min(picked), n))
+            upper = max(lower, min(max(picked), n))
+            columns = (("lower", lower), ("upper", upper)) if theta > 0.0 else ()
+            # theta = 0 is exempt, as in DimensionSpectrum
+            for i, (column, v) in enumerate(columns):
+                if v < peaks[i] - TOL_MONO_ESTIMATED:
+                    raise EstimateNotMonotoneError(
+                        f"estimated {column} value falls at theta={theta}: {v} < running max "
+                        f"{peaks[i]} - {TOL_MONO_ESTIMATED}; the deltas {deltas} are too "
+                        f"coarse for the cloud"
+                    )
+                peaks[i] = max(peaks[i], v)
+            samples.append(SpectrumSample(theta, lower, upper, "estimated"))
     return DimensionSpectrum(ambient_n=points.dimension_n, samples=tuple(samples))
 
 

@@ -225,10 +225,16 @@ class TestThetaGrid:
 
 class TestDimensionSpectrum:
     def test_crossing_rejected(self):
-        with pytest.raises(InvariantError):
+        with pytest.raises(InvariantError, match=r"^lower 0\.9 > upper 0\.2 at theta=0\.5$"):
             DimensionSpectrum(
                 ambient_n=1, samples=(SpectrumSample(0.5, 0.9, 0.2, "exact"),)
             )
+
+    def test_negative_lower_rejected_as_negative(self):
+        # a negative lower under a larger upper is not a crossing
+        with pytest.raises(InvariantError, match=r"^lower -0\.1 < 0 at theta=0\.5$"):
+            DimensionSpectrum(1, (SpectrumSample(0.5, -0.1, 0.5, "exact"),))
+        DimensionSpectrum(1, (SpectrumSample(0.5, -1e-13, 0.5, "exact"),))  # inside the slack
 
     def test_above_ambient_rejected(self):
         with pytest.raises(InvariantError):

@@ -24,12 +24,15 @@ from dimspect import (
     refine_cover,
 )
 from dimspect.core import MAX_DEPTH
+from dimspect import covers
 from dimspect.covers import (
     MAX_MENU,
     TABLE_BUDGET,
+    _bbox_levels,
     _bbox_tree,
     _DyadicTree,
     _IntervalDP,
+    _shared_bbox_tree,
     cover_cost_function,
 )
 from conftest import point_clouds
@@ -319,10 +322,23 @@ def anchored_clouds(draw):
 def assert_tree_equals_reference(cloud, origin, scale, top, bottom):
     tree = _DyadicTree(cloud, origin, scale, top, bottom)
     cells, parents, first_point = unique_dyadic_tree(cloud, origin, scale, top, bottom)
-    assert len(tree.cells) == len(cells) and len(tree.parents) == len(parents)
+    # The stored levels end at the first whose cells hold one point each, or at bottom.
+    alone = next((top + i for i, c in enumerate(cells) if len(c) == len(cloud)), bottom)
+    assert tree.alone == alone
+    stored = alone - top + 1
+    assert len(tree.cells) == stored and len(tree.parents) == stored - 1
     assert all(np.array_equal(a, b) for a, b in zip(tree.cells, cells))
     assert all(np.array_equal(a, b) for a, b in zip(tree.parents, parents))
+    # Below them the levels are derived; each cell is its parent's only child.
+    for level in range(top, bottom + 1):
+        assert np.array_equal(tree.level_cells(level), cells[level - top])
+    assert all(np.array_equal(p, np.arange(len(p))) for p in parents[stored - 1 :])
     assert np.array_equal(tree.first_point, first_point)
+    starts = [np.arange(len(cells[-1]))]
+    for parent in reversed(parents):
+        starts.insert(0, starts[0][np.flatnonzero(np.diff(parent, prepend=-1))])
+    assert len(tree.leaf_starts()) == len(starts)
+    assert all(np.array_equal(a, b) for a, b in zip(tree.leaf_starts(), starts))
 
 
 class TestDyadicTreeMatchesUniqueBuild:
@@ -363,6 +379,96 @@ class TestDyadicTreeMatchesUniqueBuild:
         for s in (0.0, float(n), data.draw(st.floats(0.0, n))):
             powers, rows = tree.chosen(s)
             assert tree.cost(s) == math.fsum(np.repeat(powers, [len(r) for r in rows]))
+
+
+@st.composite
+def clouds_with_close_pairs(draw):
+    """A cloud in R^1..R^3; half of them hold a pair closer than 2**-30 of the bounding box.
+
+    The twin moves one coordinate of a point by side * 2**-k, k in 31..45,
+    inside the box where it can, so the level where every point is alone
+    falls to about k, or past MAX_DEPTH, where the pair shares a cell.
+    """
+    cloud = draw(point_clouds())
+    if draw(st.booleans()):
+        n, pts, maxs = cloud.dimension_n, list(cloud.points), cloud.bbox[1]
+        p, axis = draw(st.sampled_from(pts)), draw(st.integers(0, n - 1))
+        step = cloud.side * 2.0 ** -draw(st.integers(31, 45))
+        x = p[axis] + step if p[axis] + step <= maxs[axis] else p[axis] - step
+        cloud = PointCloud.from_points(pts + [p[:axis] + (x,) + p[axis + 1 :]], dimension_n=n)
+    return cloud
+
+
+def assert_bands_equal_fresh_trees(cloud, cells, ss):
+    """Within _shared_bbox_tree, each dyadic cell's costs at ss are those of a fresh tree
+    over its levels and of recursive_dyadic_cover, bit for bit.  Returns the shared tree
+    and the cells' (top, bottom) levels.
+    """
+    ranges = []
+    for delta, theta in cells:
+        try:
+            ranges.append(ScaleRange(delta, theta))
+        except ScaleRangeTooDeepError:
+            pass
+    levels = []
+    with _shared_bbox_tree(cloud, ranges):
+        assert covers._shared_tree.get()[0] is cloud
+        shared = covers._shared_tree.get()[1]
+        for rng in ranges:
+            if cloud.dimension_n == 1 and rng.theta > 0.0:
+                continue  # the interval DP's cell
+            try:
+                top, bottom = _bbox_levels(cloud, rng)
+            except DepthLimitError:
+                with pytest.raises(DepthLimitError):
+                    cover_cost_function(cloud, rng)
+                continue
+            levels.append((top, bottom))
+            band = cover_cost_function(cloud, rng)
+            assert band.tree is shared and (band.top, band.bottom) == (top, bottom)
+            fresh = _DyadicTree(cloud, cloud.bbox[0], cloud.side, top, bottom)
+            got = band.costs(ss)
+            assert got == [fresh.cost(s) for s in ss]
+            assert got == [recursive_dyadic_cover(cloud, rng, s).cost for s in ss]
+    assert (shared is None) == (not levels)
+    assert covers._shared_tree.get() == (None, None)
+    return shared, levels
+
+
+class TestSharedTree:
+    """estimate_spectrum's one tree: each dyadic cell solves on its band of levels."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cloud=clouds_with_close_pairs(), data=st.data())
+    def test_bands_equal_fresh_trees_and_recursion(self, cloud, data):
+        n = cloud.dimension_n
+        alone = _DyadicTree(cloud, cloud.bbox[0], cloud.side, 0, MAX_DEPTH).alone
+        root_diam = cloud.side * math.sqrt(n)
+        # deep deltas: a cell whose top is at or below the alone level
+        delta = st.one_of(
+            st.floats(1e-3, 0.9),
+            st.tuples(st.integers(0, 3), st.floats(1.0, 1.9)).map(
+                lambda t: root_diam * 2.0 ** -(alone + t[0]) * t[1]
+            ),
+        )
+        theta = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+        cells = data.draw(st.lists(st.tuples(delta, theta), min_size=1, max_size=5))
+        cells.append((data.draw(delta), 0.0))
+        cells = [(d, t) for d, t in cells if 0.0 < d < 1.0]
+        ss = [0.0, float(n), data.draw(st.floats(0.0, n))]
+        assert_bands_equal_fresh_trees(cloud, cells, ss)
+
+    @pytest.mark.parametrize("k", [31, 38, 45])
+    def test_close_pair_row_at_theta_zero(self, k):
+        # one pair 2**-k of the box apart: the alone level is about k, and
+        # the deep cells' top lies at or below it
+        pts = [(0.5, 0.25), (0.5 + 2.0**-k, 0.25), (0.0, 0.0), (1.0, 0.75), (0.3, 1.0)]
+        cloud = PointCloud.from_points(pts)
+        deep = math.sqrt(2) * 2.0**-k  # top level k
+        cells = [(d, t) for d in (0.1, 0.01, deep) for t in (0.0, 0.9, 1.0)]
+        shared, levels = assert_bands_equal_fresh_trees(cloud, cells, [0.0, 0.6, 1.3, 2.0])
+        assert any(top >= shared.alone for top, _ in levels) == (k <= MAX_DEPTH)
+        assert shared.alone == min(k, shared.bottom)
 
 
 @st.composite

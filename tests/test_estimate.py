@@ -1,11 +1,14 @@
+import gc
 import math
 import sys
+import weakref
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dimspect import (
+    DepthLimitError,
     EstimateNotMonotoneError,
     InvariantError,
     PointCloud,
@@ -21,7 +24,7 @@ from dimspect import (
     carpet_points,
     geometric_menu,
 )
-from dimspect import estimate
+from dimspect import covers, estimate
 from dimspect.core import MAX_POINTS
 from dimspect.estimate import BISECTION_TOL, _drift_corrected
 from conftest import point_clouds
@@ -140,6 +143,63 @@ class TestSolverCalls:
             critical_exponent(cloud, 0.1, theta)
             levels = math.ceil(math.log2(cloud.dimension_n / BISECTION_TOL))
             assert [len(call) for call in solver_calls] == [1] * (2 + levels + 1)
+
+
+@pytest.fixture
+def built_trees(monkeypatch) -> list:
+    """A weak reference to each covers._DyadicTree built while the fixture is active."""
+    built = []
+    real = covers._DyadicTree.__init__
+
+    def counting(self, *args):
+        built.append(weakref.ref(self))
+        real(self, *args)
+
+    monkeypatch.setattr(covers._DyadicTree, "__init__", counting)
+    return built
+
+
+class TestOneTreePerSpectrum:
+    def test_carpet_spectrum_builds_one_tree(self, built_trees, worked_carpet):
+        cloud = carpet_points(worked_carpet, 5)
+        spectrum = estimate_spectrum(cloud, (0.0, 0.5, 1.0), (0.1, 0.03, 0.01))
+        assert len(built_trees) == 1
+        assert spectrum.thetas() == (0.0, 0.5, 1.0)
+
+    def test_interval_dp_spectrum_builds_none(self, built_trees):
+        estimate_spectrum(fp_points(1.0, 1e-3), (0.5, 0.75, 1.0), (1e-1, 1e-2, 1e-3))
+        assert built_trees == []
+
+    def test_lone_cells_build_their_own(self, built_trees, worked_carpet):
+        cloud = carpet_points(worked_carpet, 5)
+        for delta in (0.1, 0.03):
+            critical_exponent(cloud, delta, 0.5)
+        assert len(built_trees) == 2
+
+    def test_too_deep_cell_raises_in_its_turn(self, built_trees, monkeypatch):
+        # delta=1e-7 needs level 44 on a box of side 2**20: the tree spans the
+        # other two cells, and the third raises when it is solved
+        cloud = PointCloud.from_points([(0.0, 0.0), (2.0**20, 0.0), (3.0, 5.0)])
+        solved = []
+        real = estimate.critical_exponent
+        monkeypatch.setattr(
+            estimate, "critical_exponent", lambda *args: solved.append(args[1]) or real(*args)
+        )
+        with pytest.raises(DepthLimitError):
+            estimate_spectrum(cloud, (1.0,), (0.9, 1e-3, 1e-7))
+        assert solved == [0.9, 1e-3, 1e-7]
+        assert len(built_trees) == 1
+
+    def test_no_tree_outlives_its_cloud(self, built_trees, worked_carpet):
+        cloud = carpet_points(worked_carpet, 5)
+        estimate_spectrum(cloud, (0.0, 0.5, 1.0), (0.1, 0.03, 0.01))
+        with pytest.raises(ValidationError):  # a cell that raises leaves none either
+            estimate_spectrum(cloud, (0.0, 0.5), (0.1, 0.03, 0.01), threshold=-1.0)
+        assert len(built_trees) == 2
+        del cloud
+        gc.collect()
+        assert all(tree() is None for tree in built_trees)
+        assert covers._shared_tree.get() == (None, None)
 
 
 class TestLookaheadMatchesSequentialBisection:
