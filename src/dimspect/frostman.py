@@ -10,20 +10,26 @@ certifies dimension >= s at sampling confidence.
 
 Measures are AtomicMeasure's two arrays, points and masses, from the
 builders to the probes.  Both builder and check probe ball masses the
-same way (_ball_masses): with the atoms sorted by their first coordinate,
-searchsorted finds the window within r (1 + 1e-9) of the center on that
-axis, and a numpy sum of squared coordinate differences decides the
-atoms clearly inside or outside the ball, within a relative 1e-9 of
-r*r.  Only the atoms in between go to the exact test, an fsum of the
-squared differences against r*r.  Window and pre-test agree with the
-exact test, so masses are the full scan's bit for bit.  The cascade
+same way (_ball_masses), all probes of a call at once.  The atoms are
+sorted once by row, a cell of side the largest radius on the axes after
+the first, and then by their first coordinate.  Each probe reads, in the
+few rows its box meets, the run of atoms whose first coordinate is
+within r (1 + 1e-9) of the center, found by searchsorted.  A numpy sum
+of squared coordinate differences, taken over groups of whole probes,
+decides the atoms clearly inside or outside the ball, within a relative
+1e-9 of r*r.  Only the atoms in between go to the exact test, an fsum of
+the squared differences against r*r.  Rows, runs and pre-test agree with
+the exact test, so masses are the full scan's bit for bit.  The cascade
 sums each cube's masses with np.add.reduceat the same way: only a cube
 whose float total, widened by its rounding bound, exceeds the cap has
-its total taken with fsum.
+its total taken with fsum.  separated_witness_measure buckets its kept
+points in cells of side delta, so each point is tested against the few
+kept points near it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -45,6 +51,10 @@ WEAK_BAND_RATIO = 10.0
 
 # Most random probes one call draws: 500x the default of 200.
 MAX_BALL_SAMPLES = 100_000
+
+# Candidate atoms _ball_masses pre-tests at once (more only when one
+# probe alone has more): its buffers, reused group after group, stay small.
+GROUP_CANDIDATES = 1024
 
 
 @dataclass(frozen=True)
@@ -95,70 +105,197 @@ def _squared_distance(p, q) -> float:
         return math.inf
 
 
+def _grid(y: np.ndarray, side: float, cells: int) -> tuple[float, float, int] | None:
+    """(base, width, count) of a row of cells over the values y, or None if their extent overflows.
+
+    Cell i holds the v with floor(fl(fl(v - base) / width)) = i, base =
+    min(y), and _cells clips the index to [0, count - 1]: a monotone
+    function of v, so a value between two others has its cell between
+    theirs.  The width is side, or wider where more than `cells` cells
+    would be needed to span y.
+    """
+    base = y.min()
+    extent = y.max() - base
+    if not extent < math.inf:
+        return None
+    width = max(side, extent / cells)
+    return base, width, int(np.floor(extent / width)) + 1
+
+
+def _cells(v: np.ndarray, grid: tuple[float, float, int]) -> np.ndarray:
+    """The cell index of each value in v on a _grid row, clipped to its cells."""
+    base, width, count = grid
+    return np.clip(np.floor((v - base) / width), 0, count - 1).astype(np.int64)
+
+
+def _probe_rows(points: np.ndarray, centres: np.ndarray, reach: np.ndarray, normal: np.ndarray):
+    """Row of every atom, and the (probe, row) pairs the probes read, probe by probe.
+
+    A row is a cell of side w on the axes after the first (_grid), w the
+    largest reach of a normal probe, numbered by the mixed-radix number
+    of its cell indices.  A normal probe reads the rows between the cells
+    of fl(x_k - reach) and fl(x_k + reach) on every row axis: at most 3
+    per axis, as 2 reach <= 2 w, or 4 where rounding widens the span.
+    Any other probe gets row 0 only, which the caller widens to every
+    atom.  An axis whose extent overflows is no row axis, and the cells
+    widen where rows times atoms would pass 2**62.  Returns the atoms'
+    rows, each pair's probe and row, and the pair count of every probe.
+    """
+    count, n = points.shape
+    rows = np.zeros(count, np.int64)
+    probe = np.arange(len(centres))
+    pair_rows = np.zeros(len(centres), np.int64)
+    side = reach[normal].max(initial=0.0)
+    # cells per axis, so that (cells + 1)**(n - 1) * count < 2**62
+    cells = int((2**62 // count) ** (1.0 / max(n - 1, 1))) - 2
+    for k in range(1, n) if side > 0.0 and cells > 0 else ():
+        grid = _grid(points[:, k], side, cells)
+        if grid is None:
+            continue
+        rows = rows * grid[2] + _cells(points[:, k], grid)
+        lo, hi = (_cells(centres[:, k] + sign * reach, grid) for sign in (-1.0, 1.0))
+        lo = np.where(normal, lo, 0)
+        # each pair becomes one pair per cell of its probe on this axis
+        span = np.where(normal, hi - lo + 1, 1).take(probe)
+        heads = np.cumsum(span) - span
+        probe = np.repeat(probe, span)
+        pair_rows = np.repeat(pair_rows * grid[2], span) + lo.take(probe)
+        pair_rows += np.arange(len(probe)) - np.repeat(heads, span)
+    return rows, probe, pair_rows, np.bincount(probe, minlength=len(centres))
+
+
+def _probe_runs(points: np.ndarray, centres: np.ndarray, reach: np.ndarray, normal: np.ndarray):
+    """The atoms sorted by key, row * N + rank of p_0, and the runs of that order the probes read.
+
+    Run j holds the atoms of pair j's row (_probe_rows) whose p_0 is in
+    [fl(x_0 - reach), fl(x_0 + reach)]: searchsorted finds the ranks of
+    the two ends among the sorted p_0, then the keys of the row at those
+    ranks among the sorted keys.  A probe whose r*r is not normal reads
+    every atom.  Laid end to end, the runs number the candidates.
+    Returns the order; first, probe i's runs being first[i]:first[i + 1];
+    start, its candidates being start[i]:start[i + 1]; and each run's
+    length and shift, candidate c of run j being atom c + shift[j].
+    """
+    count = len(points)
+    rows, probe, pair_rows, per_probe = _probe_rows(points, centres, reach, normal)
+    by_x = np.argsort(points[:, 0], kind="stable")
+    axis0 = points[:, 0].take(by_x)
+    rows *= count
+    rows[by_x] += np.arange(count)
+    order = np.argsort(rows)
+    rows = rows.take(order)
+    pair_rows *= count
+    begins, ends = (
+        rows.searchsorted(pair_rows + axis0.searchsorted(end, side).take(probe))
+        for end, side in ((centres[:, 0] - reach, "left"), (centres[:, 0] + reach, "right"))
+    )
+    wide = ~normal.take(probe)
+    begins[wide], ends[wide] = 0, count
+    lengths = ends - begins
+    heads = np.cumsum(lengths) - lengths
+    first = np.append(0, np.cumsum(per_probe))
+    start = np.append(heads, heads[-1] + lengths[-1]).take(first)
+    return order, first, start, lengths, begins - heads
+
+
 def _ball_masses(measure: AtomicMeasure, probes) -> list[float]:
     """mu(B(x, r)) = fsum of the masses of atoms p with _squared_distance(p, x) <= r*r, per probe.
 
-    probes are (x, r) pairs with r > 0.  The atoms are put once in stable
-    order by coordinate 0; fsum is exact, so their order does not change
-    a mass.  Each probe then reads the window of atoms with p_0 in
-    [fl(x_0 - reach), fl(x_0 + reach)], reach = fl(r (1 + 1e-9)), found
-    by searchsorted, and sums their squared coordinate differences in
-    numpy.  Atoms whose numpy sum is below r*r (1 - 1e-9) are inside,
-    those above r*r (1 + 1e-9) outside, and only the ones in between go
-    to the exact test.  Both shortcuts agree with it:
+    probes are (x, r) pairs with r > 0.  The atoms are sorted once by
+    (row, p_0), rows being the cells of _probe_rows, as the keys row * N
+    + rank of p_0; fsum is exact, so their order does not change a mass.
+    In each row a probe reads, the atoms with p_0 in [fl(x_0 - reach),
+    fl(x_0 + reach)], reach = fl(r (1 + 1e-9)), are one run of keys
+    (_probe_runs).  The runs of whole probes are gathered in groups of at
+    most GROUP_CANDIDATES candidate atoms (or one probe's, if more), in
+    buffers reused from group to group, and the squares of their
+    coordinate differences summed in numpy.  Atoms whose numpy
+    sum is below r*r (1 - 1e-9) are inside, those above r*r (1 + 1e-9)
+    outside, and only the ones in between go to the exact test.  Both
+    shortcuts agree with it:
 
-    - The window drops only atoms the exact test rejects.  Rounding is
-      monotone, so an atom with p_0 < fl(x_0 - reach) has p_0 < x_0 -
-      reach, and then |fl(p_0 - x_0)| >= reach (the same from above).
+    - The runs drop only atoms the exact test rejects.  Rounding is
+      monotone, so an atom with p_k < fl(x_k - reach) has p_k < x_k -
+      reach, and then |fl(p_k - x_k)| >= reach (the same from above).
       Its square, within a few ulps, is above fl(r*r), and so is the
-      fsum, which is at least its largest term.
+      fsum, which is at least its largest term.  An atom inside thus
+      has every p_k in [fl(x_k - reach), fl(x_k + reach)]; its p_0 is in
+      the run, and, as a cell index is a monotone function of the
+      coordinate, computed the same way for atoms and ends, its cell on
+      each row axis lies between those of the two ends: its row is one
+      the probe reads.
     - The numpy differences are the exact test's bits (both are one
       rounded subtraction), and d * d is the correctly rounded square.
-      A float sum of n non-negative terms is within gamma(n-1) of their
-      exact sum, gamma(k) = k u / (1 - k u), u = 2**-53, and fsum's
-      rounding adds u; a `**` that is off by a few ulps adds a few u
-      more.  The margin of 1e-9 covers all of that for n < 10**6 terms,
-      and underflowed squares, off by at most 2**-1075 each, are
-      negligible against r*r >= 2**-1022.  A square or sum that
-      overflows reads inf on both sides.
+      A float sum of n non-negative terms, in any order, is within
+      gamma(n-1) of their exact sum, gamma(k) = k u / (1 - k u), u =
+      2**-53, and fsum's rounding adds u; a `**` that is off by a few
+      ulps adds a few u more.  The margin of 1e-9 covers all of that
+      for n < 10**6 terms, and underflowed squares, off by at most
+      2**-1075 each, are negligible against r*r >= 2**-1022.  A square
+      or sum that overflows reads inf on both sides.
 
     So the fsum of the kept masses is the full scan's bit for bit.  It
-    needs r*r normal: where r*r underflows or overflows, the window and
-    the pre-test are skipped and every atom goes to the exact test.
+    needs r*r normal: where r*r underflows or overflows, the probe reads
+    every atom, and every atom goes to the exact test.
     """
-    order = np.argsort(measure.points[:, 0], kind="stable")
-    # one contiguous row per axis: summing the squares over axis 0 is then
-    # n - 1 elementwise adds, where over the atoms' rows it is a slow reduction
-    coords = np.ascontiguousarray(measure.points.take(order, 0).T)
-    weights = measure.masses.take(order)
-    n, axis0 = len(coords), coords[0]
+    if not probes:
+        return []
+    points = measure.points
+    n = points.shape[1]
     # past 10**6 coordinates the margin no longer covers the sum's rounding
     margin = 1e-9 if n < 10**6 else math.inf
-    centres = np.array([x for x, _ in probes], dtype=float).reshape(len(probes), n, 1)
+    centres = np.array([x for x, _ in probes], dtype=float).reshape(len(probes), n)
     radii = np.array([r for _, r in probes], dtype=float)
-    masses = []
+    masses: list[float] = []
     with np.errstate(over="ignore", under="ignore"):
-        # r*r and the window's ends, rounded as Python rounds them; where
-        # r*r is not normal, the window is everything and every atom unsure
+        # r*r and the windows' ends, rounded as Python rounds them
         r2s = radii * radii
         normal = (r2s >= sys.float_info.min) & (r2s <= sys.float_info.max)
         reach = np.where(normal, radii * (1.0 + 1e-9), np.inf)
-        begins = axis0.searchsorted(centres[:, 0, 0] - reach, "left")
-        ends = axis0.searchsorted(centres[:, 0, 0] + reach, "right")
         inner = np.where(normal, r2s * (1.0 - margin), -np.inf)
         outer = np.where(normal, r2s * (1.0 + margin), np.inf)
-        bounds = (v.tolist() for v in (r2s, begins, ends, inner, outer))
-        for (x, _), centre, r2, a, b, lo, hi in zip(probes, centres, *bounds):
-            d = coords[:, a:b] - centre
-            d *= d
-            sq = d.sum(0)
-            keep = sq < lo
-            near = sq <= hi
-            if np.count_nonzero(near) > np.count_nonzero(keep):
-                unsure = np.flatnonzero(near & ~keep)
-                rows = coords[:, a:b].take(unsure, 1).T.tolist()
-                keep[unsure] = [_squared_distance(p, x) <= r2 for p in rows]
-            masses.append(math.fsum(weights[a:b][keep].tolist()))
+        order, first, start, lengths, shift = _probe_runs(points, centres, reach, normal)
+        counts = np.diff(start)
+        size = max(GROUP_CANDIDATES, int(counts.max()))
+        coords = points.T.take(order, 1)  # one contiguous row per axis
+        weights = measure.masses.take(order)
+        sq, d, t = np.empty(size), np.empty(size), np.empty(size)
+        keep, near = np.empty(size, bool), np.empty(size, bool)
+        i = 0
+        while i < len(probes):
+            # whole probes, up to GROUP_CANDIDATES candidates or one probe
+            j = max(i + 1, int(start.searchsorted(start[i] + GROUP_CANDIDATES, "right")) - 1)
+            m = int(start[j] - start[i])
+            pairs = slice(first[i], first[j])
+            at = np.repeat(shift[pairs], lengths[pairs])
+            at += np.arange(m)
+            at += start[i]
+            owner = np.repeat(np.arange(i, j), counts[i:j])
+            sqs, ds, ts, keeps, nears = sq[:m], d[:m], t[:m], keep[:m], near[:m]
+            for k in range(n):
+                coords[k].take(at, out=ds, mode="clip")
+                centres[:, k].take(owner, out=ts, mode="clip")
+                np.subtract(ds, ts, out=ds)
+                if k == 0:
+                    np.multiply(ds, ds, out=sqs)
+                else:
+                    np.multiply(ds, ds, out=ds)
+                    np.add(sqs, ds, out=sqs)
+            inner.take(owner, out=ts, mode="clip")
+            np.less(sqs, ts, out=keeps)
+            outer.take(owner, out=ts, mode="clip")
+            np.less_equal(sqs, ts, out=nears)
+            # inner <= outer: near and not kept is near != keep
+            np.not_equal(nears, keeps, out=nears)
+            unsure = np.flatnonzero(nears)
+            if len(unsure):
+                cases = zip(coords.take(at[unsure], 1).T.tolist(), owner[unsure].tolist())
+                keeps[unsure] = [_squared_distance(p, probes[o][0]) <= r2s[o] for p, o in cases]
+            inside = np.flatnonzero(keeps)
+            kept = weights.take(at.take(inside)).tolist()
+            cuts = inside.searchsorted(start[i : j + 1] - start[i]).tolist()
+            masses.extend(math.fsum(kept[a:b]) for a, b in zip(cuts, cuts[1:]))
+            i = j
     return masses
 
 
@@ -333,7 +470,9 @@ def check_mdp(
     log-uniform over the admissible band.  A band narrower than one decade
     is flagged weak: it certifies little.  theta = 0 is refused: the band
     would read [delta, 1], large balls only, not the diameters up to delta
-    that unrestricted covers use.
+    that unrestricted covers use.  So are s and c for which the smallest
+    bound, c * delta**s, is not a positive normal float: a ratio over it
+    would divide by 0 or read inf.
     """
     s, a, c = (check_number(v, name, 0) for v, name in ((s, "s"), (a, "a"), (c, "c")))
     ball_samples = check_number(ball_samples, "ball_samples", 1, MAX_BALL_SAMPLES, "[]", True)
@@ -344,6 +483,12 @@ def check_mdp(
     entries = []
     for index, (delta, measure) in enumerate(measures):
         delta = check_number(delta, "delta", 0, 1)
+        smallest = c * delta**s
+        if smallest < sys.float_info.min:  # 0 or subnormal
+            raise ValidationError(
+                f"exponent s={s} and constant c={c} are too far apart for delta={delta}: "
+                f"c * delta**s = {smallest}, the smallest bound, must be a positive normal float"
+            )
         diam_lo, diam_hi = delta, delta**theta
         rnd = random.Random(seed * 1000003 + index)
         centres = measure.points.tolist()
@@ -401,13 +546,34 @@ def separated_witness_measure(points: PointCloud, delta: float) -> AtomicMeasure
     First-fit over lexicographic order: keep a point iff it is at distance
     >= delta from everything kept so far.  The atom count is the
     separation number driving box-counting style lower bounds.
+
+    The kept points are bucketed by their cells of side delta (_grid;
+    wider on a cloud more than 2**40 delta across), and a point is tested
+    only against the kept points in the cells between those of fl(p_k -
+    delta) and fl(p_k + delta), the 3**n cells about it.  That drops only
+    points that cannot reject it: a q with q_k outside [fl(p_k - delta),
+    fl(p_k + delta)] has |fl(p_k - q_k)| >= delta (the argument of
+    _ball_masses), so its squared distance is at least delta**2, above
+    the threshold.
     """
     delta = check_number(delta, "delta", 0, math.sqrt(sys.float_info.max))  # a finite square
     threshold = (delta * (1.0 - 1e-9)) ** 2
     if threshold < sys.float_info.min:  # squared distances below it would read 0
         raise ValidationError(f"delta {delta} is too small: its squared separation underflows")
+    pts = points.array
+    # a PointCloud's extent is finite, so every axis has a grid; at most
+    # 2**40 cells keep the indices exact and a window 3 (rarely 4) cells wide
+    grids = [_grid(y, delta, 2**40) for y in pts.T]
+    # each point's cell and the cells of its window's two ends, a row per point
+    cells, lows, highs = (
+        np.array([_cells(y + shift, grid) for y, grid in zip(pts.T, grids)]).T.tolist()
+        for shift in (0.0, -delta, delta)
+    )
+    buckets: dict[tuple[int, ...], list[list[float]]] = {}
     kept: list[list[float]] = []
-    for p in points.array.tolist():
-        if all(_squared_distance(p, q) >= threshold for q in kept):
+    for p, cell, low, high in zip(pts.tolist(), cells, lows, highs):
+        near = itertools.product(*(range(a, b + 1) for a, b in zip(low, high)))
+        if all(_squared_distance(p, q) >= threshold for c in near for q in buckets.get(c, ())):
             kept.append(p)
+            buckets.setdefault(tuple(cell), []).append(p)
     return AtomicMeasure(np.array(kept), np.full(len(kept), 1.0 / len(kept)))

@@ -10,9 +10,9 @@ continuity envelope taken from every earlier theta, the scalar interval
 DP over every point, the walk for the DP's reachable states, the
 per-state pass of the batched interval DP, the recursive dyadic solver,
 the per-level np.unique dyadic cell tree, the one-s-at-a-time bisection,
-the dict-grouped cap cascade, the full-scan ball mass) and second
-closed-form routes to carpet quantities; the library must match them
-exactly or to rounding.
+the dict-grouped cap cascade, the full-scan ball mass, the all-pairs
+first-fit separation) and second closed-form routes to carpet
+quantities; the library must match them exactly or to rounding.
 """
 
 from __future__ import annotations
@@ -501,3 +501,24 @@ def full_scan_ball_mass(atoms, x, r: float) -> float:
             return math.inf
 
     return math.fsum(m for p, m in atoms if squared_distance(p) <= r2)
+
+
+def loop_separated_points(cloud, delta: float) -> list[list[float]]:
+    """Reference first-fit separation: each point against every point kept before it.
+
+    The loop separated_witness_measure ran before it bucketed the kept
+    points in cells; same threshold, same exact squared distance.
+    """
+    threshold = (delta * (1.0 - 1e-9)) ** 2
+
+    def squared_distance(p, q):
+        try:
+            return math.fsum((a - b) ** 2 for a, b in zip(p, q))
+        except OverflowError:
+            return math.inf
+
+    kept: list[list[float]] = []
+    for p in cloud.array.tolist():
+        if all(squared_distance(p, q) >= threshold for q in kept):
+            kept.append(p)
+    return kept

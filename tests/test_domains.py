@@ -112,9 +112,12 @@ ROWS = [
     ("coupled_truncation.p", lambda v: coupled_truncation(v, 0.01), [0.0]),
     # finite positive s, a, c and threshold
     ("build_frostman_measure.s", lambda v: build_frostman_measure(FP, v, 0.01, 0.5), [0.0]),
-    ("check_mdp.s", lambda v: check_mdp([(1e-3, MEASURE)], v, 0.5, 1.0, 100.0), [0.0]),
+    # check_mdp's s and c also make c * delta**s a positive normal float:
+    # 1e-3**400 is 0, 100 * 1e-3**105 and 1e-320 * 1e-3**0.5 are subnormal
+    ("check_mdp.s", lambda v: check_mdp([(1e-3, MEASURE)], v, 0.5, 1.0, 100.0),
+     [0.0, 105.0, 400.0]),
     ("check_mdp.a", lambda v: check_mdp([(1e-3, MEASURE)], 0.5, 0.5, v, 100.0), [0.0]),
-    ("check_mdp.c", lambda v: check_mdp([(1e-3, MEASURE)], 0.5, 0.5, 1.0, v), [0.0]),
+    ("check_mdp.c", lambda v: check_mdp([(1e-3, MEASURE)], 0.5, 0.5, 1.0, v), [0.0, 1e-320]),
     ("critical_exponent.threshold", lambda v: critical_exponent(CLOUD, 0.01, 0.5, v), [0.0]),
     # s in the two optimizers, [0, 1] and [0, n], and the witness cover, (0, 1)
     ("optimal_cover_1d.s", lambda v: optimal_cover_1d(CLOUD, ScaleRange(0.01, 0.5), v),

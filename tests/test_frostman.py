@@ -29,6 +29,7 @@ from oracles import (
     cascade_level_masses,
     full_scan_ball_mass,
     loop_cap_cascade,
+    loop_separated_points,
     split_cap_runs,
 )
 
@@ -426,6 +427,112 @@ class TestBallMassesMatchFullScan:
         assert exact.call_count > 0
 
 
+def draw_probes(data, pts, radii) -> list:
+    """1 to 12 probes: centres at atoms or anywhere near them, radii drawn from `radii`."""
+    coord = st.floats(-1.0, 6.0, allow_nan=False, allow_infinity=False)
+    centres = st.one_of(st.sampled_from(pts), st.tuples(*[coord] * len(pts[0])))
+    return [
+        (data.draw(centres), data.draw(radii)) for _ in range(data.draw(st.integers(1, 12)))
+    ]
+
+
+def row_count(atoms, probes) -> int:
+    """How many rows the atoms fill under these probes' grid."""
+    points = AtomicMeasure.from_atoms(atoms).points
+    centres = np.array([x for x, _ in probes], dtype=float)
+    reach = np.array([r for _, r in probes]) * (1.0 + 1e-9)
+    rows = frostman._probe_rows(points, centres, reach, np.ones(len(probes), bool))[0]
+    return len(np.unique(rows))
+
+
+class TestBallMassesOnRows:
+    """The row grid, its runs and the probe groups keep every mass equal to the full scan's."""
+
+    def test_atoms_on_row_edges(self):
+        # rows are cells of side w = fl(r (1 + 1e-9)) from y = 0: atoms on
+        # the edges k w and one ulp either side, and probes whose box ends
+        # land on those edges
+        r = 0.25
+        w = r * (1.0 + 1e-9)
+        edges = [k * w for k in range(5)]
+        ys = edges + [math.nextafter(y, math.inf) for y in edges]
+        ys += [math.nextafter(y, -math.inf) for y in edges[1:]]
+        pts = [(x, y) for x in (0.0, 0.1, 0.3) for y in ys]
+        atoms = tuple((p, (i + 1) / 64) for i, p in enumerate(pts))
+        probes = [((0.1, y), rr) for y in ys for rr in (r, r / 2, w / 3)]
+        probes += [((0.0, y + w / 2), w / 2) for y in edges]
+        assert row_count(atoms, probes) == 5
+        expected = [full_scan_ball_mass(atoms, x, rr) for x, rr in probes]
+        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+
+    def test_equal_first_coordinates_in_different_rows(self):
+        pts = [(x, 0.3 * k) for x in (0.25, 0.5, 0.75) for k in range(10)]
+        atoms = tuple((p, 1.0 / len(pts)) for p in pts)
+        probes = [((0.5, 0.3 * k), r) for k in range(10) for r in (0.1, 0.25, 0.3, 0.31)]
+        assert row_count(atoms, probes) > 5
+        expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
+        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(cloud=point_clouds(max_points=40, dimension=3), data=st.data())
+    def test_two_row_axes(self, cloud, data):
+        pts = cloud.points
+        atoms = tuple((p, 1.0 / len(pts)) for p in pts)
+        probes = draw_probes(data, pts, st.floats(1e-3, 2.0))
+        expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
+        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(cloud=point_clouds(max_points=40), data=st.data())
+    def test_one_large_probe_sets_the_rows(self, cloud, data):
+        pts = cloud.points
+        atoms = tuple((p, 1.0 / len(pts)) for p in pts)
+        probes = draw_probes(data, pts, st.floats(1e-3, 0.05))
+        large = (pts[0], data.draw(st.floats(1.0, 1e3)))
+        probes.insert(data.draw(st.integers(0, len(probes))), large)
+        expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
+        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+
+    def test_radii_whose_square_is_not_normal_among_normal_ones(self):
+        # r*r underflows (1e-200, 5e-324), is subnormal (1e-160) or overflows
+        # (1e160): those probes read every atom, the others their rows
+        atoms = (
+            ((0.0, 0.0), 0.125),
+            ((1e-190, 0.0), 0.25),
+            ((0.0, 1e-170), 0.0625),
+            ((1e-160, 1e-160), 0.03125),
+            ((0.5, 0.5), 0.5),
+            ((1.0, 2.0), 0.03125),
+        )
+        radii = (1e-200, 0.25, 5e-324, 1.0, 1e-160, 1e160, 1e-3)
+        probes = [(x, r) for x in ((0.0, 0.0), (0.5, 0.5), (1.0, 2.0)) for r in radii]
+        expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
+        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+
+    @pytest.mark.parametrize("group", [1, 3, 16])
+    @settings(max_examples=60, deadline=None)
+    @given(cloud=point_clouds(max_points=40), data=st.data())
+    def test_small_groups(self, group, cloud, data):
+        pts = cloud.points
+        atoms = tuple((p, 1.0 / len(pts)) for p in pts)
+        probes = draw_probes(data, pts, st.floats(1e-3, 3.0))
+        expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
+        with mock.patch.object(frostman, "GROUP_CANDIDATES", group):
+            assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+
+    def test_more_candidates_than_one_group(self):
+        # probes of radius 2 read all 5,000 atoms of the unit square, more
+        # than a group holds; the others fill several groups between them
+        rng = np.random.default_rng(19)
+        pts = [tuple(p) for p in rng.random((5000, 2)).tolist()]
+        atoms = tuple(zip(pts, rng.uniform(0.5, 1.0, len(pts)).tolist()))
+        assert len(pts) > frostman.GROUP_CANDIDATES
+        radii = [2.0, *np.exp(rng.uniform(math.log(0.01), math.log(0.2), 30)).tolist(), 2.0]
+        probes = [(pts[i], r) for i, r in zip(rng.integers(0, len(pts), len(radii)), radii)]
+        expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
+        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+
+
 class TestMeasureArrays:
     """Every builder hands out read-only float64 arrays that atoms round-trips bit for bit."""
 
@@ -624,3 +731,14 @@ class TestSeparatedWitness:
         mu = separated_witness_measure(pts, 1e-2)
         xs = sorted(p[0] for p, _ in mu.atoms)
         assert all(b - a >= 1e-2 * (1 - 1e-9) for a, b in zip(xs, xs[1:]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=point_clouds(max_points=60), data=st.data())
+    def test_kept_points_equal_all_pairs_loop(self, cloud, data):
+        # deltas on the 1/16 grid and at a pair's distance tie with the threshold
+        pts = cloud.points
+        p, q = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
+        gap = math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(p, q)))
+        delta = data.draw(st.sampled_from([1 / 16, 0.1, 0.3, 1.0, 4.0] + [gap] * (gap > 0)))
+        mu = separated_witness_measure(cloud, delta)
+        assert mu.points.tolist() == loop_separated_points(cloud, delta)
