@@ -139,53 +139,68 @@ def geometric_menu(lo: float, hi: float, size: int) -> tuple[float, ...]:
 
 
 class _IntervalDP:
-    """Left-to-right DP over sorted points with a fixed diameter menu.
+    """Left-to-right DP over sorted points with one or more fixed diameter menus.
 
     State i = first uncovered point; transition places one interval of
     each menu diameter starting at point i.  An optimal interval cover can
     be shifted so each interval starts at the leftmost point it covers, so
-    this explores a superset of canonical optimal covers.  The jump table
-    is s-independent and built once, over the states reachable from point
-    0 only: states[k] is the point index of kept state k (the last is the
-    terminal len(xs)), and jump[k, j] the kept state that menu entry j
-    leads to from state k.  One pass (table) gives the optimal cost from
-    every state; the estimator reads state 0's, and optimal_cover_1d reads
-    the cover off the whole table.
+    this explores a superset of canonical optimal covers.  Each menu is
+    one cell's; a lone cell is a group of one.  The jump table is
+    s-independent and built once, over the states reachable from point 0
+    under any menu, so every jump of a kept state lands on a kept state:
+    states[k] is the point index of kept state k (the last is the terminal
+    len(xs)), and jump[k, j * cells + c] is cells times the kept state
+    entry j of menu c leads to from state k, plus c, the row of that
+    state's menu-c costs in the pass's cost table read as (states * cells,
+    s values); a lone menu's is the kept state.  A menu shorter than the
+    longest is padded with its last entry: the repeat adds a candidate
+    equal to one already there, so every minimum keeps its bits.  One pass
+    (table) gives each menu's optimal cost from every state; the estimator
+    reads state 0's, and optimal_cover_1d reads the cover off the whole
+    table.
 
-    A state reads only states to its right, the nearest of them jump[k, 0]
-    (the menu ascends), and jump[:, 0] is non-decreasing in k.  So the
+    A state reads only states to its right, the nearest of them its least
+    entry-0 jump (the menus ascend), which is non-decreasing in k.  So the
     states split, greedily from the right, into runs [a, b) of at most
     max_run states whose jumps all land at or past b: a run reads only
     finished costs, and the pass fills it with one take, add and minimum.
     blocks lists the runs of two or more states, right to left; every
-    other state is a run of its own, which the pass fills as a (menu, s)
-    array, cheaper to index than a (menu, 1, s) one.  Serial cells, whose
-    smallest diameter is below the gaps between points, have no blocks,
-    and there every state is reachable: the build skips the walk.
+    other state is a run of its own, which the pass fills as a (menu x
+    cells, s) array, cheaper to index than a (menu x cells, 1, s) one.
+    Serial cells, whose smallest diameter is below the gaps between
+    points, have no blocks, and there every state is reachable: the build
+    skips the walk.  They all keep the same states, so estimate_spectrum
+    solves them in groups (serial_interval_dps), one pass a round for all
+    the cells of a group.
 
-    batch_size, the s values one costs() call should carry, is wide_batch
-    while the cost table fits TABLE_BUDGET, else narrow_batch.
+    batch_size, the s values one table() call should carry per menu, is
+    wide_batch while a lone cell's cost table fits TABLE_BUDGET, else
+    narrow_batch, divided among the cells, so that a group's table is no
+    larger than a lone cell's.
     """
 
-    # A pass costs about as much for 65 values of s as for one on a serial
-    # cell (per-state numpy calls dominate).  critical_exponent's first call
-    # holds the 2 endpoints and bisection depths 0..k-1, 2**k + 1 values,
-    # and a bisection ends at depth 10 (1 / 2**10 <= 1e-3): k = 6 gives 65
-    # values and 2 calls (the second holds depths 6..10, 31 values); k = 4
-    # gives 17 and 3 calls (17, 15 and 7 values).
+    # On a serial cell a pass at 65 values of s costs about 1.4 times one
+    # at a single s: per-state numpy calls dominate.  critical_exponent's
+    # first call holds the 2 endpoints and bisection depths 0..k-1, 2**k +
+    # 1 values, and a bisection ends at depth 10 (1 / 2**10 <= 1e-3): k = 6
+    # gives 65 values and 2 calls (the second holds depths 6..10, 31
+    # values); k = 4 gives 17 and 3 calls (17, 15 and 7 values), as do the
+    # 21 values each cell of a group of three carries.
     wide_batch, narrow_batch = 65, 17
     # States one run holds at most.  The pass's temporary is menu x the
     # cell's longest run x batch_size floats: none on a serial cell, at
     # most 532 KB at the default 16 x 64 x 65.
     max_run = 64
 
-    def __init__(self, xs: np.ndarray, menu: tuple[float, ...]):
-        self.menu = menu
+    def __init__(self, xs: np.ndarray, *menus: tuple[float, ...]):
+        size, cells = max(map(len, menus)), len(menus)
+        self.menus = tuple(menu + menu[-1:] * (size - len(menu)) for menu in menus)
         # point-major, so that take reads it without a contiguous copy
-        jump = np.empty((len(xs), len(menu)), dtype=np.intp)
-        for j, d in enumerate(menu):  # one (N,) float temporary at a time
-            jump[:, j] = np.searchsorted(xs, xs + d, side="right")
-        if (jump[:, 0] == np.arange(1, len(xs) + 1)).all():
+        jump = np.empty((len(xs), size * cells), dtype=np.intp)
+        for j in range(size):  # one (N,) float temporary at a time
+            for c, menu in enumerate(self.menus):
+                jump[:, j * cells + c] = np.searchsorted(xs, xs + menu[j], side="right")
+        if (jump[:, :cells] == np.arange(1, len(xs) + 1)[:, None]).all():
             # serial: each point leads to the next, so every point is a state, its own rank
             self.states, self.jump = np.arange(len(xs) + 1), jump
         else:
@@ -200,13 +215,16 @@ class _IntervalDP:
             # in place: each entry is read once, just before it is written
             rank.take(self.jump, out=self.jump, mode="clip")
         del jump
-        self.batch_size = self.batch_for(len(self.states))
+        if cells > 1:
+            self.jump *= cells
+            self.jump += np.arange(size * cells) % cells
+        self.batch_size = max(1, self.batch_for(len(self.states)) // cells)
         # The run that ends at b starts at first[b], the first state whose
         # nearest jump lands at or past b, or max_run back.  first[b] ==
         # b - 1 is a run of one state; skip[b] is where a walk through such
         # runs from b stops, so the walk steps once per block.
         ends = np.arange(len(self.jump) + 1)
-        first = np.searchsorted(self.jump[:, 0], ends)
+        first = np.searchsorted(self.jump[:, :cells].min(1) // cells, ends)
         skip = np.maximum.accumulate(np.where(first == ends - 1, 0, ends)).tolist()
         first = first.tolist()
         self.blocks, b = [], skip[-1]
@@ -217,39 +235,55 @@ class _IntervalDP:
 
     @classmethod
     def batch_for(cls, states: int) -> int:
-        """batch_size for this many kept states: wide while the table fits TABLE_BUDGET."""
+        """A lone cell's batch_size at this many states: wide while its table fits TABLE_BUDGET."""
         return cls.wide_batch if states * cls.wide_batch * 8 <= TABLE_BUDGET else cls.narrow_batch
 
-    def table(self, ss) -> np.ndarray:
-        """Optimal cost from each kept state at each s in ss, in one right-to-left pass.
+    def table(self, *batches) -> np.ndarray:
+        """Optimal cost from each kept state at each s of each batch, in one right-to-left pass.
 
-        cost[k] = min over j of cost[jump[k, j]] + menu[j]**s, a
-        (states, len(ss)) array, filled run by run.  No unreachable state
-        feeds a kept one, so each cost equals the scalar DP's over every
-        point bit for bit: the sums are the same sums, and a minimum is
-        exact in any order.
+        One batch of s per menu; a menu whose batch is empty is left out.
+        The others are padded with their last s to the longest batch,
+        width values, and take width columns each, in menu order: a
+        (states, cells * width) array, (states, len(ss)) for a lone menu.
+        cost[k] = min over j of cost[jump[k, j]] + menu[j]**s, filled run
+        by run.  No unreachable state feeds a kept one, so each cost
+        equals the scalar DP's over every point bit for bit: the sums are
+        the same sums, and a minimum is exact in any order.
         """
-        powers = np.array([[d**s for s in ss] for d in self.menu])
-        size, width = powers.shape
-        cost = np.zeros((len(self.states), width))
-        one, column = np.empty_like(powers), powers[:, None]
-        buf = np.empty(size * max((b - a for a, b in self.blocks), default=0) * width)
-        top = len(self.jump)
+        live = [c for c, ss in enumerate(batches) if len(ss)]
+        width, cells, size = max(map(len, batches)), len(live), len(self.menus[0])
+        padded = [list(batches[c]) + [batches[c][-1]] * (width - len(batches[c])) for c in live]
+        menus = [self.menus[c] for c in live]
+        powers = np.array(
+            [[menu[j] ** s for s in ss] for j in range(size) for menu, ss in zip(menus, padded)]
+        )
+        jump = self.jump
+        if cells < len(self.menus):  # renumber the live menus' rows
+            jump = jump.reshape(len(jump), size, -1)[:, :, live] // len(self.menus)
+            jump = (jump * cells + np.arange(cells)).reshape(len(jump), -1)
+        cost = np.zeros((len(self.states), cells * width))
+        rows = cost.reshape(-1, width)  # (states * cells, width): row k * cells + c is menu c's
+        by_cell = cost.reshape(len(cost), cells, width)
+        by_entry = jump.reshape(len(jump), size, cells)
+        one, column = np.empty_like(powers), powers.reshape(size, 1, cells, width)
+        by_menu = one.reshape(size, -1)  # row j: entry j of every live menu
+        buf = np.empty(powers.size * max((b - a for a, b in self.blocks), default=0))
+        top = len(jump)
         for a, b in self.blocks + [(0, 0)]:  # the empty last block ends the pass at state 0
             for k in range(top - 1, b - 1, -1):  # the one-state runs above the block
-                cost.take(self.jump[k], 0, one, "clip")
+                rows.take(jump[k], 0, one, "clip")
                 np.add(one, powers, one)
-                np.minimum.reduce(one, 0, out=cost[k])
-            if a < b:  # menu-major, so the minimum runs over contiguous (b - a, s) blocks
-                cand = buf[: size * (b - a) * width].reshape(size, b - a, width)
-                cost.take(self.jump[a:b].T, 0, cand, "clip")
+                np.minimum.reduce(by_menu, 0, out=cost[k])
+            if a < b:  # entry-major, so the minimum runs over contiguous (b - a, cells, s) blocks
+                cand = buf[: powers.size * (b - a)].reshape(size, b - a, cells, width)
+                rows.take(by_entry[a:b].transpose(1, 0, 2), 0, cand, "clip")
                 np.add(cand, column, cand)
-                np.minimum.reduce(cand, 0, out=cost[a:b])
+                np.minimum.reduce(cand, 0, out=by_cell[a:b])
             top = a
         return cost
 
     def costs(self, ss) -> list[float]:
-        """Optimal cover cost at each s in ss."""
+        """A lone menu's optimal cover cost at each s in ss."""
         return self.table(ss)[0].tolist()
 
 
@@ -597,6 +631,30 @@ def cover_cost_function(points: PointCloud, rng: ScaleRange, scale_menu_size: in
     if cloud is not points or tree is None or not tree.top <= top <= bottom <= tree.bottom:
         tree = _DyadicTree(points, points.bbox[0], points.side, top, bottom)
     return _DyadicBand(tree, top, bottom)
+
+
+def serial_interval_dps(points: PointCloud, ranges, scale_menu_size: int = 16):
+    """The serial interval-DP cells among ranges in groups: (ranges, a DP over their menus).
+
+    A cell is serial when its smallest diameter is below every gap
+    between points, which one searchsorted of that diameter shows: its DP
+    keeps every point as a state, so all such cells share their states.
+    A group holds at most batch_for(states) // narrow_batch cells (3 up
+    to about 32,000 points, else 1), so that each carries at least
+    narrow_batch values of s per pass; its cost table is no larger than
+    a lone cell's, and its jump table is one lone cell's per cell.  Each
+    group's DP is built when the generator reaches it.
+    """
+    xs, menus = points.array[:, 0], {}
+    for rng in ranges:
+        if not _solves_dyadic(points, rng):
+            menu = geometric_menu(rng.lo, rng.hi, scale_menu_size)
+            if (np.searchsorted(xs, xs + menu[0], "right") == np.arange(1, len(xs) + 1)).all():
+                menus[rng] = menu
+    cells = list(menus)
+    size = _IntervalDP.batch_for(len(xs) + 1) // _IntervalDP.narrow_batch
+    for i in range(0, len(cells), size):
+        yield cells[i : i + size], _IntervalDP(xs, *(menus[c] for c in cells[i : i + size]))
 
 
 def refine_cover(cover: RestrictedCover, phi: float, new_delta: float) -> RestrictedCover:

@@ -11,6 +11,7 @@ surrogate for the "some delta" vs "all small delta" quantifiers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,13 @@ from .core import (
     check_number,
     theta_grid,
 )
-from .covers import MAX_MENU, _shared_bbox_tree, cover_cost_function, guarded_ceil
+from .covers import (
+    MAX_MENU,
+    _shared_bbox_tree,
+    cover_cost_function,
+    guarded_ceil,
+    serial_interval_dps,
+)
 
 BISECTION_TOL = 1e-3
 TRUNCATION_SAFETY = 4
@@ -58,53 +65,101 @@ def critical_exponent(
     already <= threshold the root is pinned at 0.  If even s = n leaves the
     cost above threshold the result clamps to n (scale far too coarse for
     the data).  Bisection stops at |ds| <= 1e-3, whatever the batch size.
-    Each solver call evaluates several levels of the walk ahead (the two
-    endpoints, then the midpoints of the bisection tree below the current
-    interval), as many as the solver's batch_size holds, so the interval
-    DP needs 2 calls (65 values, then 31) where one s per call would take
-    about 13; 3 calls (17, 15 and 7) on a cell whose cost table would pass
-    covers.TABLE_BUDGET at 65.  Every s and every comparison is that of a
-    one-s-at-a-time bisection, so the result is too.  scale_menu_size (2
-    to covers.MAX_MENU) is read here, so a cell the dyadic tree solves,
-    which has no menu, refuses it as the interval DP does.
+    The bisection (_bisection) asks for several levels of the walk ahead
+    per solver call (the two endpoints, then the midpoints of the
+    bisection tree below the current interval), as many as the solver's
+    batch_size holds, so the interval DP needs 2 calls (65 values, then
+    31) where one s per call would take about 13; 3 calls (17, 15 and 7)
+    on a cell whose cost table would pass covers.TABLE_BUDGET at 65.
+    Every s and every comparison is that of a one-s-at-a-time bisection,
+    so the result is too.  estimate_spectrum runs the same bisection on
+    its serial cells, in groups of up to three that share each DP pass
+    and divide the batch size among them: a group of three takes 3 passes
+    (17, 15 and 7 values a cell).  scale_menu_size (2 to covers.MAX_MENU)
+    is read here, so a cell the dyadic tree solves, which has no menu,
+    refuses it as the interval DP does.
     """
-    threshold = check_number(threshold, "threshold", 0)
-    scale_menu_size = check_number(
+    threshold, scale_menu_size = _solve_options(threshold, scale_menu_size)
+    rng = ScaleRange(delta, theta)
+    solver = cover_cost_function(points, rng, scale_menu_size)
+    walk, costs = _bisection(float(points.dimension_n), threshold, solver.batch_size), None
+    while True:
+        try:
+            batch = walk.send(costs)
+        except StopIteration as done:
+            return CriticalExponent(rng.delta, rng.theta, *done.value)
+        costs = solver.costs(batch)
+
+
+def _solve_options(threshold, scale_menu_size) -> tuple[float, int]:
+    """threshold and scale_menu_size read by check_number, in that order."""
+    return check_number(threshold, "threshold", 0), check_number(
         scale_menu_size, "entries in the scale menu", 2, MAX_MENU, "[]", integral=True
     )
-    rng = ScaleRange(delta, theta)
-    delta, theta = rng.delta, rng.theta
-    solver = cover_cost_function(points, rng, scale_menu_size)
-    n = float(points.dimension_n)
+
+
+def _bisection(n: float, threshold: float, width: int):
+    """critical_exponent's root finder on [0, n]: yields each batch of s, is sent their costs.
+
+    A batch holds the walk ahead of the current interval (_walk_ahead),
+    as many whole levels as fit in width, and at least one.  Returns
+    (s*, cost(s*)).
+    """
     known: dict[float, float] = {}
 
-    def cost(lo: float, hi: float, *front: float) -> tuple[float, float]:
+    def cost(lo: float, hi: float, *front: float):
         """(s, cost(s)) for the walk's next s: front[0], or the midpoint of [lo, hi]."""
         s = front[0] if front else 0.5 * (lo + hi)
         if s not in known:
             batch: list[float] = []
             for level in _walk_ahead(lo, hi, front):
-                if batch and len(batch) + len(level) > solver.batch_size:
+                if batch and len(batch) + len(level) > width:
                     break
                 batch += level
-            known.update(zip(batch, solver.costs(batch)))
+            known.update(zip(batch, (yield batch)))
         return s, known[s]
 
-    s, c = cost(0.0, n, 0.0, n)
+    s, c = yield from cost(0.0, n, 0.0, n)
     if c <= threshold * (1.0 + 1e-12):
-        return CriticalExponent(delta, theta, s, c)
-    s, c = cost(0.0, n, n)
+        return s, c
+    s, c = yield from cost(0.0, n, n)
     if c > threshold:
-        return CriticalExponent(delta, theta, s, c)
+        return s, c
     lo, hi = 0.0, n
     while hi - lo > BISECTION_TOL:
-        mid, c = cost(lo, hi)
+        mid, c = yield from cost(lo, hi)
         if c > threshold:
             lo = mid
         else:
             hi = mid
-    s_star, c = cost(lo, hi)
-    return CriticalExponent(delta, theta, s_star, c)
+    return (yield from cost(lo, hi))
+
+
+def _serial_exponents(points: PointCloud, ranges, threshold, scale_menu_size) -> dict:
+    """ScaleRange -> CriticalExponent for the serial interval-DP cells among ranges.
+
+    covers.serial_interval_dps picks them and builds one DP over the
+    menus of each group.  Each cell runs its own _bisection at the DP's
+    batch_size; a round gathers the next batch of every cell of the group
+    still running and solves them all in one table pass, so each round
+    pays the per-state numpy calls once for the whole group.  Every s and
+    cost is the one critical_exponent finds for the cell, bit for bit.
+    """
+    found = {}
+    for cells, dp in serial_interval_dps(points, ranges, scale_menu_size):
+        walks = {rng: _bisection(1.0, threshold, dp.batch_size) for rng in cells}  # n is 1
+        asks = {rng: next(walk) for rng, walk in walks.items()}  # the batch of each running cell
+        while asks:
+            width = max(map(len, asks.values()))
+            # lists, so that no view keeps this table alive while the next one is filled
+            costs = dp.table(*(asks.get(rng, ()) for rng in cells))[0].reshape(-1, width).tolist()
+            for (rng, batch), got in zip(list(asks.items()), costs):
+                try:
+                    asks[rng] = walks[rng].send(got[: len(batch)])
+                except StopIteration as done:
+                    del asks[rng]
+                    found[rng] = CriticalExponent(rng.delta, rng.theta, *done.value)
+    return found
 
 
 def _walk_ahead(lo: float, hi: float, front):
@@ -164,7 +219,12 @@ def estimate_spectrum(
     drift model.  Its cells, like every dyadic cell (any theta in R^2 and
     R^3), solve on their bands of levels in one bounding-box tree built
     before the rows, which stores levels only down to where every point
-    is alone, however deep the bands reach.  A row whose lower or upper
+    is alone, however deep the bands reach.  The serial interval-DP
+    cells (1-D, theta > 0, the smallest diameter below every gap between
+    points) of the rows before the first empty one are solved first, in
+    groups that share one DP pass a round (_serial_exponents), with the
+    bits critical_exponent gives; every other cell calls
+    critical_exponent in its row's turn.  A row whose lower or upper
     value falls below the running max of the rows before it (theta > 0)
     by more than TOL_MONO_ESTIMATED raises EstimateNotMonotoneError: the
     deltas are too coarse for the cloud.
@@ -188,9 +248,18 @@ def estimate_spectrum(
     samples = []
     peaks = [-math.inf, -math.inf]  # running max of the lower and upper columns over theta > 0
     with _shared_bbox_tree(points, [rng for ranges in rows for rng in ranges]):
+        ahead = list(itertools.takewhile(bool, rows))  # the rows before the first empty one
+        serial = {}
+        if ahead:  # read first, as the first row's first critical_exponent call reads them
+            threshold, scale_menu_size = _solve_options(threshold, scale_menu_size)
+            serial = _serial_exponents(
+                points, [rng for ranges in ahead for rng in ranges], threshold, scale_menu_size
+            )
         for theta, ranges in zip(thetas, rows):
             row = [
-                critical_exponent(points, rng.delta, theta, threshold, scale_menu_size)
+                serial[rng]
+                if rng in serial
+                else critical_exponent(points, rng.delta, theta, threshold, scale_menu_size)
                 for rng in ranges
             ]
             if not row:

@@ -198,10 +198,11 @@ def _probe_runs(points: np.ndarray, centres: np.ndarray, reach: np.ndarray, norm
     return order, first, start, lengths, begins - heads
 
 
-def _ball_masses(measure: AtomicMeasure, probes) -> list[float]:
+def _ball_masses(measure: AtomicMeasure, centres: np.ndarray, radii: np.ndarray) -> list[float]:
     """mu(B(x, r)) = fsum of the masses of atoms p with _squared_distance(p, x) <= r*r, per probe.
 
-    probes are (x, r) pairs with r > 0.  The atoms are sorted once by
+    Probe i has centre x = centres[i], a row of a (probes, n) float
+    array, and radius r = radii[i] > 0.  The atoms are sorted once by
     (row, p_0), rows being the cells of _probe_rows, as the keys row * N
     + rank of p_0; fsum is exact, so their order does not change a mass.
     In each row a probe reads, the atoms with p_0 in [fl(x_0 - reach),
@@ -238,14 +239,12 @@ def _ball_masses(measure: AtomicMeasure, probes) -> list[float]:
     needs r*r normal: where r*r underflows or overflows, the probe reads
     every atom, and every atom goes to the exact test.
     """
-    if not probes:
+    if not len(radii):
         return []
     points = measure.points
     n = points.shape[1]
     # past 10**6 coordinates the margin no longer covers the sum's rounding
     margin = 1e-9 if n < 10**6 else math.inf
-    centres = np.array([x for x, _ in probes], dtype=float).reshape(len(probes), n)
-    radii = np.array([r for _, r in probes], dtype=float)
     masses: list[float] = []
     with np.errstate(over="ignore", under="ignore"):
         # r*r and the windows' ends, rounded as Python rounds them
@@ -262,7 +261,7 @@ def _ball_masses(measure: AtomicMeasure, probes) -> list[float]:
         sq, d, t = np.empty(size), np.empty(size), np.empty(size)
         keep, near = np.empty(size, bool), np.empty(size, bool)
         i = 0
-        while i < len(probes):
+        while i < len(radii):
             # whole probes, up to GROUP_CANDIDATES candidates or one probe
             j = max(i + 1, int(start.searchsorted(start[i] + GROUP_CANDIDATES, "right")) - 1)
             m = int(start[j] - start[i])
@@ -289,8 +288,9 @@ def _ball_masses(measure: AtomicMeasure, probes) -> list[float]:
             np.not_equal(nears, keeps, out=nears)
             unsure = np.flatnonzero(nears)
             if len(unsure):
-                cases = zip(coords.take(at[unsure], 1).T.tolist(), owner[unsure].tolist())
-                keeps[unsure] = [_squared_distance(p, probes[o][0]) <= r2s[o] for p, o in cases]
+                who = owner[unsure]
+                cases = zip(coords.take(at[unsure], 1).T.tolist(), centres[who].tolist(), r2s[who])
+                keeps[unsure] = [_squared_distance(p, x) <= r2 for p, x, r2 in cases]
             inside = np.flatnonzero(keeps)
             kept = weights.take(at.take(inside)).tolist()
             cuts = inside.searchsorted(start[i : j + 1] - start[i]).tolist()
@@ -385,17 +385,18 @@ def build_frostman_measure(
     cascade = DyadicCascade(s=s, base_level=m, stop_level=stop, norm=norm)
 
     rnd = random.Random(seed)
-    centres = measure.points.tolist()
+    count = len(measure.masses)
     worst = 0.0
-    # band-edge probes at every atom, thinned on large clouds
-    stride = max(1, len(centres) // 200)
-    probes = [(x, r) for x in centres[::stride] for r in (lo, delta)]
+    # band-edge probes at every atom, thinned on large clouds; then random
+    # atoms, with radii log-uniform over the band
+    edge = range(0, count, max(1, count // 200))
+    picks, radii = [i for i in edge for _ in (lo, delta)], [r for _ in edge for r in (lo, delta)]
     log_lo, log_hi = math.log(lo), math.log(delta)
     for _ in range(ball_samples):
-        x = centres[rnd.randrange(len(centres))]
-        r = math.exp(rnd.uniform(log_lo, log_hi))
-        probes.append((x, r))
-    for (_, r), mass in zip(probes, _ball_masses(measure, probes)):
+        picks.append(rnd.randrange(count))
+        radii.append(math.exp(rnd.uniform(log_lo, log_hi)))
+    centres = measure.points.take(picks, 0)
+    for r, mass in zip(radii, _ball_masses(measure, centres, np.array(radii))):
         worst = max(worst, mass / r**s)
     return FrostmanResult(measure=measure, worst_ratio=worst, cascade=cascade, range=rng)
 
@@ -491,20 +492,18 @@ def check_mdp(
             )
         diam_lo, diam_hi = delta, delta**theta
         rnd = random.Random(seed * 1000003 + index)
-        centres = measure.points.tolist()
         worst = 0.0
         violations = 0
-        probes = []
+        picks, diams = [], []
         for _ in range(ball_samples):
-            x = centres[rnd.randrange(len(centres))]
-            u = (
+            picks.append(rnd.randrange(len(measure.masses)))
+            diams.append(
                 diam_lo
                 if diam_hi <= diam_lo
                 else math.exp(rnd.uniform(math.log(diam_lo), math.log(diam_hi)))
             )
-            probes.append((x, u))
-        balls = [(x, u / 2.0) for x, u in probes]
-        for (_, u), mass in zip(probes, _ball_masses(measure, balls)):
+        centres = measure.points.take(picks, 0)
+        for u, mass in zip(diams, _ball_masses(measure, centres, np.array(diams) / 2.0)):
             ratio = mass / (c * u**s)
             worst = max(worst, ratio)
             if ratio > 1.0 + 1e-9:

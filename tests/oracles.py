@@ -253,12 +253,13 @@ def reachable_interval_states(xs, menu) -> tuple[list[int], list[list[int]]]:
 
 
 def serial_interval_table(dp, ss) -> np.ndarray:
-    """Reference pass of covers._IntervalDP.table: one kept state at a time, right to left.
+    """Reference pass of a lone menu's covers._IntervalDP.table: one state at a time, right to left.
 
     Each state's costs take one take, add and minimum over the menu, from
     the costs of the states its jumps land on, all already final.
     """
-    powers = np.array([[d**s for s in ss] for d in dp.menu])
+    (menu,) = dp.menus
+    powers = np.array([[d**s for s in ss] for d in menu])
     cost = np.zeros((len(dp.states), len(ss)))
     cand = np.empty_like(powers)
     for k in range(len(dp.jump) - 1, -1, -1):

@@ -618,6 +618,75 @@ class TestIntervalDPStates:
         assert [_IntervalDP.batch_for(k) for k in (most + 1, 252_385)] == [narrow] * 2
 
 
+@st.composite
+def serial_groups(draw):
+    """A serial 1-D cloud, 2-4 menus of different lengths and one batch of s per menu.
+
+    Every menu's smallest diameter is below every gap between points, so
+    each menu's DP keeps every point as a state.  One menu holds a single
+    entry; the others up to 6, reaching past the whole cloud.  Batches
+    differ in length (one may be empty), so the joint pass pads.
+    """
+    gaps = draw(st.lists(st.floats(0.01, 1.0), max_size=29))
+    xs = np.cumsum([0.0] + gaps)
+    assume(len(np.unique(xs)) == len(xs))
+    least = min(gaps, default=1.0) * 0.99
+    count = draw(st.integers(2, 4))
+    menus = []
+    for length in [1] + draw(st.lists(st.integers(2, 6), min_size=count - 1, max_size=count - 1)):
+        first = draw(st.floats(least * 1e-3, least))
+        rest = draw(st.lists(st.floats(first * 1.01, 2.0 * xs[-1] + 1.0), max_size=length - 1))
+        menus.append(tuple(sorted({first, *rest})))
+    menus = draw(st.permutations(menus))
+    assume(len({len(m) for m in menus}) > 1)
+    ss = st.lists(st.floats(0.0, 1.0), max_size=_IntervalDP.wide_batch // count)
+    batches = [draw(ss) for _ in menus]
+    assume(any(batches))
+    for menu in menus:  # serial where the floats round, too
+        assume((np.searchsorted(xs, xs + menu[0], "right") == np.arange(1, len(xs) + 1)).all())
+    return xs, menus, batches
+
+
+class TestIntervalDPGroups:
+    @settings(max_examples=150, deadline=None)
+    @given(group=serial_groups())
+    def test_joint_table_equals_each_menus_own_bit_for_bit(self, group):
+        xs, menus, batches = group
+        joint = _IntervalDP(xs, *menus)
+        assert joint.states.tolist() == list(range(len(xs) + 1)) and not joint.blocks
+        table = joint.table(*batches)
+        width = max(map(len, batches))
+        live = [(menu, ss) for menu, ss in zip(menus, batches) if ss]
+        assert table.shape == (len(xs) + 1, len(live) * width)
+        for c, (menu, ss) in enumerate(live):
+            got = table[:, c * width : c * width + len(ss)]
+            lone = _IntervalDP(xs, menu)
+            expected = lone.table(ss)
+            assert got.tolist() == expected.tolist() == serial_interval_table(lone, ss).tolist()
+            assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("menu_size", [16, 2])
+    def test_serial_cells_of_the_benchmark_cloud_form_one_group(self, menu_size):
+        cloud = fp_points(1.0, 1e-4, theta_min=0.25)
+        cells = [ScaleRange(d, t) for t in (0.25, 0.5, 0.75, 1.0) for d in (1e-2, 1e-3)]
+        cells.append(ScaleRange(1e-4, 0.5))
+        groups = list(covers.serial_interval_dps(cloud, cells, menu_size))
+        assert [[(rng.delta, rng.theta) for rng in group] for group, _ in groups] == [SERIAL_CELLS]
+        ((group, dp),) = groups
+        assert dp.batch_size == _IntervalDP.wide_batch // 3
+        assert dp.menus == tuple(geometric_menu(r.lo, r.hi, menu_size) for r in group)
+
+    def test_groups_hold_at_most_three_cells_and_one_above_the_table_budget(self):
+        xs = np.arange(40) / 40.0
+        cells = [ScaleRange(d, 1.0) for d in (0.02, 0.015, 0.01, 0.005, 0.001)]
+        small = PointCloud.from_points(xs[:, None])
+        assert [len(g) for g, _ in covers.serial_interval_dps(small, cells)] == [3, 2]
+        wide = TABLE_BUDGET // (_IntervalDP.wide_batch * 8)  # the most states a wide table fits
+        big = PointCloud.from_points((np.arange(wide) / wide)[:, None])
+        cells = [ScaleRange(d, 1.0) for d in (1e-6, 2e-6)]
+        assert [len(g) for g, _ in covers.serial_interval_dps(big, cells)] == [1, 1]
+
+
 class TestRefineCover:
     def test_identity_when_already_inside(self):
         delta = 0.01

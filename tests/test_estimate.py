@@ -296,6 +296,28 @@ class TestEstimateSpectrum:
         with pytest.raises(ScaleRangeTooDeepError, match="theta=0.05"):
             estimate_spectrum(fp_points(1.0, 1e-2), [0.05, 1.0], [1e-2, 1e-3, 1e-4])
         assert solved == []
+        # theta=0.25 holds serial cells, which are solved together ahead of
+        # the rows, but only those of the rows before the first empty one
+        cloud = fp_points(1.0, 1e-2)
+        serial = [ScaleRange(d, 0.25) for d in (1e-2, 1e-3)]
+        assert [cells for cells, _ in covers.serial_interval_dps(cloud, serial)] == [serial]
+        passes = []
+        real_table = covers._IntervalDP.table
+        monkeypatch.setattr(
+            covers._IntervalDP, "table", lambda dp, *ss: passes.append(ss) or real_table(dp, *ss)
+        )
+        with pytest.raises(ScaleRangeTooDeepError, match="theta=0.05"):
+            estimate_spectrum(cloud, [0.05, 0.25, 1.0], [1e-2, 1e-3, 1e-4])
+        assert solved == [] and passes == []
+        with pytest.raises(ScaleRangeTooDeepError, match="theta=0.05"):
+            estimate_spectrum(cloud, [0.0, 0.05, 0.25, 1.0], [1e-2, 1e-3, 1e-4])
+        assert solved == [0.0] * 3 and passes == []
+        # an invalid threshold still loses to an empty first row, and wins over a later one
+        with pytest.raises(ScaleRangeTooDeepError, match="theta=0.05"):
+            estimate_spectrum(cloud, [0.05, 0.25], [1e-2, 1e-3, 1e-4], threshold=math.nan)
+        with pytest.raises(ValidationError, match="threshold"):
+            estimate_spectrum(cloud, [0.0, 0.05, 0.25], [1e-2, 1e-3, 1e-4], threshold=math.nan)
+        assert passes == []
 
     def test_theta_zero_entry_bounded(self):
         pts = fp_points(1.0, 1e-3, theta_min=0.25)
@@ -353,6 +375,61 @@ class TestEstimateSpectrum:
         assert ce.s_star == pytest.approx(
             math.log(count) / math.log(1.0 / delta), abs=BISECTION_TOL
         )
+
+
+@pytest.fixture
+def joint_passes(monkeypatch) -> list:
+    """Per table pass of a group of interval-DP cells: how many menus it holds and reads."""
+    passes = []
+    real = covers._IntervalDP.table
+
+    def recording(dp, *batches):
+        if len(dp.menus) > 1:
+            passes.append((len(dp.menus), sum(1 for ss in batches if len(ss))))
+        return real(dp, *batches)
+
+    monkeypatch.setattr(covers._IntervalDP, "table", recording)
+    return passes
+
+
+class TestSerialCellsInLockstep:
+    # 113 points; at threshold 10 the serial cell theta=0.25, delta=1e-2
+    # ends at s = 0 after the first pass, while (0.25, 1e-3) and (0.5, 1e-3)
+    # bisect on
+    CLOUD = (2.0, 1e-3, 0.25)
+    GRID, DELTAS = [0.25, 0.5, 0.75, 1.0], [1e-1, 1e-2, 1e-3]
+
+    @pytest.mark.parametrize("threshold, rounds", [(10.0, [3, 2, 2]), (1.0, [3, 3, 3])])
+    def test_samples_equal_sequential_bisection_per_cell(self, joint_passes, threshold, rounds):
+        cloud = fp_points(*self.CLOUD)
+        spectrum = estimate_spectrum(cloud, self.GRID, self.DELTAS, threshold=threshold)
+        assert joint_passes == [(3, cells) for cells in rounds]
+        samples = []
+        for theta in self.GRID:
+            row = []
+            for delta in self.DELTAS:
+                try:
+                    rng = ScaleRange(delta, theta)
+                except ScaleRangeTooDeepError:
+                    continue
+                menu = geometric_menu(rng.lo, rng.hi, 16)
+                cost = ScalarIntervalDP(cloud.array[:, 0].tolist(), menu).cost
+                s, c = sequential_critical_exponent(cost, 1.0, threshold)
+                row.append(estimate.CriticalExponent(delta, theta, s, c))
+            values = _drift_corrected(row)
+            picked = [values[d] for d in sorted(values)[:2]]
+            lower = max(0.0, min(min(picked), 1.0))
+            samples.append((theta, lower, max(lower, min(max(picked), 1.0))))
+        assert [(x.theta, x.lower, x.upper) for x in spectrum.samples] == samples
+        if threshold == 10.0:
+            assert critical_exponent(cloud, 1e-2, 0.25, threshold).s_star == 0.0
+
+    def test_benchmark_cloud_solves_its_three_serial_cells_in_three_passes(self, joint_passes):
+        # fp_points(1, 1e-4, theta_min=0.25): where each serial cell took 2 passes of its own
+        cloud = fp_points(1.0, 1e-4, theta_min=0.25)
+        spectrum = estimate_spectrum(cloud, [0.25, 0.5, 0.75, 1.0], [1e-2, 1e-3, 1e-4])
+        assert joint_passes == [(3, 3)] * 3
+        assert len(spectrum.samples) == 4
 
 
 class TestCoupledTruncation:

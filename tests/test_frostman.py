@@ -302,6 +302,13 @@ class TestCascadeNearTheCap:
         assert cascade.norm == norm
 
 
+def ball_masses(atoms, probes) -> list[float]:
+    """_ball_masses of the measure of atoms at (x, r) probes, as a centres and a radii array."""
+    centres = np.array([x for x, _ in probes], dtype=float).reshape(len(probes), -1)
+    radii = np.array([r for _, r in probes], dtype=float)
+    return _ball_masses(AtomicMeasure.from_atoms(atoms), centres, radii)
+
+
 class TestBallMassesMatchFullScan:
     """The windowed, pre-tested ball masses equal the full scan's with ==."""
 
@@ -335,7 +342,7 @@ class TestBallMassesMatchFullScan:
                 )
             probes.append((x, r))
         expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
-        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+        assert ball_masses(atoms, probes) == expected
 
     def test_radii_whose_square_underflows(self):
         # where r*r rounds to 0 or to a subnormal, the exact test keeps
@@ -349,7 +356,7 @@ class TestBallMassesMatchFullScan:
         probes = [((0.0,), 1e-200), ((0.0,), 5e-324), ((0.0,), 1e-160)]
         expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
         assert expected == [0.375, 0.375, 0.875]
-        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+        assert ball_masses(atoms, probes) == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     @settings(max_examples=100, deadline=None)
@@ -367,7 +374,7 @@ class TestBallMassesMatchFullScan:
             for _ in range(data.draw(st.integers(1, 10)))
         ]
         expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
-        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+        assert ball_masses(atoms, probes) == expected
 
     def test_coordinates_whose_squares_overflow(self):
         # squares of 1e200 overflow: numpy reads inf without a warning,
@@ -398,7 +405,7 @@ class TestBallMassesMatchFullScan:
         assert expected == [0.375, 0.375, 0.375, 0.0625, 0.0625, 0.125, 1.0, 1.0, 1.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+            assert ball_masses(atoms, probes) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(cloud=point_clouds(max_points=30), data=st.data())
@@ -423,7 +430,7 @@ class TestBallMassesMatchFullScan:
             frostman, "_squared_distance", wraps=frostman._squared_distance
         )
         with wrapped as exact:
-            assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+            assert ball_masses(atoms, probes) == expected
         assert exact.call_count > 0
 
 
@@ -463,7 +470,7 @@ class TestBallMassesOnRows:
         probes += [((0.0, y + w / 2), w / 2) for y in edges]
         assert row_count(atoms, probes) == 5
         expected = [full_scan_ball_mass(atoms, x, rr) for x, rr in probes]
-        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+        assert ball_masses(atoms, probes) == expected
 
     def test_equal_first_coordinates_in_different_rows(self):
         pts = [(x, 0.3 * k) for x in (0.25, 0.5, 0.75) for k in range(10)]
@@ -471,7 +478,7 @@ class TestBallMassesOnRows:
         probes = [((0.5, 0.3 * k), r) for k in range(10) for r in (0.1, 0.25, 0.3, 0.31)]
         assert row_count(atoms, probes) > 5
         expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
-        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+        assert ball_masses(atoms, probes) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(cloud=point_clouds(max_points=40, dimension=3), data=st.data())
@@ -480,7 +487,7 @@ class TestBallMassesOnRows:
         atoms = tuple((p, 1.0 / len(pts)) for p in pts)
         probes = draw_probes(data, pts, st.floats(1e-3, 2.0))
         expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
-        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+        assert ball_masses(atoms, probes) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(cloud=point_clouds(max_points=40), data=st.data())
@@ -491,7 +498,7 @@ class TestBallMassesOnRows:
         large = (pts[0], data.draw(st.floats(1.0, 1e3)))
         probes.insert(data.draw(st.integers(0, len(probes))), large)
         expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
-        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+        assert ball_masses(atoms, probes) == expected
 
     def test_radii_whose_square_is_not_normal_among_normal_ones(self):
         # r*r underflows (1e-200, 5e-324), is subnormal (1e-160) or overflows
@@ -507,7 +514,7 @@ class TestBallMassesOnRows:
         radii = (1e-200, 0.25, 5e-324, 1.0, 1e-160, 1e160, 1e-3)
         probes = [(x, r) for x in ((0.0, 0.0), (0.5, 0.5), (1.0, 2.0)) for r in radii]
         expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
-        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+        assert ball_masses(atoms, probes) == expected
 
     @pytest.mark.parametrize("group", [1, 3, 16])
     @settings(max_examples=60, deadline=None)
@@ -518,7 +525,7 @@ class TestBallMassesOnRows:
         probes = draw_probes(data, pts, st.floats(1e-3, 3.0))
         expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
         with mock.patch.object(frostman, "GROUP_CANDIDATES", group):
-            assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+            assert ball_masses(atoms, probes) == expected
 
     def test_more_candidates_than_one_group(self):
         # probes of radius 2 read all 5,000 atoms of the unit square, more
@@ -530,7 +537,7 @@ class TestBallMassesOnRows:
         radii = [2.0, *np.exp(rng.uniform(math.log(0.01), math.log(0.2), 30)).tolist(), 2.0]
         probes = [(pts[i], r) for i, r in zip(rng.integers(0, len(pts), len(radii)), radii)]
         expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
-        assert _ball_masses(AtomicMeasure.from_atoms(atoms), probes) == expected
+        assert ball_masses(atoms, probes) == expected
 
 
 class TestMeasureArrays:
