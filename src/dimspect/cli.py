@@ -109,10 +109,12 @@ def read_points(path: str) -> PointCloud:
 
 def read_carpet_spec(path: str) -> CarpetSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return CarpetSpec.from_json_dict(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"malformed carpet JSON: {exc}") from exc
+        text = fh.read()
+    try:  # ValueError: bad JSON or an integer past int's digit limit; RecursionError: deep nesting
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"malformed carpet JSON: {exc}") from exc
+    return CarpetSpec.from_json_dict(doc)
 
 
 def spectrum_to_csv(spectrum: DimensionSpectrum, metadata: dict | None = None) -> str:

@@ -5,17 +5,17 @@ geometric diameter menu (1-D), and an exact bottom-up pass over dyadic-cube
 covers (any ambient dimension) on _DyadicTree, the dyadic cell tree the
 Frostman cap cascade shares; covers anchor it at the bounding box.  Both
 return the full cover, not just its cost, so admissibility and coverage
-can be checked directly; cover_cost_function gives a cell's solver of
-cost(s), which evaluates a list of s per call: an interval DP built for
-the cell, or the cell's band of levels in a dyadic tree, one that
-estimate_spectrum builds for all its dyadic cells (_shared_bbox_tree)
-or one built for the cell alone.
+can be checked directly.  A cell's solver of cost(s) evaluates a batch
+of s per call: cover_cost_function gives an interval DP built for the
+cell, or the cell's band of levels in a dyadic tree, the one it is given
+(estimate_spectrum passes every dyadic cell its spanning_tree) or one
+built for the cell alone; serial_interval_dps gives one interval DP for
+a group of cells.  Every solver's costs(*batches) takes one batch of s
+per cell and returns one list of costs per nonempty batch.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -282,9 +282,12 @@ class _IntervalDP:
             top = a
         return cost
 
-    def costs(self, ss) -> list[float]:
-        """A lone menu's optimal cover cost at each s in ss."""
-        return self.table(ss)[0].tolist()
+    def costs(self, *batches) -> list[list[float]]:
+        """Each nonempty batch's optimal cover costs, in menu order: table's state-0 row."""
+        width = max(map(len, batches))
+        # lists, so that no view keeps this table alive while the next one is filled
+        rows = self.table(*batches)[0].reshape(-1, width).tolist()
+        return [row[: len(ss)] for row, ss in zip(rows, filter(len, batches))]
 
 
 def optimal_cover_1d(
@@ -486,8 +489,9 @@ class _DyadicBand:
     # Every s is a full pass, so a bisection asks for one s per call.
     batch_size = 1
 
-    def costs(self, ss) -> list[float]:
-        return [self.tree.cost(s, self.top, self.bottom) for s in ss]
+    def costs(self, ss) -> list[list[float]]:
+        """costs(*batches) of a lone cell: [its costs at the s in ss]."""
+        return [[self.tree.cost(s, self.top, self.bottom) for s in ss]]
 
 
 def dyadic_levels(size: float, lo: float, hi: float) -> tuple[int, int]:
@@ -524,25 +528,17 @@ def _bbox_tree(points: PointCloud, rng: ScaleRange) -> _DyadicTree:
     return _DyadicTree(points, points.bbox[0], points.side, *_bbox_levels(points, rng))
 
 
-# The cloud and bounding-box tree of the spectrum being estimated in this
-# context, while _shared_bbox_tree is open.
-_shared_tree = contextvars.ContextVar("_shared_tree", default=(None, None))
-
-
 def _solves_dyadic(points: PointCloud, rng: ScaleRange) -> bool:
     """Whether cover_cost_function solves the cell on the dyadic tree (else the interval DP)."""
     return points.dimension_n > 1 or rng.theta == 0.0
 
 
-@contextlib.contextmanager
-def _shared_bbox_tree(points: PointCloud, ranges):
-    """While open, cover_cost_function solves the dyadic cells of ranges on one tree.
+def spanning_tree(points: PointCloud, ranges) -> _DyadicTree | None:
+    """One bounding-box tree for the dyadic cells of ranges, None if there are none.
 
-    The tree spans the levels of every such cell, from the coarsest top to
-    the finest bottom, and each cell solves on its own band of it; a cell
+    It spans the levels of every such cell, from the coarsest top to the
+    finest bottom, and each cell solves on its own band of it; a cell
     past MAX_DEPTH is left out, to raise DepthLimitError when it is solved.
-    It is held in a context variable, so other threads and tasks do not
-    see it, and dropped on exit.
     """
     levels = []
     for rng in ranges:
@@ -551,15 +547,10 @@ def _shared_bbox_tree(points: PointCloud, ranges):
                 levels.append(_bbox_levels(points, rng))
             except DepthLimitError:
                 pass
-    tree = None
-    if levels:
-        tops, bottoms = zip(*levels)
-        tree = _DyadicTree(points, points.bbox[0], points.side, min(tops), max(bottoms))
-    token = _shared_tree.set((points, tree))
-    try:
-        yield
-    finally:
-        _shared_tree.reset(token)
+    if not levels:
+        return None
+    tops, bottoms = zip(*levels)
+    return _DyadicTree(points, points.bbox[0], points.side, min(tops), max(bottoms))
 
 
 def _rescale(points: PointCloud):
@@ -611,24 +602,24 @@ def optimal_cover_dyadic(
     return RestrictedCover(sets, rng, s, min(rng.lo, tree.diameter(tree.bottom)))
 
 
-def cover_cost_function(points: PointCloud, rng: ScaleRange, scale_menu_size: int = 16):
+def cover_cost_function(points: PointCloud, rng: ScaleRange, scale_menu_size: int = 16, tree=None):
     """One (delta, theta) cell's cover-cost solver, its structure built once.
 
-    The solver's costs(ss) gives the optimal cover cost at each s in a
-    list, and its batch_size how many s values one call should carry.
-    1-D with theta > 0: the interval DP over the geometric menu, as in
-    optimal_cover_1d, one pass for a batch of s.  Otherwise the band of
-    the cell's levels in the dyadic tree, giving the cost
-    optimal_cover_dyadic reports, one pass per s: a band of the cloud's
-    shared tree while _shared_bbox_tree holds one that spans them, else of
-    a tree built on just those levels.
+    The solver's costs(ss) gives a one-entry list, the list of optimal
+    cover costs at the s in ss, and its batch_size how many s values one
+    call should carry.  1-D with theta > 0: the interval DP over the
+    geometric menu, as in optimal_cover_1d, one pass for a batch of s.
+    Otherwise the band of the cell's levels in the dyadic tree, giving
+    the cost optimal_cover_dyadic reports, one pass per s: a band of
+    tree, which must be a bounding-box tree of points spanning those
+    levels (spanning_tree), or if None of a tree built on just those
+    levels.
     """
     if not _solves_dyadic(points, rng):
         menu = geometric_menu(rng.lo, rng.hi, scale_menu_size)
         return _IntervalDP(points.array[:, 0], menu)
     top, bottom = _bbox_levels(points, rng)
-    cloud, tree = _shared_tree.get()
-    if cloud is not points or tree is None or not tree.top <= top <= bottom <= tree.bottom:
+    if tree is None:
         tree = _DyadicTree(points, points.bbox[0], points.side, top, bottom)
     return _DyadicBand(tree, top, bottom)
 

@@ -32,10 +32,10 @@ from .core import (
 )
 from .covers import (
     MAX_MENU,
-    _shared_bbox_tree,
     cover_cost_function,
     guarded_ceil,
     serial_interval_dps,
+    spanning_tree,
 )
 
 BISECTION_TOL = 1e-3
@@ -72,23 +72,18 @@ def critical_exponent(
     31) where one s per call would take about 13; 3 calls (17, 15 and 7)
     on a cell whose cost table would pass covers.TABLE_BUDGET at 65.
     Every s and every comparison is that of a one-s-at-a-time bisection,
-    so the result is too.  estimate_spectrum runs the same bisection on
-    its serial cells, in groups of up to three that share each DP pass
-    and divide the batch size among them: a group of three takes 3 passes
-    (17, 15 and 7 values a cell).  scale_menu_size (2 to covers.MAX_MENU)
-    is read here, so a cell the dyadic tree solves, which has no menu,
-    refuses it as the interval DP does.
+    so the result is too.  This is the cell driver, _exponents, on one
+    cell; estimate_spectrum runs it on every cell, where a group of up to
+    three serial cells shares each DP pass and divides the batch size
+    among them: a group of three takes 3 passes (17, 15 and 7 values a
+    cell).  scale_menu_size (2 to covers.MAX_MENU) is read here, so a
+    cell the dyadic tree solves, which has no menu, refuses it as the
+    interval DP does.
     """
     threshold, scale_menu_size = _solve_options(threshold, scale_menu_size)
     rng = ScaleRange(delta, theta)
     solver = cover_cost_function(points, rng, scale_menu_size)
-    walk, costs = _bisection(float(points.dimension_n), threshold, solver.batch_size), None
-    while True:
-        try:
-            batch = walk.send(costs)
-        except StopIteration as done:
-            return CriticalExponent(rng.delta, rng.theta, *done.value)
-        costs = solver.costs(batch)
+    return _exponents(points, [rng], solver, threshold)[rng]
 
 
 def _solve_options(threshold, scale_menu_size) -> tuple[float, int]:
@@ -99,7 +94,7 @@ def _solve_options(threshold, scale_menu_size) -> tuple[float, int]:
 
 
 def _bisection(n: float, threshold: float, width: int):
-    """critical_exponent's root finder on [0, n]: yields each batch of s, is sent their costs.
+    """One cell's root finder on [0, n]: yields each batch of s, is sent their costs.
 
     A batch holds the walk ahead of the current interval (_walk_ahead),
     as many whole levels as fit in width, and at least one.  Returns
@@ -135,35 +130,33 @@ def _bisection(n: float, threshold: float, width: int):
     return (yield from cost(lo, hi))
 
 
-def _serial_exponents(points: PointCloud, ranges, threshold, scale_menu_size) -> dict:
-    """ScaleRange -> CriticalExponent for the serial interval-DP cells among ranges.
+def _exponents(points: PointCloud, cells, solver, threshold: float) -> dict:
+    """ScaleRange -> CriticalExponent for cells that share solver, a lone cell a group of one.
 
-    covers.serial_interval_dps picks them and builds one DP over the
-    menus of each group.  Each cell runs its own _bisection at the DP's
-    batch_size; a round gathers the next batch of every cell of the group
-    still running and solves them all in one table pass, so each round
-    pays the per-state numpy calls once for the whole group.  Every s and
-    cost is the one critical_exponent finds for the cell, bit for bit.
+    Each cell runs its own _bisection at the solver's batch_size; a round
+    gathers the next batch of every cell still running and solves them
+    all in one solver call, so each round pays the per-state numpy calls
+    of an interval DP once for the whole group.  A cell leaves the rounds
+    once its root is found.
     """
+    n = float(points.dimension_n)
+    walks = [_bisection(n, threshold, solver.batch_size) for _ in cells]
+    asks = [next(walk) for walk in walks]  # each cell's next batch, () once its root is found
     found = {}
-    for cells, dp in serial_interval_dps(points, ranges, scale_menu_size):
-        walks = {rng: _bisection(1.0, threshold, dp.batch_size) for rng in cells}  # n is 1
-        asks = {rng: next(walk) for rng, walk in walks.items()}  # the batch of each running cell
-        while asks:
-            width = max(map(len, asks.values()))
-            # lists, so that no view keeps this table alive while the next one is filled
-            costs = dp.table(*(asks.get(rng, ()) for rng in cells))[0].reshape(-1, width).tolist()
-            for (rng, batch), got in zip(list(asks.items()), costs):
+    while len(found) < len(cells):
+        costs = iter(solver.costs(*asks))
+        for c, (rng, ask) in enumerate(zip(cells, asks)):
+            if ask:
                 try:
-                    asks[rng] = walks[rng].send(got[: len(batch)])
+                    asks[c] = walks[c].send(next(costs))
                 except StopIteration as done:
-                    del asks[rng]
+                    asks[c] = ()
                     found[rng] = CriticalExponent(rng.delta, rng.theta, *done.value)
     return found
 
 
 def _walk_ahead(lo: float, hi: float, front):
-    """The s values critical_exponent may ask for next, level by level.
+    """The s values _bisection may ask for next, level by level.
 
     First each of front (the endpoints still to check), then the bisection
     tree below [lo, hi]: a node's s is 0.5 * (lo + hi), and it has the two
@@ -218,16 +211,17 @@ def estimate_spectrum(
     and raw exponents: its finite-resolution bias does not follow the
     drift model.  Its cells, like every dyadic cell (any theta in R^2 and
     R^3), solve on their bands of levels in one bounding-box tree built
-    before the rows, which stores levels only down to where every point
-    is alone, however deep the bands reach.  The serial interval-DP
-    cells (1-D, theta > 0, the smallest diameter below every gap between
-    points) of the rows before the first empty one are solved first, in
-    groups that share one DP pass a round (_serial_exponents), with the
-    bits critical_exponent gives; every other cell calls
-    critical_exponent in its row's turn.  A row whose lower or upper
-    value falls below the running max of the rows before it (theta > 0)
-    by more than TOL_MONO_ESTIMATED raises EstimateNotMonotoneError: the
-    deltas are too coarse for the cloud.
+    before the rows (covers.spanning_tree), which stores levels only down
+    to where every point is alone, however deep the bands reach.  Every
+    cell bisects in _exponents.  The serial interval-DP cells (1-D, theta
+    > 0, the smallest diameter below every gap between points) of the
+    rows before the first empty one are solved first, in groups that
+    share one DP pass a round; every other cell is solved alone in its
+    row's turn.  Each gives the bits critical_exponent gives.  threshold
+    and scale_menu_size are read once, before the first cell is solved.
+    A row whose lower or upper value falls below the running max of the
+    rows before it (theta > 0) by more than TOL_MONO_ESTIMATED raises
+    EstimateNotMonotoneError: the deltas are too coarse for the cloud.
     """
     thetas = theta_grid(grid)
     deltas = [check_number(d, "delta", 0, 1) for d in delta_sequence]
@@ -247,41 +241,47 @@ def estimate_spectrum(
                 continue
     samples = []
     peaks = [-math.inf, -math.inf]  # running max of the lower and upper columns over theta > 0
-    with _shared_bbox_tree(points, [rng for ranges in rows for rng in ranges]):
-        ahead = list(itertools.takewhile(bool, rows))  # the rows before the first empty one
-        serial = {}
-        if ahead:  # read first, as the first row's first critical_exponent call reads them
-            threshold, scale_menu_size = _solve_options(threshold, scale_menu_size)
-            serial = _serial_exponents(
-                points, [rng for ranges in ahead for rng in ranges], threshold, scale_menu_size
+    tree = spanning_tree(points, [rng for ranges in rows for rng in ranges])
+    # the cells of the rows before the first empty one
+    ahead = [rng for ranges in itertools.takewhile(bool, rows) for rng in ranges]
+    serial = {}
+    if ahead:  # else the first row is empty, and raises before the options are read
+        threshold, scale_menu_size = _solve_options(threshold, scale_menu_size)
+        # a comprehension, so that the last group's DP is freed with its group
+        serial = {
+            rng: found
+            for cells, dp in serial_interval_dps(points, ahead, scale_menu_size)
+            for rng, found in _exponents(points, cells, dp, threshold).items()
+        }
+    for theta, ranges in zip(thetas, rows):
+        row = [
+            serial[rng]
+            if rng in serial
+            else _exponents(
+                points, [rng], cover_cost_function(points, rng, scale_menu_size, tree), threshold
+            )[rng]
+            for rng in ranges
+        ]
+        if not row:
+            raise ScaleRangeTooDeepError(
+                f"no admissible delta at theta={theta}: "
+                f"delta**(1/theta) falls below MIN_SCALE for every delta"
             )
-        for theta, ranges in zip(thetas, rows):
-            row = [
-                serial[rng]
-                if rng in serial
-                else critical_exponent(points, rng.delta, theta, threshold, scale_menu_size)
-                for rng in ranges
-            ]
-            if not row:
-                raise ScaleRangeTooDeepError(
-                    f"no admissible delta at theta={theta}: "
-                    f"delta**(1/theta) falls below MIN_SCALE for every delta"
+        values = _drift_corrected(row) if theta > 0.0 else {c.delta: c.s_star for c in row}
+        picked = [values[d] for d in sorted(values)[:2]]
+        lower = max(0.0, min(min(picked), n))
+        upper = max(lower, min(max(picked), n))
+        columns = (("lower", lower), ("upper", upper)) if theta > 0.0 else ()
+        # theta = 0 is exempt, as in DimensionSpectrum
+        for i, (column, v) in enumerate(columns):
+            if v < peaks[i] - TOL_MONO_ESTIMATED:
+                raise EstimateNotMonotoneError(
+                    f"estimated {column} value falls at theta={theta}: {v} < running max "
+                    f"{peaks[i]} - {TOL_MONO_ESTIMATED}; the deltas {deltas} are too "
+                    f"coarse for the cloud"
                 )
-            values = _drift_corrected(row) if theta > 0.0 else {c.delta: c.s_star for c in row}
-            picked = [values[d] for d in sorted(values)[:2]]
-            lower = max(0.0, min(min(picked), n))
-            upper = max(lower, min(max(picked), n))
-            columns = (("lower", lower), ("upper", upper)) if theta > 0.0 else ()
-            # theta = 0 is exempt, as in DimensionSpectrum
-            for i, (column, v) in enumerate(columns):
-                if v < peaks[i] - TOL_MONO_ESTIMATED:
-                    raise EstimateNotMonotoneError(
-                        f"estimated {column} value falls at theta={theta}: {v} < running max "
-                        f"{peaks[i]} - {TOL_MONO_ESTIMATED}; the deltas {deltas} are too "
-                        f"coarse for the cloud"
-                    )
-                peaks[i] = max(peaks[i], v)
-            samples.append(SpectrumSample(theta, lower, upper, "estimated"))
+            peaks[i] = max(peaks[i], v)
+        samples.append(SpectrumSample(theta, lower, upper, "estimated"))
     return DimensionSpectrum(ambient_n=points.dimension_n, samples=tuple(samples))
 
 

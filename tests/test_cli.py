@@ -153,6 +153,19 @@ class TestCarpetCommand:
         code, _, err = run(capsys, "carpet", "--spec", str(path), "--grid", "0:1:0.5")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[" * 100_000 + "]" * 100_000, '{"m": ' + "9" * 5000 + ', "n": 3, "digits": [[0, 0]]}'],
+        ids=["nested-100000-deep", "integer-of-5000-digits"],
+    )
+    def test_unparsable_json_exits_2(self, capsys, tmp_path, text):
+        # RecursionError and int's digit limit (ValueError) used to escape with exit 1
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "carpet", "--spec", str(path), "--grid", "0.5")
+        assert code == 2
+        assert err.startswith("dimspect: malformed carpet JSON") and len(err.splitlines()) == 1
+
     def test_duplicate_digits_exit_2(self, capsys, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text('{"m":2,"n":3,"digits":[[0,0],[0,0]]}')

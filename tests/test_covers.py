@@ -32,8 +32,8 @@ from dimspect.covers import (
     _bbox_tree,
     _DyadicTree,
     _IntervalDP,
-    _shared_bbox_tree,
     cover_cost_function,
+    spanning_tree,
 )
 from conftest import point_clouds
 from oracles import (
@@ -257,7 +257,7 @@ class TestDyadicTreeMatchesRecursion:
         assert cover.sets == reference.sets
         assert cover.cost == reference.cost
         if cloud.dimension_n > 1 or theta == 0.0:
-            assert cover_cost_function(cloud, rng).costs([s]) == [reference.cost]
+            assert cover_cost_function(cloud, rng).costs([s]) == [[reference.cost]]
         assert cover.covers(cloud)
         for c in cover.sets:
             assert cover.effective_lo <= c.diameter <= rng.hi * (1 + 1e-12)
@@ -400,9 +400,9 @@ def clouds_with_close_pairs(draw):
 
 
 def assert_bands_equal_fresh_trees(cloud, cells, ss):
-    """Within _shared_bbox_tree, each dyadic cell's costs at ss are those of a fresh tree
-    over its levels and of recursive_dyadic_cover, bit for bit.  Returns the shared tree
-    and the cells' (top, bottom) levels.
+    """On the spanning_tree of cells, each dyadic cell's costs at ss are those of a fresh
+    tree over its levels and of recursive_dyadic_cover, bit for bit.  Returns the shared
+    tree and the cells' (top, bottom) levels.
     """
     ranges = []
     for delta, theta in cells:
@@ -411,27 +411,25 @@ def assert_bands_equal_fresh_trees(cloud, cells, ss):
         except ScaleRangeTooDeepError:
             pass
     levels = []
-    with _shared_bbox_tree(cloud, ranges):
-        assert covers._shared_tree.get()[0] is cloud
-        shared = covers._shared_tree.get()[1]
-        for rng in ranges:
-            if cloud.dimension_n == 1 and rng.theta > 0.0:
-                continue  # the interval DP's cell
-            try:
-                top, bottom = _bbox_levels(cloud, rng)
-            except DepthLimitError:
-                with pytest.raises(DepthLimitError):
-                    cover_cost_function(cloud, rng)
-                continue
-            levels.append((top, bottom))
-            band = cover_cost_function(cloud, rng)
-            assert band.tree is shared and (band.top, band.bottom) == (top, bottom)
-            fresh = _DyadicTree(cloud, cloud.bbox[0], cloud.side, top, bottom)
-            got = band.costs(ss)
-            assert got == [fresh.cost(s) for s in ss]
-            assert got == [recursive_dyadic_cover(cloud, rng, s).cost for s in ss]
+    shared = spanning_tree(cloud, ranges)
+    for rng in ranges:
+        if cloud.dimension_n == 1 and rng.theta > 0.0:
+            continue  # the interval DP's cell
+        try:
+            top, bottom = _bbox_levels(cloud, rng)
+        except DepthLimitError:
+            with pytest.raises(DepthLimitError):
+                cover_cost_function(cloud, rng, 16, shared)
+            continue
+        levels.append((top, bottom))
+        band = cover_cost_function(cloud, rng, 16, shared)
+        assert band.tree is shared and (band.top, band.bottom) == (top, bottom)
+        assert shared.top <= top <= bottom <= shared.bottom
+        fresh = _DyadicTree(cloud, cloud.bbox[0], cloud.side, top, bottom)
+        (got,) = band.costs(ss)
+        assert got == [fresh.cost(s) for s in ss]
+        assert got == [recursive_dyadic_cover(cloud, rng, s).cost for s in ss]
     assert (shared is None) == (not levels)
-    assert covers._shared_tree.get() == (None, None)
     return shared, levels
 
 
@@ -511,7 +509,7 @@ class TestIntervalDPMatchesOracle:
         cloud, rng, size, menu, ss = cell
         xs = cloud.array[:, 0]
         oracle = ScalarIntervalDP(xs.tolist(), menu)
-        assert _IntervalDP(xs, menu).costs(ss) == [oracle.cost(s) for s in ss]
+        assert _IntervalDP(xs, menu).costs(ss) == [[oracle.cost(s) for s in ss]]
         for s in {1.0, *ss[:3]}:
             cover = optimal_cover_1d(cloud, rng, s, scale_menu_size=size)
             picks = oracle.cover(s)
@@ -523,7 +521,7 @@ class TestIntervalDPMatchesOracle:
     def test_batched_cost_equals_brute_force(self, cell):
         cloud, _, _, menu, ss = cell
         xs = cloud.array[:, 0]
-        for s, got in zip(ss, _IntervalDP(xs, menu).costs(ss)):
+        for s, got in zip(ss, _IntervalDP(xs, menu).costs(ss)[0]):
             expected = brute_force_menu_cost(xs.tolist(), menu, s)
             assert abs(got - expected) <= 1e-12 * max(1.0, expected)
 
@@ -534,7 +532,7 @@ class TestIntervalDPMatchesOracle:
         # to equal powers, so only well-separated pairs are compared
         cloud, _, _, menu, ss = cell
         ss = sorted(set(ss))
-        costs = _IntervalDP(cloud.array[:, 0], menu).costs(ss)
+        (costs,) = _IntervalDP(cloud.array[:, 0], menu).costs(ss)
         for (s, a), (t, b) in zip(zip(ss, costs), zip(ss[1:], costs[1:])):
             if t - s > 1e-6:
                 assert a > b
@@ -664,6 +662,7 @@ class TestIntervalDPGroups:
             expected = lone.table(ss)
             assert got.tolist() == expected.tolist() == serial_interval_table(lone, ss).tolist()
             assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+        assert joint.costs(*batches) == [_IntervalDP(xs, m).costs(ss)[0] for m, ss in live]
 
     @pytest.mark.parametrize("menu_size", [16, 2])
     def test_serial_cells_of_the_benchmark_cloud_form_one_group(self, menu_size):

@@ -95,9 +95,20 @@ class _CountingSolver:
         self.solver, self.calls = solver, calls
         self.batch_size = solver.batch_size
 
-    def costs(self, ss):
-        self.calls.append(list(ss))
-        return self.solver.costs(ss)
+    def costs(self, *batches):
+        self.calls.append([s for ss in batches for s in ss])
+        return self.solver.costs(*batches)
+
+
+@pytest.fixture
+def solved_cells(monkeypatch) -> list:
+    """The ScaleRange of each lone cell whose solver is built, in order."""
+    cells = []
+    real = estimate.cover_cost_function
+    monkeypatch.setattr(
+        estimate, "cover_cost_function", lambda *args: cells.append(args[1]) or real(*args)
+    )
+    return cells
 
 
 @pytest.fixture
@@ -176,18 +187,13 @@ class TestOneTreePerSpectrum:
             critical_exponent(cloud, delta, 0.5)
         assert len(built_trees) == 2
 
-    def test_too_deep_cell_raises_in_its_turn(self, built_trees, monkeypatch):
+    def test_too_deep_cell_raises_in_its_turn(self, built_trees, solved_cells):
         # delta=1e-7 needs level 44 on a box of side 2**20: the tree spans the
         # other two cells, and the third raises when it is solved
         cloud = PointCloud.from_points([(0.0, 0.0), (2.0**20, 0.0), (3.0, 5.0)])
-        solved = []
-        real = estimate.critical_exponent
-        monkeypatch.setattr(
-            estimate, "critical_exponent", lambda *args: solved.append(args[1]) or real(*args)
-        )
         with pytest.raises(DepthLimitError):
             estimate_spectrum(cloud, (1.0,), (0.9, 1e-3, 1e-7))
-        assert solved == [0.9, 1e-3, 1e-7]
+        assert [rng.delta for rng in solved_cells] == [0.9, 1e-3, 1e-7]
         assert len(built_trees) == 1
 
     def test_no_tree_outlives_its_cloud(self, built_trees, worked_carpet):
@@ -196,10 +202,31 @@ class TestOneTreePerSpectrum:
         with pytest.raises(ValidationError):  # a cell that raises leaves none either
             estimate_spectrum(cloud, (0.0, 0.5), (0.1, 0.03, 0.01), threshold=-1.0)
         assert len(built_trees) == 2
-        del cloud
         gc.collect()
-        assert all(tree() is None for tree in built_trees)
-        assert covers._shared_tree.get() == (None, None)
+        assert all(tree() is None for tree in built_trees)  # not even while the cloud lives
+
+    def test_dyadic_cells_match_critical_exponent(self, built_trees, worked_carpet, monkeypatch):
+        # each cell solves on its band of the spectrum's one tree, with the
+        # bits a lone critical_exponent gives on a tree of the cell's own levels
+        cloud = carpet_points(worked_carpet, 5)
+        found, bands = {}, []
+        real = estimate._exponents
+
+        def recording(points, cells, solver, threshold):
+            bands.append(solver)
+            got = real(points, cells, solver, threshold)
+            found.update(got)
+            return got
+
+        monkeypatch.setattr(estimate, "_exponents", recording)
+        estimate_spectrum(cloud, (0.0, 0.5, 1.0), (0.1, 0.03, 0.01))
+        assert len(built_trees) == 1
+        assert all(band.tree is built_trees[0]() for band in bands)
+        assert len(bands) == len(found) == 9
+        monkeypatch.undo()
+        for rng, cell in found.items():
+            lone = critical_exponent(cloud, rng.delta, rng.theta)
+            assert (cell.s_star, cell.cost_at_s_star) == (lone.s_star, lone.cost_at_s_star)
 
 
 class TestLookaheadMatchesSequentialBisection:
@@ -284,18 +311,10 @@ class TestEstimateSpectrum:
         assert spectrum.samples[0].lower == raw == spectrum.samples[0].upper
         assert 0.0 < raw < 1.0
 
-    def test_raises_before_later_rows_are_solved(self, monkeypatch):
-        solved = []
-        real = estimate.critical_exponent
-
-        def recording(points, delta, theta, *args):
-            solved.append(theta)
-            return real(points, delta, theta, *args)
-
-        monkeypatch.setattr(estimate, "critical_exponent", recording)
+    def test_raises_before_later_rows_are_solved(self, monkeypatch, solved_cells):
         with pytest.raises(ScaleRangeTooDeepError, match="theta=0.05"):
             estimate_spectrum(fp_points(1.0, 1e-2), [0.05, 1.0], [1e-2, 1e-3, 1e-4])
-        assert solved == []
+        assert solved_cells == []
         # theta=0.25 holds serial cells, which are solved together ahead of
         # the rows, but only those of the rows before the first empty one
         cloud = fp_points(1.0, 1e-2)
@@ -308,10 +327,10 @@ class TestEstimateSpectrum:
         )
         with pytest.raises(ScaleRangeTooDeepError, match="theta=0.05"):
             estimate_spectrum(cloud, [0.05, 0.25, 1.0], [1e-2, 1e-3, 1e-4])
-        assert solved == [] and passes == []
+        assert solved_cells == [] and passes == []
         with pytest.raises(ScaleRangeTooDeepError, match="theta=0.05"):
             estimate_spectrum(cloud, [0.0, 0.05, 0.25, 1.0], [1e-2, 1e-3, 1e-4])
-        assert solved == [0.0] * 3 and passes == []
+        assert [rng.theta for rng in solved_cells] == [0.0] * 3 and passes == []
         # an invalid threshold still loses to an empty first row, and wins over a later one
         with pytest.raises(ScaleRangeTooDeepError, match="theta=0.05"):
             estimate_spectrum(cloud, [0.05, 0.25], [1e-2, 1e-3, 1e-4], threshold=math.nan)
@@ -430,6 +449,25 @@ class TestSerialCellsInLockstep:
         spectrum = estimate_spectrum(cloud, [0.25, 0.5, 0.75, 1.0], [1e-2, 1e-3, 1e-4])
         assert joint_passes == [(3, 3)] * 3
         assert len(spectrum.samples) == 4
+
+    def test_no_serial_dp_outlives_its_group(self, monkeypatch):
+        # a lone cell's solver is built only once every group's DP is freed
+        built, alive = [], []
+        real_init, real_solver = covers._IntervalDP.__init__, estimate.cover_cost_function
+
+        def counting(dp, xs, *menus):
+            built.append((weakref.ref(dp), len(menus)))
+            real_init(dp, xs, *menus)
+
+        def solver(*args):
+            alive.append([cells for dp, cells in built if dp() is not None])
+            return real_solver(*args)
+
+        monkeypatch.setattr(covers._IntervalDP, "__init__", counting)
+        monkeypatch.setattr(estimate, "cover_cost_function", solver)
+        estimate_spectrum(fp_points(*self.CLOUD), self.GRID, self.DELTAS)
+        assert [cells for _, cells in built if cells > 1] == [3]
+        assert alive == [[]] * 9  # the nine other cells
 
 
 class TestCoupledTruncation:
