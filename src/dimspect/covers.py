@@ -36,9 +36,10 @@ from .core import (
 # Most entries a diameter menu may hold, 64 times the default 16: the
 # interval DP's jump table is points x menu entries.
 MAX_MENU = 1024
-# Bytes the interval DP's cost table (states x s values, float64) may take
-# at its wide batch: 16 MiB, 32,263 states at 65 values.  The 252,385
-# states of fp_points(1, 1e-6, theta_min=.25) would need 131 MB at 65.
+# Bytes a serial group's cost table (states x cells x 17 values of s,
+# float64) may take: 16 MiB, 3 cells of 41,120 states or 1 of 123,361.
+# A group holds at least one cell, so the 252,386 states of
+# fp_points(1, 1e-6, theta_min=.25) take 34 MB alone.
 TABLE_BUDGET = 16 * 2**20
 
 
@@ -174,22 +175,24 @@ class _IntervalDP:
     the cells of a group.
 
     batch_size, the s values one table() call should carry per menu, is
-    wide_batch while a lone cell's cost table fits TABLE_BUDGET, else
-    narrow_batch, divided among the cells, so that a group's table is no
-    larger than a lone cell's.
+    17 for every cell, alone or in a group.
     """
 
-    # On a serial cell a pass at 65 values of s costs about 1.4 times one
-    # at a single s: per-state numpy calls dominate.  critical_exponent's
-    # first call holds the 2 endpoints and bisection depths 0..k-1, 2**k +
-    # 1 values, and a bisection ends at depth 10 (1 / 2**10 <= 1e-3): k = 6
-    # gives 65 values and 2 calls (the second holds depths 6..10, 31
-    # values); k = 4 gives 17 and 3 calls (17, 15 and 7 values), as do the
-    # 21 values each cell of a group of three carries.
-    wide_batch, narrow_batch = 65, 17
+    # On a serial cell per-state numpy calls dominate a pass: at 17 values
+    # of s it costs about 1.3 times one at a single s.  A bisection's
+    # first batch holds the 2 endpoints and bisection depths 0..3 (17
+    # values); from there it ends at depth 10 (1 / 2**10 <= 1e-3), a path
+    # of 7 nodes, and the next batch holds the 17 nodes nearest the root
+    # guessed from the costs in hand (estimate._walk_ahead), so a cell
+    # takes 2 passes where the guess holds.  Narrower batches miss more:
+    # against a 65-value level walk (2 passes), a guided walk took an
+    # extra pass on 41 of 144 cell solves at 9 values and on 2 at 17 (12
+    # cells each of fp_points(p, 1e-3, theta_min=.25), p = .5, 1 and 2,
+    # and flog_points(1e-3), at thresholds .5, 1 and 3).
+    batch_size = 17
     # States one run holds at most.  The pass's temporary is menu x the
     # cell's longest run x batch_size floats: none on a serial cell, at
-    # most 532 KB at the default 16 x 64 x 65.
+    # most 136 KiB at the default 16 x 64 x 17.
     max_run = 64
 
     def __init__(self, xs: np.ndarray, *menus: tuple[float, ...]):
@@ -218,7 +221,6 @@ class _IntervalDP:
         if cells > 1:
             self.jump *= cells
             self.jump += np.arange(size * cells) % cells
-        self.batch_size = max(1, self.batch_for(len(self.states)) // cells)
         # The run that ends at b starts at first[b], the first state whose
         # nearest jump lands at or past b, or max_run back.  first[b] ==
         # b - 1 is a run of one state; skip[b] is where a walk through such
@@ -232,11 +234,6 @@ class _IntervalDP:
             a = max(first[b], b - self.max_run)
             self.blocks.append((a, b))
             b = skip[a]
-
-    @classmethod
-    def batch_for(cls, states: int) -> int:
-        """A lone cell's batch_size at this many states: wide while its table fits TABLE_BUDGET."""
-        return cls.wide_batch if states * cls.wide_batch * 8 <= TABLE_BUDGET else cls.narrow_batch
 
     def table(self, *batches) -> np.ndarray:
         """Optimal cost from each kept state at each s of each batch, in one right-to-left pass.
@@ -630,11 +627,10 @@ def serial_interval_dps(points: PointCloud, ranges, scale_menu_size: int = 16):
     A cell is serial when its smallest diameter is below every gap
     between points, which one searchsorted of that diameter shows: its DP
     keeps every point as a state, so all such cells share their states.
-    A group holds at most batch_for(states) // narrow_batch cells (3 up
-    to about 32,000 points, else 1), so that each carries at least
-    narrow_batch values of s per pass; its cost table is no larger than
-    a lone cell's, and its jump table is one lone cell's per cell.  Each
-    group's DP is built when the generator reaches it.
+    A group holds as many cells as fit TABLE_BUDGET at batch_size (17)
+    values of s each, and at least one: 3 at 40,001 points, 1 above
+    61,679.  Its jump table is one lone cell's per cell.  Each group's DP
+    is built when the generator reaches it.
     """
     xs, menus = points.array[:, 0], {}
     for rng in ranges:
@@ -643,7 +639,7 @@ def serial_interval_dps(points: PointCloud, ranges, scale_menu_size: int = 16):
             if (np.searchsorted(xs, xs + menu[0], "right") == np.arange(1, len(xs) + 1)).all():
                 menus[rng] = menu
     cells = list(menus)
-    size = _IntervalDP.batch_for(len(xs) + 1) // _IntervalDP.narrow_batch
+    size = max(1, TABLE_BUDGET // ((len(xs) + 1) * _IntervalDP.batch_size * 8))
     for i in range(0, len(cells), size):
         yield cells[i : i + size], _IntervalDP(xs, *(menus[c] for c in cells[i : i + size]))
 

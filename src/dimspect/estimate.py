@@ -11,6 +11,7 @@ surrogate for the "some delta" vs "all small delta" quantifiers.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,20 +66,20 @@ def critical_exponent(
     already <= threshold the root is pinned at 0.  If even s = n leaves the
     cost above threshold the result clamps to n (scale far too coarse for
     the data).  Bisection stops at |ds| <= 1e-3, whatever the batch size.
-    The bisection (_bisection) asks for several levels of the walk ahead
-    per solver call (the two endpoints, then the midpoints of the
-    bisection tree below the current interval), as many as the solver's
-    batch_size holds, so the interval DP needs 2 calls (65 values, then
-    31) where one s per call would take about 13; 3 calls (17, 15 and 7)
-    on a cell whose cost table would pass covers.TABLE_BUDGET at 65.
-    Every s and every comparison is that of a one-s-at-a-time bisection,
-    so the result is too.  This is the cell driver, _exponents, on one
-    cell; estimate_spectrum runs it on every cell, where a group of up to
-    three serial cells shares each DP pass and divides the batch size
-    among them: a group of three takes 3 passes (17, 15 and 7 values a
-    cell).  scale_menu_size (2 to covers.MAX_MENU) is read here, so a
-    cell the dyadic tree solves, which has no menu, refuses it as the
-    interval DP does.
+    The bisection (_bisection) asks for as many s per solver call as the
+    solver's batch_size holds: first the two endpoints and the top levels
+    of the bisection tree, then the nodes of the tree below the current
+    interval nearest a root guess, where log cost interpolated linearly
+    between the interval's ends meets log threshold.  So the interval DP,
+    at 17 values, needs 2 calls where the guess holds (one more where it
+    misses) where one s per call would take about 13.  Every s and every comparison is that
+    of a one-s-at-a-time bisection, so the result is too.  This is the
+    cell driver, _exponents, on one cell; estimate_spectrum runs it on
+    every cell, where a group of serial cells shares each DP pass at 17
+    values a cell: the three of fp_points(1, 1e-4, theta_min=.25) take 2
+    passes in all.  The dyadic tree takes one s per call.  scale_menu_size
+    (2 to covers.MAX_MENU) is read here, so a cell the dyadic tree
+    solves, which has no menu, refuses it as the interval DP does.
     """
     threshold, scale_menu_size = _solve_options(threshold, scale_menu_size)
     rng = ScaleRange(delta, theta)
@@ -96,9 +97,11 @@ def _solve_options(threshold, scale_menu_size) -> tuple[float, int]:
 def _bisection(n: float, threshold: float, width: int):
     """One cell's root finder on [0, n]: yields each batch of s, is sent their costs.
 
-    A batch holds the walk ahead of the current interval (_walk_ahead),
-    as many whole levels as fit in width, and at least one.  Returns
-    (s*, cost(s*)).
+    A batch holds the first width s of the walk ahead of the current
+    interval (_walk_ahead), guided by a root guess (_root_guess) after
+    the endpoints are known and at width above 1.  A walk reaches a node
+    only through its parent, and [lo, hi]'s own s is unknown, so no s is
+    asked twice.  Returns (s*, cost(s*)).
     """
     known: dict[float, float] = {}
 
@@ -106,11 +109,8 @@ def _bisection(n: float, threshold: float, width: int):
         """(s, cost(s)) for the walk's next s: front[0], or the midpoint of [lo, hi]."""
         s = front[0] if front else 0.5 * (lo + hi)
         if s not in known:
-            batch: list[float] = []
-            for level in _walk_ahead(lo, hi, front):
-                if batch and len(batch) + len(level) > width:
-                    break
-                batch += level
+            guess = None if front or width == 1 else _root_guess(lo, hi, known, threshold)
+            batch = list(itertools.islice(_walk_ahead(lo, hi, front, guess), width))
             known.update(zip(batch, (yield batch)))
         return s, known[s]
 
@@ -128,6 +128,23 @@ def _bisection(n: float, threshold: float, width: int):
         else:
             hi = mid
     return (yield from cost(lo, hi))
+
+
+def _root_guess(lo: float, hi: float, known: dict, threshold: float) -> float | None:
+    """Where log cost, linear between lo and hi, crosses log threshold.
+
+    None unless cost(lo) > threshold >= cost(hi) > 0 and the logs of the
+    two costs differ (two costs an ulp apart may share one) and the guess
+    is finite.
+    """
+    c_lo, c_hi = known[lo], known[hi]
+    if not c_lo > threshold >= c_hi > 0.0:
+        return None
+    a, b = math.log(c_lo), math.log(c_hi)
+    if not a > b:
+        return None
+    guess = lo + (hi - lo) * (a - math.log(threshold)) / (a - b)
+    return guess if math.isfinite(guess) else None
 
 
 def _exponents(points: PointCloud, cells, solver, threshold: float) -> dict:
@@ -155,24 +172,26 @@ def _exponents(points: PointCloud, cells, solver, threshold: float) -> dict:
     return found
 
 
-def _walk_ahead(lo: float, hi: float, front):
-    """The s values _bisection may ask for next, level by level.
+def _walk_ahead(lo: float, hi: float, front, guess: float | None):
+    """The s values _bisection may ask for next, in order.
 
     First each of front (the endpoints still to check), then the bisection
     tree below [lo, hi]: a node's s is 0.5 * (lo + hi), and it has the two
     halves as children while hi - lo > BISECTION_TOL (else its s is s*).
+    The tree comes nearest guess first (every node is as near with no
+    guess), then shallowest, then leftmost: every node after its parent,
+    [lo, hi]'s own s first, and with no guess level by level.
     """
-    for s in front:
-        yield [s]
-    level = [(lo, hi)]
-    while level:
-        yield [0.5 * (a + b) for a, b in level]
-        level = [
-            half
-            for a, b in level
-            if b - a > BISECTION_TOL
-            for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))
-        ]
+    yield from front
+    nodes = [(0.0, 0, lo, hi)]  # (distance to guess, depth, the node's interval)
+    while nodes:
+        _, depth, a, b = heapq.heappop(nodes)
+        mid = 0.5 * (a + b)
+        yield mid
+        if b - a > BISECTION_TOL:
+            for x, y in ((a, mid), (mid, b)):
+                far = 0.0 if guess is None else max(x - guess, guess - y, 0.0)
+                heapq.heappush(nodes, (far, depth + 1, x, y))
 
 
 def _drift_corrected(cells: list[CriticalExponent]) -> dict[float, float]:

@@ -549,7 +549,7 @@ def fp_dp_cells(draw):
     p, delta = draw(st.sampled_from([(0.5, 1e-3), (1.0, 1e-4)]))
     xs = fp_points(p, delta, theta_min=0.5).array[:, 0]
     rng = ScaleRange(draw(st.sampled_from([0.1, 0.03, 0.01])), draw(st.sampled_from([0.5, 0.75, 1.0])))
-    ss = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=_IntervalDP.wide_batch))
+    ss = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=65))  # wider than any batch
     return xs, geometric_menu(rng.lo, rng.hi, 16), ss
 
 
@@ -607,13 +607,16 @@ class TestIntervalDPStates:
         states, jump = reachable_interval_states(xs.tolist(), menu)
         assert dp.states.tolist() == states == list(range(len(xs) + 1))
         assert dp.jump.tolist() == jump and not dp.blocks
-        assert dp.batch_size == _IntervalDP.wide_batch
+        assert dp.batch_size == 17
 
     def test_batch_width_by_table_budget(self):
-        wide, narrow = _IntervalDP.wide_batch, _IntervalDP.narrow_batch
-        most = TABLE_BUDGET // (wide * 8)  # the most states whose wide table fits
-        assert [_IntervalDP.batch_for(k) for k in (1, 6342, most)] == [wide] * 3
-        assert [_IntervalDP.batch_for(k) for k in (most + 1, 252_385)] == [narrow] * 2
+        # one width for every interval-DP cell, serial or not, alone or in a group
+        xs = fp_points(1.0, 1e-4, theta_min=0.25).array[:, 0]
+        lone = [ScaleRange(1e-2, 0.5), ScaleRange(1e-4, 1.0), ScaleRange(*SERIAL_CELLS[0])]
+        dps = [_IntervalDP(xs, geometric_menu(r.lo, r.hi, 16)) for r in lone]
+        assert len({len(dp.states) for dp in dps}) == 3 and dps[0].blocks
+        group = _IntervalDP(xs, *(geometric_menu(r.lo, r.hi, 16) for r in lone))
+        assert [dp.batch_size for dp in [*dps, group]] == [_IntervalDP.batch_size] * 4 == [17] * 4
 
 
 @st.composite
@@ -637,7 +640,7 @@ def serial_groups(draw):
         menus.append(tuple(sorted({first, *rest})))
     menus = draw(st.permutations(menus))
     assume(len({len(m) for m in menus}) > 1)
-    ss = st.lists(st.floats(0.0, 1.0), max_size=_IntervalDP.wide_batch // count)
+    ss = st.lists(st.floats(0.0, 1.0), max_size=_IntervalDP.batch_size)
     batches = [draw(ss) for _ in menus]
     assume(any(batches))
     for menu in menus:  # serial where the floats round, too
@@ -672,18 +675,20 @@ class TestIntervalDPGroups:
         groups = list(covers.serial_interval_dps(cloud, cells, menu_size))
         assert [[(rng.delta, rng.theta) for rng in group] for group, _ in groups] == [SERIAL_CELLS]
         ((group, dp),) = groups
-        assert dp.batch_size == _IntervalDP.wide_batch // 3
+        assert dp.batch_size == 17
         assert dp.menus == tuple(geometric_menu(r.lo, r.hi, menu_size) for r in group)
 
-    def test_groups_hold_at_most_three_cells_and_one_above_the_table_budget(self):
+    def test_groups_fill_the_table_budget_and_hold_at_least_one_cell(self):
         xs = np.arange(40) / 40.0
         cells = [ScaleRange(d, 1.0) for d in (0.02, 0.015, 0.01, 0.005, 0.001)]
         small = PointCloud.from_points(xs[:, None])
-        assert [len(g) for g, _ in covers.serial_interval_dps(small, cells)] == [3, 2]
-        wide = TABLE_BUDGET // (_IntervalDP.wide_batch * 8)  # the most states a wide table fits
-        big = PointCloud.from_points((np.arange(wide) / wide)[:, None])
+        assert [len(g) for g, _ in covers.serial_interval_dps(small, cells)] == [5]
+        two = TABLE_BUDGET // (2 * _IntervalDP.batch_size * 8)  # the most states two cells fit
         cells = [ScaleRange(d, 1.0) for d in (1e-6, 2e-6)]
-        assert [len(g) for g, _ in covers.serial_interval_dps(big, cells)] == [1, 1]
+        for states, sizes in ((two, [2]), (two + 1, [1, 1])):
+            points = states - 1
+            cloud = PointCloud.from_points((np.arange(points) / points)[:, None])
+            assert [len(g) for g, _ in covers.serial_interval_dps(cloud, cells)] == sizes
 
 
 class TestRefineCover:

@@ -1,3 +1,4 @@
+import bisect
 import gc
 import math
 import sys
@@ -26,7 +27,7 @@ from dimspect import (
 )
 from dimspect import covers, estimate
 from dimspect.core import MAX_POINTS
-from dimspect.estimate import BISECTION_TOL, _drift_corrected
+from dimspect.estimate import BISECTION_TOL, _bisection, _drift_corrected
 from conftest import point_clouds
 from oracles import ScalarIntervalDP, recursive_dyadic_cover, sequential_critical_exponent
 
@@ -229,6 +230,40 @@ class TestOneTreePerSpectrum:
             assert (cell.s_star, cell.cost_at_s_star) == (lone.s_star, lone.cost_at_s_star)
 
 
+def _passes(solver, threshold: float) -> tuple[int, tuple[float, float]]:
+    """(solver calls, (s*, cost(s*))) of one cell's bisection on [0, 1] at solver.batch_size."""
+    walk, calls = _bisection(1.0, threshold, solver.batch_size), 0
+    batch = next(walk)
+    while True:
+        calls += 1
+        try:
+            batch = walk.send(solver.costs(batch)[0])
+        except StopIteration as done:
+            return calls, done.value
+
+
+@st.composite
+def non_increasing_costs(draw):
+    """(n, threshold, cost): a non-increasing cost on [0, n] around threshold.
+
+    Either a step function, whose plateaus take values from threshold and
+    the floats one ulp either side of it, 0, inf and any float in
+    [0, 1e6], or a sum of d**s over diameters d in (0, 1], a cover cost.
+    Either can sit wholly above threshold (s* clamps to n) or start at
+    or below it (s* = 0).
+    """
+    n = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    threshold = draw(st.floats(1e-3, 1e3))
+    if draw(st.booleans()):
+        near = [threshold, math.nextafter(threshold, math.inf), math.nextafter(threshold, 0.0)]
+        value = st.one_of(st.sampled_from([*near, 0.0, math.inf]), st.floats(0.0, 1e6))
+        values = sorted(draw(st.lists(value, min_size=1, max_size=8)), reverse=True)
+        cuts = sorted(draw(st.lists(st.floats(0.0, n), min_size=len(values) - 1, max_size=len(values) - 1)))
+        return n, threshold, lambda s: values[bisect.bisect_right(cuts, s)]
+    diameters = draw(st.lists(st.floats(1e-9, 1.0), min_size=1, max_size=30))
+    return n, threshold, lambda s: math.fsum(d**s for d in diameters)
+
+
 class TestLookaheadMatchesSequentialBisection:
     @pytest.mark.parametrize("dyadic", [False, True])
     @settings(max_examples=150, deadline=None)
@@ -261,6 +296,73 @@ class TestLookaheadMatchesSequentialBisection:
         ce = critical_exponent(cloud, delta, theta, threshold)
         reference = sequential_critical_exponent(cost, 1.0, threshold)
         assert (ce.s_star, ce.cost_at_s_star) == reference
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=non_increasing_costs(), width=st.sampled_from([1, 17, 51]))
+    def test_each_batch_starts_where_one_s_at_a_time_goes_next(self, case, width):
+        n, threshold, cost = case
+        asked = []  # the s a one-s-at-a-time bisection evaluates, in order
+        reference = sequential_critical_exponent(lambda s: asked.append(s) or cost(s), n, threshold)
+        walk, known = _bisection(n, threshold, width), set()
+        batch = next(walk)
+        while True:
+            assert 1 <= len(batch) <= width and len(set(batch)) == len(batch)
+            assert known.isdisjoint(batch)  # no s is asked twice
+            assert batch[0] == next(s for s in asked if s not in known)
+            known.update(batch)
+            try:
+                batch = walk.send([cost(s) for s in batch])
+            except StopIteration as done:
+                assert done.value == reference
+                break
+
+    @pytest.mark.parametrize(
+        "threshold, above, below",
+        [(1.0, math.inf, 0.5), (1e6, math.nextafter(1e6, math.inf), 1e6), (1.0, 2.0, 0.0)],
+    )
+    def test_no_guess_is_the_level_walk(self, threshold, above, below):
+        # an infinite cost, two costs whose logs are equal, a zero cost at
+        # the ends of [0.25, 0.3125], where the first batch leaves the
+        # bisection: the next batch walks the tree below it level by level
+        def cost(s):
+            return 2.0 * threshold if s < 0.25 else above if s < 0.3 else below
+
+        walk = _bisection(1.0, threshold, 17)
+        first = next(walk)
+        second = walk.send([cost(s) for s in first])
+        levels = [0.25 + (k + 0.5) * 2.0**-4 / 2**depth for depth in range(5) for k in range(2**depth)]
+        assert len(first) == 17 and second == levels[:17]
+
+    # fp_points at p = .5, 1 and 2 (2,521, 401 and 81 points), and flog_points (1,220)
+    PASS_CLOUDS = {
+        "fp 0.5": lambda: fp_points(0.5, 1e-3, theta_min=0.5),
+        "fp 1": lambda: fp_points(1.0, 1e-3, theta_min=0.5),
+        "fp 2": lambda: fp_points(2.0, 1e-3, theta_min=0.5),
+        "flog": lambda: flog_points(1e-4),
+    }
+
+    @pytest.mark.parametrize("cloud", sorted(PASS_CLOUDS))
+    def test_guided_batches_take_no_more_passes_than_the_level_walk(self, monkeypatch, cloud):
+        # at width 17, per interval-DP cell and threshold; the root is the same
+        points = self.PASS_CLOUDS[cloud]()
+        guided = level = 0
+        for theta in (0.25, 0.5, 0.75, 1.0):
+            for delta in (1e-1, 1e-2, 1e-3):
+                try:
+                    rng = ScaleRange(delta, theta)
+                except ScaleRangeTooDeepError:
+                    continue
+                solver = covers.cover_cost_function(points, rng)
+                assert solver.batch_size == 17
+                for threshold in (0.5, 1.0, 3.0):
+                    with_guess = _passes(solver, threshold)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(estimate, "_root_guess", lambda *args: None)
+                        without = _passes(solver, threshold)
+                    assert with_guess[1] == without[1]
+                    assert with_guess[0] <= without[0]
+                    guided, level = guided + with_guess[0], level + without[0]
+        assert guided < level
 
 
 class TestEstimateSpectrum:
@@ -418,7 +520,7 @@ class TestSerialCellsInLockstep:
     CLOUD = (2.0, 1e-3, 0.25)
     GRID, DELTAS = [0.25, 0.5, 0.75, 1.0], [1e-1, 1e-2, 1e-3]
 
-    @pytest.mark.parametrize("threshold, rounds", [(10.0, [3, 2, 2]), (1.0, [3, 3, 3])])
+    @pytest.mark.parametrize("threshold, rounds", [(10.0, [3, 2]), (1.0, [3, 3])])
     def test_samples_equal_sequential_bisection_per_cell(self, joint_passes, threshold, rounds):
         cloud = fp_points(*self.CLOUD)
         spectrum = estimate_spectrum(cloud, self.GRID, self.DELTAS, threshold=threshold)
@@ -443,11 +545,23 @@ class TestSerialCellsInLockstep:
         if threshold == 10.0:
             assert critical_exponent(cloud, 1e-2, 0.25, threshold).s_star == 0.0
 
-    def test_benchmark_cloud_solves_its_three_serial_cells_in_three_passes(self, joint_passes):
-        # fp_points(1, 1e-4, theta_min=0.25): where each serial cell took 2 passes of its own
+    def test_benchmark_cloud_solves_its_three_serial_cells_in_two_passes(self, monkeypatch):
+        # fp_points(1, 1e-4, theta_min=0.25): the serial group and each of the
+        # 8 lone cells take 2 passes of at most 17 values a cell
+        passes = {}  # per DP, in build order: the batch lengths of each pass
+        real = covers._IntervalDP.table
+
+        def recording(dp, *batches):
+            passes.setdefault(dp, []).append([len(ss) for ss in batches])
+            return real(dp, *batches)
+
+        monkeypatch.setattr(covers._IntervalDP, "table", recording)
         cloud = fp_points(1.0, 1e-4, theta_min=0.25)
         spectrum = estimate_spectrum(cloud, [0.25, 0.5, 0.75, 1.0], [1e-2, 1e-3, 1e-4])
-        assert joint_passes == [(3, 3)] * 3
+        group, *lone = passes.values()
+        assert [len(b) for b in group] == [3, 3] and len(lone) == 8
+        assert all(len(p) == 2 and len(p[0]) == 1 for p in lone)
+        assert max(n for p in passes.values() for b in p for n in b) == 17
         assert len(spectrum.samples) == 4
 
     def test_no_serial_dp_outlives_its_group(self, monkeypatch):

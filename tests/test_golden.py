@@ -3,9 +3,12 @@
 The files under tests/golden/ pin the numbers the CLI printed before the
 dyadic solvers were rebuilt on a shared cell tree, the frostman JSON of
 an R^3 cloud from the full-scan ball masses, the per-cell
-(s_star, cost_at_s_star) of the sequential-bisection interval DP, and the
+(s_star, cost_at_s_star) of the sequential-bisection interval DP, the
 theta = 0 covers, critical exponents and deep cascade of an R^3 cloud
-from the per-level np.unique cell tree; any change to summation order,
+from the per-level np.unique cell tree, the CSV bytes of the estimate on
+the interval-dp benchmark cloud from the level-walk bisection batches,
+and the worked carpet's estimates on bands its depth-8 and depth-10
+clouds resolve (ROADMAP item 10); any change to summation order,
 tie-breaking, cell order or the bisection's midpoints shows up here as an
 inequality, not a tolerance.
 
@@ -31,10 +34,12 @@ from dimspect import (
     ScaleRange,
     carpet_points,
     critical_exponent,
+    estimate_spectrum,
     fp_points,
     optimal_cover_dyadic,
 )
 from dimspect.cli import main
+from dimspect.core import EstimateNotMonotoneError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -179,6 +184,49 @@ def _critical_cells() -> list[dict]:
     return out
 
 
+# The interval-dp benchmark cloud, fp_points(1, 1e-4, theta_min=0.25), as the
+# CLI writes it, and the estimate CI runs on it.
+INTERVAL_DP_GEN = ["gen", "--family", "fp", "--p", "1", "--delta", "1e-4", "--theta-min", "0.25"]
+INTERVAL_DP_ARGS = ["--grid", "0.25,0.5,0.75,1", "--deltas", "1e-2,1e-3,1e-4"]
+
+
+def _interval_dp_csv(workdir: Path) -> bytes:
+    points, out = workdir / "fp.txt", workdir / "estimate.csv"
+    assert main([*INTERVAL_DP_GEN, "--out", str(points)]) == 0
+    assert main(["estimate", "--points", str(points), *INTERVAL_DP_ARGS, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+# The worked carpet at depths 8 and 10 on bands its cloud resolves (the
+# x-resolution at depth 10 is 2**-10): (depth, deltas).  Depth 10 at
+# .2/.1/.05 raises EstimateNotMonotoneError at theta = .75.
+CARPET_TABLE_CASES = [
+    (10, (0.3, 0.1, 0.032)),
+    (8, (0.3, 0.1, 0.032)),
+    (8, (0.2, 0.1, 0.05)),
+    (10, (0.1, 0.03, 0.01)),
+    (10, (0.2, 0.1, 0.05)),
+]
+CARPET_TABLE_GRID = [0.25, 0.5, 0.75, 1.0]
+
+
+def _carpet_table() -> list[dict]:
+    """Per case its samples as [theta, lower, upper], or the refusal's message."""
+    spec = CarpetSpec.create(2, 3, [(0, 0), (0, 2), (1, 1)])
+    clouds = {depth: carpet_points(spec, depth) for depth in {d for d, _ in CARPET_TABLE_CASES}}
+    out = []
+    for depth, deltas in CARPET_TABLE_CASES:
+        row = {"depth": depth, "deltas": list(deltas)}
+        try:
+            spectrum = estimate_spectrum(clouds[depth], CARPET_TABLE_GRID, deltas)
+        except EstimateNotMonotoneError as refused:
+            row["refused"] = str(refused)
+        else:
+            row["samples"] = [[x.theta, x.lower, x.upper] for x in spectrum.samples]
+        out.append(row)
+    return out
+
+
 def _run(command: str, make_points, args, workdir: Path) -> str:
     points = workdir / "points.txt"
     points.write_text(make_points())
@@ -214,6 +262,16 @@ def test_critical_exponents_match_golden():
     assert _critical_cells() == expected
 
 
+def test_interval_dp_estimate_csv_matches_golden(tmp_path):
+    assert _interval_dp_csv(tmp_path) == (GOLDEN / "estimate_interval_dp.csv").read_bytes()
+
+
+def test_carpet_table_matches_golden():
+    expected = json.loads((GOLDEN / "carpet_table.json").read_text())
+    assert [row.get("refused") is not None for row in expected] == [False] * 4 + [True]
+    assert _carpet_table() == expected
+
+
 def test_deep_3d_matches_golden(tmp_path):
     expected = json.loads((GOLDEN / "dyadic_3d_deep.json").read_text())
     assert _deep_3d(tmp_path) == expected
@@ -230,6 +288,8 @@ def regenerate() -> None:
             (GOLDEN / f"{name}.json").write_text(_run("frostman", make_points, args, workdir))
         doc = _deep_3d(workdir)
         (GOLDEN / "dyadic_3d_deep.json").write_text(json.dumps(doc, indent=1) + "\n")
+        (GOLDEN / "estimate_interval_dp.csv").write_bytes(_interval_dp_csv(workdir))
+    (GOLDEN / "carpet_table.json").write_text(json.dumps(_carpet_table(), indent=1) + "\n")
     (GOLDEN / "critical_1d.json").write_text(json.dumps(_critical_cells(), indent=2) + "\n")
 
 
