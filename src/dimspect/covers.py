@@ -9,9 +9,10 @@ can be checked directly.  A cell's solver of cost(s) evaluates a batch
 of s per call: cover_cost_function gives an interval DP built for the
 cell, or the cell's band of levels in a dyadic tree, the one it is given
 (estimate_spectrum passes every dyadic cell its spanning_tree) or one
-built for the cell alone; serial_interval_dps gives one interval DP for
-a group of cells.  Every solver's costs(*batches) takes one batch of s
-per cell and returns one list of costs per nonempty batch.
+built for the cell alone; interval_dps gives the interval DPs of many
+cells, one for each group of dense cells and one for each sparse cell.
+Every solver's costs(*batches) takes one batch of s per cell and
+returns one list of costs per nonempty batch.
 """
 
 from __future__ import annotations
@@ -36,10 +37,12 @@ from .core import (
 # Most entries a diameter menu may hold, 64 times the default 16: the
 # interval DP's jump table is points x menu entries.
 MAX_MENU = 1024
-# Bytes a serial group's cost table (states x cells x 17 values of s,
-# float64) may take: 16 MiB, 3 cells of 41,120 states or 1 of 123,361.
-# A group holds at least one cell, so the 252,386 states of
-# fp_points(1, 1e-6, theta_min=.25) take 34 MB alone.
+# Bytes a dense group's cost table (every point's state x cells x 17
+# values of s, float64) may take: 16 MiB, 3 cells of 41,120 states or 1
+# of 123,361.  Its int32 jumps take another 64 bytes a state and cell at
+# the default menu of 16, about 47% more.  A group holds at least one
+# cell, so the 252,386 states of fp_points(1, 1e-6, theta_min=.25) take
+# 34 MB alone.
 TABLE_BUDGET = 16 * 2**20
 
 
@@ -139,6 +142,48 @@ def geometric_menu(lo: float, hi: float, size: int) -> tuple[float, ...]:
     return tuple(sorted(set(menu)))
 
 
+def _menu_jumps(xs: np.ndarray, menu: tuple[float, ...]) -> np.ndarray:
+    """Each point's jumps under menu, a (len(xs), len(menu)) int32 array.
+
+    [i, j] is the first point an interval of diameter menu[j] from point i
+    leaves uncovered.
+    """
+    jumps = np.empty((len(xs), len(menu)), dtype=np.int32)
+    for j, d in enumerate(menu):  # one (N,) float temporary at a time
+        jumps[:, j] = np.searchsorted(xs, xs + d, side="right")
+    return jumps
+
+
+def _serial(xs: np.ndarray, menu: tuple[float, ...]) -> bool:
+    """Whether menu's smallest diameter is below every gap between points.
+
+    Then entry 0 leads from each point to the next, as a searchsorted of
+    it would show: xs[i] + menu[0] < xs[i + 1], rounded alike.
+    """
+    return bool((xs[:-1] + menu[0] < xs[1:]).all())
+
+
+def _reached(jumps: np.ndarray, enough: int | None = None) -> np.ndarray:
+    """Which of the states 0..len(jumps) a menu's jumps reach from point 0, as a bool mask.
+
+    With enough, the walk may stop once that many states are reached.
+    It widens the jumps 64 rows at a time, as the pass does: an int32
+    index costs a conversion on every call.
+    """
+    reach = np.zeros(len(jumps) + 1, dtype=bool)
+    reach[0] = True
+    base = end = 0  # wide holds rows base..end - 1, as intp
+    for i in range(len(jumps)):
+        if reach[i]:
+            if i >= end:
+                if enough and np.count_nonzero(reach) >= enough:
+                    break
+                base, end = i, i + 64
+                wide = jumps[base:end].astype(np.intp)
+            reach[wide[i - base]] = True
+    return reach
+
+
 class _IntervalDP:
     """Left-to-right DP over sorted points with one or more fixed diameter menus.
 
@@ -146,19 +191,27 @@ class _IntervalDP:
     each menu diameter starting at point i.  An optimal interval cover can
     be shifted so each interval starts at the leftmost point it covers, so
     this explores a superset of canonical optimal covers.  Each menu is
-    one cell's; a lone cell is a group of one.  The jump table is
-    s-independent and built once, over the states reachable from point 0
-    under any menu, so every jump of a kept state lands on a kept state:
-    states[k] is the point index of kept state k (the last is the terminal
-    len(xs)), and jump[k, j * cells + c] is cells times the kept state
+    one cell's; a lone cell is a group of one.  The jumps are
+    s-independent and built once.  A lone menu keeps the states it
+    reaches from point 0 (every point if it is serial), so every jump of
+    a kept state lands on a kept state; a group of menus keeps every
+    point.  states[k] is the point index of kept state k (the last is the
+    terminal len(xs)), and jumps[c][k, j] is cells times the kept state
     entry j of menu c leads to from state k, plus c, the row of that
-    state's menu-c costs in the pass's cost table read as (states * cells,
-    s values); a lone menu's is the kept state.  A menu shorter than the
+    state's menu-c costs in the pass's cost table read as (states *
+    cells, s values); a lone menu's is the kept state.  Each menu's jumps
+    are one int32 array, 4 bytes an entry, and a group's are its members'
+    arrays as _menu_jumps computed them, not copied into one table: the
+    pass widens them to one intp array 64 rows at a time (_rows), since
+    take converts an int32 index on every call.  A menu shorter than the
     longest is padded with its last entry: the repeat adds a candidate
-    equal to one already there, so every minimum keeps its bits.  One pass
-    (table) gives each menu's optimal cost from every state; the estimator
-    reads state 0's, and optimal_cover_1d reads the cover off the whole
-    table.
+    equal to one already there, so every minimum keeps its bits.  One
+    pass (table) gives each menu's optimal cost from every state; the
+    estimator reads state 0's, and optimal_cover_1d reads the cover off
+    the whole table.  columns and reach, when given, are what
+    interval_dps has computed once: each menu's _menu_jumps (None for a
+    serial menu, computed here) and, for a lone menu that is not serial,
+    its _reached mask; the build empties columns.
 
     A state reads only states to its right, the nearest of them its least
     entry-0 jump (the menus ascend), which is non-decreasing in k.  So the
@@ -170,9 +223,11 @@ class _IntervalDP:
     cells, s) array, cheaper to index than a (menu x cells, 1, s) one.
     Serial cells, whose smallest diameter is below the gaps between
     points, have no blocks, and there every state is reachable: the build
-    skips the walk.  They all keep the same states, so estimate_spectrum
-    solves them in groups (serial_interval_dps), one pass a round for all
-    the cells of a group.
+    skips the walk.  Dense cells, whose own DP keeps at least half of the
+    states (every serial cell), share groups (interval_dps), one pass a
+    round for all the cells of a group.  A state a member does not reach
+    feeds none it does, so each member's costs are those of its own DP
+    bit for bit, and it at most doubles its states.
 
     batch_size, the s values one table() call should carry per menu, is
     17 for every cell, alone or in a group.
@@ -190,43 +245,44 @@ class _IntervalDP:
     # cells each of fp_points(p, 1e-3, theta_min=.25), p = .5, 1 and 2,
     # and flog_points(1e-3), at thresholds .5, 1 and 3).
     batch_size = 17
-    # States one run holds at most.  The pass's temporary is menu x the
-    # cell's longest run x batch_size floats: none on a serial cell, at
-    # most 136 KiB at the default 16 x 64 x 17.
+    # States one run holds at most, and rows the pass widens at a time.
+    # The pass's temporary is menu x the cell's longest run x batch_size
+    # floats: none on a serial cell, at most 136 KiB at the default 16 x
+    # 64 x 17.
     max_run = 64
 
-    def __init__(self, xs: np.ndarray, *menus: tuple[float, ...]):
+    def __init__(self, xs: np.ndarray, *menus: tuple[float, ...], columns=None, reach=None):
         size, cells = max(map(len, menus)), len(menus)
         self.menus = tuple(menu + menu[-1:] * (size - len(menu)) for menu in menus)
-        # point-major, so that take reads it without a contiguous copy
-        jump = np.empty((len(xs), size * cells), dtype=np.intp)
-        for j in range(size):  # one (N,) float temporary at a time
-            for c, menu in enumerate(self.menus):
-                jump[:, j * cells + c] = np.searchsorted(xs, xs + menu[j], side="right")
-        if (jump[:, :cells] == np.arange(1, len(xs) + 1)[:, None]).all():
-            # serial: each point leads to the next, so every point is a state, its own rank
-            self.states, self.jump = np.arange(len(xs) + 1), jump
-        else:
-            reach = np.zeros(len(xs) + 1, dtype=bool)
-            reach[0] = True
-            for i in range(len(xs)):
-                if reach[i]:
-                    reach[jump[i]] = True
+        if columns is None:
+            columns = [_menu_jumps(xs, menu) for menu in menus]
+            if cells == 1 and not _serial(xs, menus[0]):
+                reach = _reached(columns[0])
+        if reach is not None:  # a lone menu's own states
             self.states = np.flatnonzero(reach)
-            rank = np.cumsum(reach) - 1
-            self.jump = jump.take(self.states[:-1], 0)
+            jumps = columns.pop().take(self.states[:-1], 0)
             # in place: each entry is read once, just before it is written
-            rank.take(self.jump, out=self.jump, mode="clip")
-        del jump
-        if cells > 1:
-            self.jump *= cells
-            self.jump += np.arange(size * cells) % cells
+            (np.cumsum(reach, dtype=np.int32) - 1).take(jumps, out=jumps, mode="clip")
+            self.jumps = [jumps]
+        else:  # every point is a state, its own rank
+            self.states, self.jumps = np.arange(len(xs) + 1), []
+            for c, menu in enumerate(menus):
+                jumps = columns.pop(0)
+                if jumps is None:
+                    jumps = _menu_jumps(xs, menu)
+                if len(menu) < size:  # padded with its last entry
+                    jumps = jumps.take(np.minimum(np.arange(size), len(menu) - 1), 1)
+                if cells > 1:
+                    jumps *= cells
+                    jumps += c
+                self.jumps.append(jumps)
         # The run that ends at b starts at first[b], the first state whose
         # nearest jump lands at or past b, or max_run back.  first[b] ==
         # b - 1 is a run of one state; skip[b] is where a walk through such
         # runs from b stops, so the walk steps once per block.
-        ends = np.arange(len(self.jump) + 1)
-        first = np.searchsorted(self.jump[:, :cells].min(1) // cells, ends)
+        nearest = np.minimum.reduce([jumps[:, 0] for jumps in self.jumps]) // cells
+        ends = np.arange(len(nearest) + 1)
+        first = np.searchsorted(nearest, ends)
         skip = np.maximum.accumulate(np.where(first == ends - 1, 0, ends)).tolist()
         first = first.tolist()
         self.blocks, b = [], skip[-1]
@@ -234,6 +290,18 @@ class _IntervalDP:
             a = max(first[b], b - self.max_run)
             self.blocks.append((a, b))
             b = skip[a]
+
+    def _rows(self, live, lo: int, hi: int) -> np.ndarray:
+        """(hi - lo, menu, live menus) intp: the cost rows the jumps of states lo..hi - 1 read."""
+        if len(self.jumps) == 1:
+            return self.jumps[0][lo:hi, :, None].astype(np.intp)
+        rows = np.empty((hi - lo, len(self.menus[0]), len(live)), dtype=np.intp)
+        np.stack([self.jumps[c][lo:hi] for c in live], 2, rows)
+        if len(live) < len(self.menus):  # renumber the live menus' rows
+            rows //= len(self.menus)
+            rows *= len(live)
+            rows += np.arange(len(live))
+        return rows
 
     def table(self, *batches) -> np.ndarray:
         """Optimal cost from each kept state at each s of each batch, in one right-to-left pass.
@@ -254,26 +322,24 @@ class _IntervalDP:
         powers = np.array(
             [[menu[j] ** s for s in ss] for j in range(size) for menu, ss in zip(menus, padded)]
         )
-        jump = self.jump
-        if cells < len(self.menus):  # renumber the live menus' rows
-            jump = jump.reshape(len(jump), size, -1)[:, :, live] // len(self.menus)
-            jump = (jump * cells + np.arange(cells)).reshape(len(jump), -1)
         cost = np.zeros((len(self.states), cells * width))
         rows = cost.reshape(-1, width)  # (states * cells, width): row k * cells + c is menu c's
         by_cell = cost.reshape(len(cost), cells, width)
-        by_entry = jump.reshape(len(jump), size, cells)
         one, column = np.empty_like(powers), powers.reshape(size, 1, cells, width)
         by_menu = one.reshape(size, -1)  # row j: entry j of every live menu
         buf = np.empty(powers.size * max((b - a for a, b in self.blocks), default=0))
-        top = len(jump)
+        top = base = len(cost) - 1  # wide holds the rows of states base and up
         for a, b in self.blocks + [(0, 0)]:  # the empty last block ends the pass at state 0
             for k in range(top - 1, b - 1, -1):  # the one-state runs above the block
-                rows.take(jump[k], 0, one, "clip")
+                if k < base:
+                    base = max(b, k + 1 - self.max_run)
+                    wide = self._rows(live, base, k + 1).reshape(k + 1 - base, -1)
+                rows.take(wide[k - base], 0, one, "clip")
                 np.add(one, powers, one)
                 np.minimum.reduce(by_menu, 0, out=cost[k])
             if a < b:  # entry-major, so the minimum runs over contiguous (b - a, cells, s) blocks
                 cand = buf[: powers.size * (b - a)].reshape(size, b - a, cells, width)
-                rows.take(by_entry[a:b].transpose(1, 0, 2), 0, cand, "clip")
+                rows.take(self._rows(live, a, b).transpose(1, 0, 2), 0, cand, "clip")
                 np.add(cand, column, cand)
                 np.minimum.reduce(cand, 0, out=by_cell[a:b])
             top = a
@@ -309,13 +375,14 @@ def optimal_cover_1d(
     menu = geometric_menu(rng.lo, rng.hi, scale_menu_size)
     dp = _IntervalDP(xs, menu)
     cost, powers = dp.table([s])[:, 0], np.array([d**s for d in menu])
+    (jump,) = dp.jumps
     sets = []
     k = 0
-    while k < len(dp.jump):
-        j = np.flatnonzero(cost.take(dp.jump[k]) + powers == cost[k])[-1]
+    while k < len(jump):
+        j = np.flatnonzero(cost.take(jump[k]) + powers == cost[k])[-1]
         d, x = menu[j], xs[dp.states[k]].item()
         sets.append(CoverSet(center=(x + d / 2.0,), side=d))
-        k = dp.jump[k, j]
+        k = jump[k, j]
     return RestrictedCover(sets, rng, s)
 
 
@@ -422,7 +489,7 @@ class _DyadicTree:
         return starts
 
     def chosen(self, s: float, top=None, bottom=None) -> tuple[list[float], list[np.ndarray]]:
-        """diam**s per level top..bottom and the rows of level_cells an optimal cover takes whole.
+        """diam**s per level top..bottom and a mask of the level_cells an optimal cover takes whole.
 
         The levels default to the tree's own.  Bottom-up, a cell costs
         min(diam**s, sum of its children's costs in row order); ties go to
@@ -448,15 +515,15 @@ class _DyadicTree:
             split = np.bincount(parents[i], weights=cost)
             takes.insert(0, powers[i] <= split)
             cost = np.where(takes[0], powers[i], split)
-        rows, open_ = [np.flatnonzero(takes[0])], ~takes[0]
+        masks, open_ = [takes[0]], ~takes[0]
         for parent, take in zip(parents, takes[1:]):
             open_ = open_[parent]
-            rows.append(np.flatnonzero(open_ & take))
+            masks.append(open_ & take)
             open_ &= ~take
-        rows += [rows[-1][:0]] * (bottom - leaf)
+        masks += [np.zeros(count, dtype=bool)] * (bottom - leaf)  # below leaf, count cells a level
         pick = leaf - top + chain.index(least)
-        rows[leaf - top], rows[pick] = rows[pick], rows[leaf - top]
-        return powers, rows
+        masks[leaf - top], masks[pick] = masks[pick], masks[leaf - top]
+        return powers, masks
 
     def cost(self, s: float, top=None, bottom=None) -> float:
         """cover_cost of the optimal cover at s on levels top..bottom, without building its sets.
@@ -469,10 +536,11 @@ class _DyadicTree:
         and their order, are the same in both, and only the order of the
         band's top level differs.
         """
-        powers, rows = self.chosen(s, top, bottom)
+        powers, masks = self.chosen(s, top, bottom)
         ratios = [p.as_integer_ratio() for p in powers]
         den = max(d for _, d in ratios)
-        return sum(len(r) * a * (den // d) for (a, d), r in zip(ratios, rows)) / den
+        counts = [int(np.count_nonzero(mask)) for mask in masks]
+        return sum(n * a * (den // d) for (a, d), n in zip(ratios, counts)) / den
 
 
 @dataclass(frozen=True)
@@ -588,9 +656,9 @@ def optimal_cover_dyadic(
     """
     s = check_number(s, "s", 0, points.dimension_n, "[]")  # s = 0 minimizes the set count
     tree = _bbox_tree(points, rng)
-    _, rows = tree.chosen(s)
+    _, masks = tree.chosen(s)
     picks = []  # (first bottom-level row, set): sorting gives depth-first order
-    for level, start, r in zip(itertools.count(tree.top), tree.leaf_starts(), rows):
+    for level, start, r in zip(itertools.count(tree.top), tree.leaf_starts(), masks):
         side = tree.scale * 2.0**-level
         for key, cell in zip(start[r].tolist(), tree.level_cells(level)[r].tolist()):
             center = tuple(lo + (c + 0.5) * side for c, lo in zip(cell, points.bbox[0]))
@@ -621,27 +689,51 @@ def cover_cost_function(points: PointCloud, rng: ScaleRange, scale_menu_size: in
     return _DyadicBand(tree, top, bottom)
 
 
-def serial_interval_dps(points: PointCloud, ranges, scale_menu_size: int = 16):
-    """The serial interval-DP cells among ranges in groups: (ranges, a DP over their menus).
+def interval_dps(points: PointCloud, ranges, scale_menu_size: int = 16):
+    """Every interval-DP cell among ranges, in groups: (cells, a DP over their menus).
 
     A cell is serial when its smallest diameter is below every gap
-    between points, which one searchsorted of that diameter shows: its DP
-    keeps every point as a state, so all such cells share their states.
-    A group holds as many cells as fit TABLE_BUDGET at batch_size (17)
-    values of s each, and at least one: 3 at 40,001 points, 1 above
-    61,679.  Its jump table is one lone cell's per cell.  Each group's DP
-    is built when the generator reaches it.
+    between points (_serial): its DP keeps every point as a state.  It is
+    dense when its own DP keeps at least half of the len(xs) + 1 states,
+    as every serial cell does.  Dense cells share groups, serial ones
+    first, each of as many cells as fit TABLE_BUDGET at batch_size (17)
+    values of s on every point, and at least one: 19 at 6,341 points, 3
+    at 40,001, 1 above 61,679.  A group keeps every point as a state, so
+    a dense cell's walk (_reached) stops once it has reached half of
+    them.  Every other cell is sparse: its walk runs to the end, and it
+    comes alone, as soon as the walk shows it, on a DP over the states it
+    reaches.  A cell's jumps (_menu_jumps) and walk are computed once and
+    serve both the decision and its DP; a serial cell needs no walk, and
+    its jumps are computed when its group's DP is built.  At most one
+    open group's jumps are held at a time, and a DP is built only once
+    the caller has let go of the last one, as estimate_spectrum does: at
+    most one DP is alive at a time.
     """
-    xs, menus = points.array[:, 0], {}
-    for rng in ranges:
-        if not _solves_dyadic(points, rng):
-            menu = geometric_menu(rng.lo, rng.hi, scale_menu_size)
-            if (np.searchsorted(xs, xs + menu[0], "right") == np.arange(1, len(xs) + 1)).all():
-                menus[rng] = menu
-    cells = list(menus)
+    xs = points.array[:, 0]
+    menus = {
+        rng: geometric_menu(rng.lo, rng.hi, scale_menu_size)
+        for rng in ranges
+        if not _solves_dyadic(points, rng)
+    }
+    serial = {rng for rng, menu in menus.items() if _serial(xs, menu)}
+    half = (len(xs) + 2) // 2  # half of the len(xs) + 1 states, rounded up
     size = max(1, TABLE_BUDGET // ((len(xs) + 1) * _IntervalDP.batch_size * 8))
-    for i in range(0, len(cells), size):
-        yield cells[i : i + size], _IntervalDP(xs, *(menus[c] for c in cells[i : i + size]))
+    group, columns = [], []  # the open group: its cells, their jumps (None: built with its DP)
+    for rng in sorted(menus, key=lambda rng: rng not in serial):
+        if rng in serial:
+            columns.append(None)
+        else:
+            columns.append(_menu_jumps(xs, menus[rng]))
+            reach = _reached(columns[-1], half)
+            if np.count_nonzero(reach) < half:  # sparse: the walk ran to its end
+                yield [rng], _IntervalDP(xs, menus[rng], columns=[columns.pop()], reach=reach)
+                continue
+        group.append(rng)
+        if len(group) == size:
+            yield group, _IntervalDP(xs, *map(menus.get, group), columns=columns)
+            group = []
+    if group:
+        yield group, _IntervalDP(xs, *map(menus.get, group), columns=columns)
 
 
 def refine_cover(cover: RestrictedCover, phi: float, new_delta: float) -> RestrictedCover:

@@ -35,7 +35,7 @@ from .covers import (
     MAX_MENU,
     cover_cost_function,
     guarded_ceil,
-    serial_interval_dps,
+    interval_dps,
     spanning_tree,
 )
 
@@ -75,9 +75,11 @@ def critical_exponent(
     misses) where one s per call would take about 13.  Every s and every comparison is that
     of a one-s-at-a-time bisection, so the result is too.  This is the
     cell driver, _exponents, on one cell; estimate_spectrum runs it on
-    every cell, where a group of serial cells shares each DP pass at 17
-    values a cell: the three of fp_points(1, 1e-4, theta_min=.25) take 2
-    passes in all.  The dyadic tree takes one s per call.  scale_menu_size
+    every cell, where a group of dense cells shares each DP pass at 17
+    values a cell: the three serial and two dense cells of
+    fp_points(1, 1e-4, theta_min=.25) take 2 passes in all.  Here the
+    cell has its own DP, over the states its menu reaches.  The dyadic
+    tree takes one s per call.  scale_menu_size
     (2 to covers.MAX_MENU) is read here, so a cell the dyadic tree
     solves, which has no menu, refuses it as the interval DP does.
     """
@@ -232,11 +234,13 @@ def estimate_spectrum(
     R^3), solve on their bands of levels in one bounding-box tree built
     before the rows (covers.spanning_tree), which stores levels only down
     to where every point is alone, however deep the bands reach.  Every
-    cell bisects in _exponents.  The serial interval-DP cells (1-D, theta
-    > 0, the smallest diameter below every gap between points) of the
-    rows before the first empty one are solved first, in groups that
-    share one DP pass a round; every other cell is solved alone in its
-    row's turn.  Each gives the bits critical_exponent gives.  threshold
+    cell bisects in _exponents.  The interval-DP cells (1-D, theta > 0)
+    of the rows before the first empty one are solved first, as
+    covers.interval_dps yields them: the dense ones, whose DP keeps at
+    least half of the states, in groups that share one DP pass a round,
+    and the sparse ones alone, with at most one DP alive at a time.  The
+    rows then solve only their dyadic cells, in their turn.  Each cell
+    gives the bits critical_exponent gives.  threshold
     and scale_menu_size are read once, before the first cell is solved.
     A row whose lower or upper value falls below the running max of the
     rows before it (theta > 0) by more than TOL_MONO_ESTIMATED raises
@@ -263,19 +267,16 @@ def estimate_spectrum(
     tree = spanning_tree(points, [rng for ranges in rows for rng in ranges])
     # the cells of the rows before the first empty one
     ahead = [rng for ranges in itertools.takewhile(bool, rows) for rng in ranges]
-    serial = {}
+    found = {}
     if ahead:  # else the first row is empty, and raises before the options are read
         threshold, scale_menu_size = _solve_options(threshold, scale_menu_size)
-        # a comprehension, so that the last group's DP is freed with its group
-        serial = {
-            rng: found
-            for cells, dp in serial_interval_dps(points, ahead, scale_menu_size)
-            for rng, found in _exponents(points, cells, dp, threshold).items()
-        }
+        for cells, dp in interval_dps(points, ahead, scale_menu_size):
+            found.update(_exponents(points, cells, dp, threshold))
+            del dp  # so that the next DP is built with none alive
     for theta, ranges in zip(thetas, rows):
         row = [
-            serial[rng]
-            if rng in serial
+            found[rng]
+            if rng in found
             else _exponents(
                 points, [rng], cover_cost_function(points, rng, scale_menu_size, tree), threshold
             )[rng]

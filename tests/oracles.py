@@ -258,12 +258,12 @@ def serial_interval_table(dp, ss) -> np.ndarray:
     Each state's costs take one take, add and minimum over the menu, from
     the costs of the states its jumps land on, all already final.
     """
-    (menu,) = dp.menus
+    (menu,), (jump,) = dp.menus, dp.jumps
     powers = np.array([[d**s for s in ss] for d in menu])
     cost = np.zeros((len(dp.states), len(ss)))
     cand = np.empty_like(powers)
-    for k in range(len(dp.jump) - 1, -1, -1):
-        cost.take(dp.jump[k], 0, cand, "clip")
+    for k in range(len(jump) - 1, -1, -1):
+        cost.take(jump[k], 0, cand, "clip")
         np.add(cand, powers, cand)
         np.minimum.reduce(cand, 0, out=cost[k])
     return cost

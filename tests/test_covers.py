@@ -378,7 +378,7 @@ class TestDyadicTreeMatchesUniqueBuild:
         n = cloud.dimension_n
         for s in (0.0, float(n), data.draw(st.floats(0.0, n))):
             powers, rows = tree.chosen(s)
-            assert tree.cost(s) == math.fsum(np.repeat(powers, [len(r) for r in rows]))
+            assert tree.cost(s) == math.fsum(np.repeat(powers, [np.count_nonzero(r) for r in rows]))
 
 
 @st.composite
@@ -567,12 +567,13 @@ class TestIntervalDPRuns:
     def test_runs_tile_the_states_from_the_right(self, cell):
         xs, menu, _ = cell
         dp = _IntervalDP(xs, menu)
-        top = len(dp.jump)
+        (jump,) = dp.jumps
+        top = len(jump)
         for a, b in dp.blocks:  # right to left and disjoint; the states between are one-state runs
             assert a + 2 <= b <= top and b - a <= _IntervalDP.max_run
-            assert dp.jump[a:b].min() >= b  # a run reads only finished costs
+            assert jump[a:b].min() >= b  # a run reads only finished costs
             top = a
-        assert (dp.jump[:, 0] > np.arange(len(dp.jump))).all()  # so does a one-state run
+        assert (jump[:, 0] > np.arange(len(jump))).all()  # so does a one-state run
 
     def test_fp_cells_hold_capped_and_single_state_runs(self):
         xs = fp_points(0.5, 1e-3, theta_min=0.5).array[:, 0]
@@ -587,6 +588,8 @@ class TestIntervalDPRuns:
 # The serial cells of the interval-dp benchmark: fp_points(1, 1e-4, theta_min=.25)
 # at (delta, theta), where the smallest diameter is below every gap.
 SERIAL_CELLS = [(1e-2, 0.25), (1e-3, 0.25), (1e-4, 0.5)]
+# Its dense cells, which keep 97% and 87% of the states.
+DENSE_CELLS = [(1e-3, 0.5), (1e-4, 0.75)]
 
 
 class TestIntervalDPStates:
@@ -596,7 +599,7 @@ class TestIntervalDPStates:
         xs, menu, _ = cell
         dp = _IntervalDP(xs, menu)
         states, jump = reachable_interval_states(xs.tolist(), menu)
-        assert dp.states.tolist() == states and dp.jump.tolist() == jump
+        assert dp.states.tolist() == states and dp.jumps[0].tolist() == jump
 
     @pytest.mark.parametrize("delta, theta", SERIAL_CELLS)
     def test_serial_cell_keeps_every_point(self, delta, theta):
@@ -606,7 +609,7 @@ class TestIntervalDPStates:
         dp = _IntervalDP(xs, menu)
         states, jump = reachable_interval_states(xs.tolist(), menu)
         assert dp.states.tolist() == states == list(range(len(xs) + 1))
-        assert dp.jump.tolist() == jump and not dp.blocks
+        assert dp.jumps[0].tolist() == jump and not dp.blocks
         assert dp.batch_size == 17
 
     def test_batch_width_by_table_budget(self):
@@ -648,6 +651,31 @@ def serial_groups(draw):
     return xs, menus, batches
 
 
+@st.composite
+def dense_groups(draw):
+    """A 1-D cloud, 2-4 menus whose DPs each keep at least half the states, a batch of s per menu.
+
+    The smallest diameters fall among the gaps between points, so a menu
+    is serial only now and then; batches differ in length, one may be
+    empty, and one menu may be shorter than the others.
+    """
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=40))
+    xs = np.cumsum([0.0] + gaps)
+    assume(len(np.unique(xs)) == len(xs))
+    ranked = sorted(gaps)
+    menus = []
+    for _ in range(draw(st.integers(2, 4))):
+        lo = ranked[draw(st.integers(0, len(ranked) // 2))] * draw(st.floats(0.5, 1.5))
+        hi = lo * draw(st.floats(1.0, 30.0))
+        menu = geometric_menu(lo, hi, draw(st.integers(2, 8)))
+        assume(2 * len(_IntervalDP(xs, menu).states) >= len(xs) + 1)
+        menus.append(menu)
+    ss = st.lists(st.floats(0.0, 1.0), max_size=_IntervalDP.batch_size)
+    batches = [draw(ss) for _ in menus]
+    assume(any(batches))
+    return xs, menus, batches
+
+
 class TestIntervalDPGroups:
     @settings(max_examples=150, deadline=None)
     @given(group=serial_groups())
@@ -669,26 +697,59 @@ class TestIntervalDPGroups:
 
     @pytest.mark.parametrize("menu_size", [16, 2])
     def test_serial_cells_of_the_benchmark_cloud_form_one_group(self, menu_size):
+        # at menu size 16 the two dense cells join the serial ones; at 2 they are sparse
         cloud = fp_points(1.0, 1e-4, theta_min=0.25)
         cells = [ScaleRange(d, t) for t in (0.25, 0.5, 0.75, 1.0) for d in (1e-2, 1e-3)]
-        cells.append(ScaleRange(1e-4, 0.5))
-        groups = list(covers.serial_interval_dps(cloud, cells, menu_size))
-        assert [[(rng.delta, rng.theta) for rng in group] for group, _ in groups] == [SERIAL_CELLS]
-        ((group, dp),) = groups
-        assert dp.batch_size == 17
+        cells += [ScaleRange(1e-4, t) for t in (0.5, 0.75, 1.0)]
+        *lone, (group, dp) = covers.interval_dps(cloud, cells, menu_size)
+        dense = DENSE_CELLS if menu_size == 16 else []
+        assert [(rng.delta, rng.theta) for rng in group] == SERIAL_CELLS + dense
+        assert [len(cells) for cells, _ in lone] == [1] * (8 - len(dense))
+        assert {rng for cells, _ in lone for rng in cells} == set(cells) - set(group)
+        assert dp.batch_size == 17 and len(dp.states) == len(cloud) + 1
         assert dp.menus == tuple(geometric_menu(r.lo, r.hi, menu_size) for r in group)
+
+    @settings(max_examples=100, deadline=None)
+    @given(group=dense_groups())
+    def test_dense_table_equals_each_menus_own_bit_for_bit(self, group):
+        xs, menus, batches = group
+        joint = _IntervalDP(xs, *menus)
+        table = joint.table(*batches)
+        width = max(map(len, batches))
+        live = [(menu, ss) for menu, ss in zip(menus, batches) if ss]
+        for c, (menu, ss) in enumerate(live):
+            lone = _IntervalDP(xs, menu)
+            # the group keeps every point; the lone DP the states its menu reaches
+            got = table[lone.states, c * width : c * width + len(ss)]
+            assert got.view(np.int64).tolist() == lone.table(ss).view(np.int64).tolist()
+        assert joint.costs(*batches) == [_IntervalDP(xs, m).costs(ss)[0] for m, ss in live]
+
+    @pytest.mark.parametrize("serial", [False, True])
+    def test_dense_cells_of_the_benchmark_cloud_group_bit_for_bit(self, serial):
+        cloud = fp_points(1.0, 1e-4, theta_min=0.25)
+        xs = cloud.array[:, 0]
+        cells = [ScaleRange(*c) for c in SERIAL_CELLS[:serial] + DENSE_CELLS]  # serial first
+        ((group, dp),) = covers.interval_dps(cloud, cells)
+        assert group == cells
+        ss = [0.0, 0.3, 0.61, 1.0]
+        table = dp.table(*[ss] * len(cells))
+        for c, rng in enumerate(cells):
+            lone = _IntervalDP(xs, geometric_menu(rng.lo, rng.hi, 16))
+            assert 2 * len(lone.states) >= len(xs) + 1
+            got = table[lone.states, 4 * c : 4 * c + 4]
+            assert got.view(np.int64).tolist() == lone.table(ss).view(np.int64).tolist()
 
     def test_groups_fill_the_table_budget_and_hold_at_least_one_cell(self):
         xs = np.arange(40) / 40.0
         cells = [ScaleRange(d, 1.0) for d in (0.02, 0.015, 0.01, 0.005, 0.001)]
         small = PointCloud.from_points(xs[:, None])
-        assert [len(g) for g, _ in covers.serial_interval_dps(small, cells)] == [5]
+        assert [len(g) for g, _ in covers.interval_dps(small, cells)] == [5]
         two = TABLE_BUDGET // (2 * _IntervalDP.batch_size * 8)  # the most states two cells fit
         cells = [ScaleRange(d, 1.0) for d in (1e-6, 2e-6)]
         for states, sizes in ((two, [2]), (two + 1, [1, 1])):
             points = states - 1
             cloud = PointCloud.from_points((np.arange(points) / points)[:, None])
-            assert [len(g) for g, _ in covers.serial_interval_dps(cloud, cells)] == sizes
+            assert [len(g) for g, _ in covers.interval_dps(cloud, cells)] == sizes
 
 
 class TestRefineCover:

@@ -5,7 +5,7 @@ import sys
 import weakref
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dimspect import (
@@ -26,7 +26,7 @@ from dimspect import (
     geometric_menu,
 )
 from dimspect import covers, estimate
-from dimspect.core import MAX_POINTS
+from dimspect.core import MAX_POINTS, TOL_MONO_ESTIMATED
 from dimspect.estimate import BISECTION_TOL, _bisection, _drift_corrected
 from conftest import point_clouds
 from oracles import ScalarIntervalDP, recursive_dyadic_cover, sequential_critical_exponent
@@ -421,7 +421,7 @@ class TestEstimateSpectrum:
         # the rows, but only those of the rows before the first empty one
         cloud = fp_points(1.0, 1e-2)
         serial = [ScaleRange(d, 0.25) for d in (1e-2, 1e-3)]
-        assert [cells for cells, _ in covers.serial_interval_dps(cloud, serial)] == [serial]
+        assert [cells for cells, _ in covers.interval_dps(cloud, serial)] == [serial]
         passes = []
         real_table = covers._IntervalDP.table
         monkeypatch.setattr(
@@ -513,42 +513,54 @@ def joint_passes(monkeypatch) -> list:
     return passes
 
 
+def sequential_samples(cloud, grid, deltas, threshold: float, menu_size: int = 16) -> list:
+    """Per theta of a 1-D cloud, (theta, lower, upper) from each cell's own sequential bisection.
+
+    Each cell's s* is sequential_critical_exponent over ScalarIntervalDP,
+    one cost(s) at a time; the rows follow estimate_spectrum's drift fit.
+    """
+    n = float(cloud.dimension_n)
+    samples = []
+    for theta in grid:
+        row = []
+        for delta in deltas:
+            try:
+                rng = ScaleRange(delta, theta)
+            except ScaleRangeTooDeepError:
+                continue
+            menu = geometric_menu(rng.lo, rng.hi, menu_size)
+            cost = ScalarIntervalDP(cloud.array[:, 0].tolist(), menu).cost
+            s, c = sequential_critical_exponent(cost, n, threshold)
+            row.append(estimate.CriticalExponent(delta, theta, s, c))
+        values = _drift_corrected(row)
+        picked = [values[d] for d in sorted(values)[:2]]
+        lower = max(0.0, min(min(picked), n))
+        samples.append((theta, lower, max(lower, min(max(picked), n))))
+    return samples
+
+
 class TestSerialCellsInLockstep:
     # 113 points; at threshold 10 the serial cell theta=0.25, delta=1e-2
-    # ends at s = 0 after the first pass, while (0.25, 1e-3) and (0.5, 1e-3)
-    # bisect on
+    # ends at s = 0 after the first pass, while the other five cells of its
+    # dense group bisect on
     CLOUD = (2.0, 1e-3, 0.25)
     GRID, DELTAS = [0.25, 0.5, 0.75, 1.0], [1e-1, 1e-2, 1e-3]
 
-    @pytest.mark.parametrize("threshold, rounds", [(10.0, [3, 2]), (1.0, [3, 3])])
+    @pytest.mark.parametrize("threshold, rounds", [(10.0, [6, 3]), (1.0, [6, 6])])
     def test_samples_equal_sequential_bisection_per_cell(self, joint_passes, threshold, rounds):
         cloud = fp_points(*self.CLOUD)
         spectrum = estimate_spectrum(cloud, self.GRID, self.DELTAS, threshold=threshold)
-        assert joint_passes == [(3, cells) for cells in rounds]
-        samples = []
-        for theta in self.GRID:
-            row = []
-            for delta in self.DELTAS:
-                try:
-                    rng = ScaleRange(delta, theta)
-                except ScaleRangeTooDeepError:
-                    continue
-                menu = geometric_menu(rng.lo, rng.hi, 16)
-                cost = ScalarIntervalDP(cloud.array[:, 0].tolist(), menu).cost
-                s, c = sequential_critical_exponent(cost, 1.0, threshold)
-                row.append(estimate.CriticalExponent(delta, theta, s, c))
-            values = _drift_corrected(row)
-            picked = [values[d] for d in sorted(values)[:2]]
-            lower = max(0.0, min(min(picked), 1.0))
-            samples.append((theta, lower, max(lower, min(max(picked), 1.0))))
+        assert joint_passes == [(6, cells) for cells in rounds]
+        samples = sequential_samples(cloud, self.GRID, self.DELTAS, threshold)
         assert [(x.theta, x.lower, x.upper) for x in spectrum.samples] == samples
         if threshold == 10.0:
             assert critical_exponent(cloud, 1e-2, 0.25, threshold).s_star == 0.0
 
     def test_benchmark_cloud_solves_its_three_serial_cells_in_two_passes(self, monkeypatch):
-        # fp_points(1, 1e-4, theta_min=0.25): the serial group and each of the
-        # 8 lone cells take 2 passes of at most 17 values a cell
-        passes = {}  # per DP, in build order: the batch lengths of each pass
+        # fp_points(1, 1e-4, theta_min=0.25): the 3 serial and 2 dense cells
+        # share one DP, which takes 2 passes, and each of the 6 sparse cells
+        # takes 2 passes alone, of at most 17 values a cell
+        passes = {}  # per DP: the batch lengths of each pass
         real = covers._IntervalDP.table
 
         def recording(dp, *batches):
@@ -558,30 +570,73 @@ class TestSerialCellsInLockstep:
         monkeypatch.setattr(covers._IntervalDP, "table", recording)
         cloud = fp_points(1.0, 1e-4, theta_min=0.25)
         spectrum = estimate_spectrum(cloud, [0.25, 0.5, 0.75, 1.0], [1e-2, 1e-3, 1e-4])
-        group, *lone = passes.values()
-        assert [len(b) for b in group] == [3, 3] and len(lone) == 8
+        (group,) = [p for dp, p in passes.items() if len(dp.menus) > 1]
+        lone = [p for dp, p in passes.items() if len(dp.menus) == 1]
+        assert [len(b) for b in group] == [5, 5] and len(lone) == 6
         assert all(len(p) == 2 and len(p[0]) == 1 for p in lone)
         assert max(n for p in passes.values() for b in p for n in b) == 17
         assert len(spectrum.samples) == 4
 
     def test_no_serial_dp_outlives_its_group(self, monkeypatch):
-        # a lone cell's solver is built only once every group's DP is freed
+        # every interval DP, a group's or a lone cell's, is built with none alive
         built, alive = [], []
-        real_init, real_solver = covers._IntervalDP.__init__, estimate.cover_cost_function
+        real_init = covers._IntervalDP.__init__
 
-        def counting(dp, xs, *menus):
+        def counting(dp, xs, *menus, **given):
+            alive.append([cells for ref, cells in built if ref() is not None])
             built.append((weakref.ref(dp), len(menus)))
-            real_init(dp, xs, *menus)
-
-        def solver(*args):
-            alive.append([cells for dp, cells in built if dp() is not None])
-            return real_solver(*args)
+            real_init(dp, xs, *menus, **given)
 
         monkeypatch.setattr(covers._IntervalDP, "__init__", counting)
-        monkeypatch.setattr(estimate, "cover_cost_function", solver)
         estimate_spectrum(fp_points(*self.CLOUD), self.GRID, self.DELTAS)
-        assert [cells for _, cells in built if cells > 1] == [3]
-        assert alive == [[]] * 9  # the nine other cells
+        assert sorted(cells for _, cells in built) == [1] * 6 + [6]
+        assert alive == [[]] * 7
+
+
+# fp and flog truncations of 33 to 113 points
+TRUNCATIONS = [fp_points(*args) for args in ((2.0, 1e-3, 0.25), (2.0, 1e-2, 0.5), (1.0, 1e-2, 0.5))]
+TRUNCATIONS.append(flog_points(1e-2))
+
+
+@st.composite
+def interval_spectra(draw):
+    """A 1-D cloud, a theta grid, three deltas, a threshold and a menu size.
+
+    The clouds are fp and flog truncations and random clouds.  On the
+    truncations the cells of a grid mix serial, dense and sparse DPs; a
+    draw of large deltas, or of theta .75 and 1 alone, groups dense cells
+    with no serial member.  Every delta keeps every band above MIN_SCALE.
+    """
+    cloud = draw(st.one_of(st.sampled_from(TRUNCATIONS), point_clouds(max_points=40, dimension=1)))
+    grid = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]), min_size=1, unique=True))
+    deltas = st.sampled_from([1e-1, 3e-2, 1e-2, 3e-3, 1e-3])
+    deltas = sorted(draw(st.lists(deltas, min_size=3, max_size=3, unique=True)), reverse=True)
+    threshold = draw(st.sampled_from([0.5, 1.0, 3.0, 10.0]))
+    return cloud, sorted(grid), deltas, threshold, draw(st.sampled_from([2, 5, 16]))
+
+
+class TestIntervalGroupsMatchSequentialBisection:
+    @settings(max_examples=60, deadline=None)
+    @given(case=interval_spectra())
+    # one group of three dense cells with no serial member, alone in its row
+    @example(case=(TRUNCATIONS[1], [0.75], [1e-2, 3e-3, 1e-3], 1.0, 16))
+    # the same three in one group with the serial cells of theta .5 and a dense cell at 1
+    @example(case=(TRUNCATIONS[1], [0.5, 0.75, 1.0], [1e-2, 3e-3, 1e-3], 3.0, 16))
+    def test_every_sample_equals_the_per_cell_bisection(self, case):
+        cloud, grid, deltas, threshold, menu_size = case
+        expected = sequential_samples(cloud, grid, deltas, threshold, menu_size)
+        falls = any(
+            row[i] < max(before[i] for before in expected[:k]) - TOL_MONO_ESTIMATED
+            for k, row in enumerate(expected)
+            if k
+            for i in (1, 2)
+        )
+        if falls:
+            with pytest.raises(EstimateNotMonotoneError):
+                estimate_spectrum(cloud, grid, deltas, threshold, menu_size)
+        else:
+            spectrum = estimate_spectrum(cloud, grid, deltas, threshold, menu_size)
+            assert [(x.theta, x.lower, x.upper) for x in spectrum.samples] == expected
 
 
 class TestCoupledTruncation:

@@ -7,10 +7,11 @@ an R^3 cloud from the full-scan ball masses, the per-cell
 theta = 0 covers, critical exponents and deep cascade of an R^3 cloud
 from the per-level np.unique cell tree, the CSV bytes of the estimate on
 the interval-dp benchmark cloud from the level-walk bisection batches,
-and the worked carpet's estimates on bands its depth-8 and depth-10
-clouds resolve (ROADMAP item 10); any change to summation order,
-tie-breaking, cell order or the bisection's midpoints shows up here as an
-inequality, not a tolerance.
+the CSV bytes of the same estimate on an fp p = 2 and a flog cloud from
+the serial-only interval-DP groups, and the worked carpet's estimates on
+bands its depth-8 and depth-10 clouds resolve (ROADMAP item 10); any
+change to summation order, tie-breaking, cell order or the bisection's
+midpoints shows up here as an inequality, not a tolerance.
 
 Regenerate (only when an output change is intended) with
 
@@ -188,11 +189,22 @@ def _critical_cells() -> list[dict]:
 # CLI writes it, and the estimate CI runs on it.
 INTERVAL_DP_GEN = ["gen", "--family", "fp", "--p", "1", "--delta", "1e-4", "--theta-min", "0.25"]
 INTERVAL_DP_ARGS = ["--grid", "0.25,0.5,0.75,1", "--deltas", "1e-2,1e-3,1e-4"]
+# Two more clouds CI estimates the same way, each with dense interval-DP
+# cells that are not serial: golden file -> the gen arguments.  Two cells
+# of the fp p = 2 cloud (305 points) keep 87.6% and 74.5% of its states,
+# one of the flog cloud (240 points) 91.3%.
+INTERVAL_DP_CLOUDS = {
+    "estimate_interval_dp.csv": INTERVAL_DP_GEN,
+    "estimate_fp_p2.csv": [
+        "gen", "--family", "fp", "--p", "2", "--delta", "1e-4", "--theta-min", "0.25"
+    ],
+    "estimate_flog.csv": ["gen", "--family", "flog", "--delta", "1e-3"],
+}
 
 
-def _interval_dp_csv(workdir: Path) -> bytes:
-    points, out = workdir / "fp.txt", workdir / "estimate.csv"
-    assert main([*INTERVAL_DP_GEN, "--out", str(points)]) == 0
+def _interval_dp_csv(workdir: Path, gen=INTERVAL_DP_GEN) -> bytes:
+    points, out = workdir / "points.txt", workdir / "estimate.csv"
+    assert main([*gen, "--out", str(points)]) == 0
     assert main(["estimate", "--points", str(points), *INTERVAL_DP_ARGS, "--out", str(out)]) == 0
     return out.read_bytes()
 
@@ -266,6 +278,12 @@ def test_interval_dp_estimate_csv_matches_golden(tmp_path):
     assert _interval_dp_csv(tmp_path) == (GOLDEN / "estimate_interval_dp.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["estimate_fp_p2.csv", "estimate_flog.csv"])
+def test_dense_cell_estimate_csv_matches_golden(name, tmp_path):
+    expected = (GOLDEN / name).read_bytes()
+    assert _interval_dp_csv(tmp_path, INTERVAL_DP_CLOUDS[name]) == expected
+
+
 def test_carpet_table_matches_golden():
     expected = json.loads((GOLDEN / "carpet_table.json").read_text())
     assert [row.get("refused") is not None for row in expected] == [False] * 4 + [True]
@@ -288,7 +306,8 @@ def regenerate() -> None:
             (GOLDEN / f"{name}.json").write_text(_run("frostman", make_points, args, workdir))
         doc = _deep_3d(workdir)
         (GOLDEN / "dyadic_3d_deep.json").write_text(json.dumps(doc, indent=1) + "\n")
-        (GOLDEN / "estimate_interval_dp.csv").write_bytes(_interval_dp_csv(workdir))
+        for name, gen in INTERVAL_DP_CLOUDS.items():
+            (GOLDEN / name).write_bytes(_interval_dp_csv(workdir, gen))
     (GOLDEN / "carpet_table.json").write_text(json.dumps(_carpet_table(), indent=1) + "\n")
     (GOLDEN / "critical_1d.json").write_text(json.dumps(_critical_cells(), indent=2) + "\n")
 
