@@ -12,7 +12,9 @@ cell, or the cell's band of levels in a dyadic tree, the one it is given
 built for the cell alone; interval_dps gives the interval DPs of many
 cells, one for each group of dense cells and one for each sparse cell.
 Every solver's costs(*batches) takes one batch of s per cell and
-returns one list of costs per nonempty batch.
+returns one list of costs per nonempty batch.  A dyadic band also has
+bound(s, at), the cost at s of the cover it chose at at, which bounds
+its cost at s from above: the bisection settles some steps with it.
 """
 
 from __future__ import annotations
@@ -290,6 +292,7 @@ class _IntervalDP:
             a = max(first[b], b - self.max_run)
             self.blocks.append((a, b))
             b = skip[a]
+        self._flat = np.empty(0)  # the passes' cost table, grown to the largest pass
 
     def _rows(self, live, lo: int, hi: int) -> np.ndarray:
         """(hi - lo, menu, live menus) intp: the cost rows the jumps of states lo..hi - 1 read."""
@@ -313,7 +316,9 @@ class _IntervalDP:
         cost[k] = min over j of cost[jump[k, j]] + menu[j]**s, filled run
         by run.  No unreachable state feeds a kept one, so each cost
         equals the scalar DP's over every point bit for bit: the sums are
-        the same sums, and a minimum is exact in any order.
+        the same sums, and a minimum is exact in any order.  The table is
+        the DP's one buffer, which the next pass overwrites, so no pass
+        leaves a hole in the heap that a later large table cannot use.
         """
         live = [c for c, ss in enumerate(batches) if len(ss)]
         width, cells, size = max(map(len, batches)), len(live), len(self.menus[0])
@@ -322,7 +327,11 @@ class _IntervalDP:
         powers = np.array(
             [[menu[j] ** s for s in ss] for j in range(size) for menu, ss in zip(menus, padded)]
         )
-        cost = np.zeros((len(self.states), cells * width))
+        need = len(self.states) * cells * width
+        if self._flat.size < need:
+            self._flat = np.empty(need)
+        cost = self._flat[:need].reshape(len(self.states), -1)
+        cost[-1] = 0.0  # the terminal state; the pass writes every other row
         rows = cost.reshape(-1, width)  # (states * cells, width): row k * cells + c is menu c's
         by_cell = cost.reshape(len(cost), cells, width)
         one, column = np.empty_like(powers), powers.reshape(size, 1, cells, width)
@@ -412,9 +421,9 @@ class _DyadicTree:
     loops are code nothing else in a dyadic solve runs, and paging it in
     cost about 0.3 MB of peak RSS.
 
-    One tree serves every band of levels inside its own: chosen and cost
+    One tree serves every band of levels inside its own: chosen and counts
     take any top..bottom within top..bottom, and give what a tree built
-    on just those levels gives, bit for bit (see cost).
+    on just those levels gives, bit for bit (see counts).
     """
 
     def __init__(self, points: PointCloud, origin, scale: float, top: int, bottom: int):
@@ -525,38 +534,64 @@ class _DyadicTree:
         masks[leaf - top], masks[pick] = masks[pick], masks[leaf - top]
         return powers, masks
 
-    def cost(self, s: float, top=None, bottom=None) -> float:
-        """cover_cost of the optimal cover at s on levels top..bottom, without building its sets.
+    def counts(self, s: float, top=None, bottom=None) -> tuple[list[float], list[int]]:
+        """diam**s per level top..bottom and how many cells of each the optimal cover at s takes.
 
-        With each diam**s written a / d (d a power of two), the sum of
-        count * a / d over levels is an integer over the largest d; the
-        integer true division rounds it once, correctly, as fsum does.
-        So the cost depends on the counts per level only, and a band's
-        counts are those of a tree built on the band: a cell's children,
-        and their order, are the same in both, and only the order of the
-        band's top level differs.
+        _level_sum of the two is the cover's cover_cost, without building
+        its sets.  A band's counts are those of a tree built on the band:
+        a cell's children, and their order, are the same in both, and
+        only the order of the band's top level differs.
         """
         powers, masks = self.chosen(s, top, bottom)
-        ratios = [p.as_integer_ratio() for p in powers]
-        den = max(d for _, d in ratios)
-        counts = [int(np.count_nonzero(mask)) for mask in masks]
-        return sum(n * a * (den // d) for (a, d), n in zip(ratios, counts)) / den
+        return powers, [int(np.count_nonzero(mask)) for mask in masks]
+
+
+def _level_sum(powers, counts) -> float:
+    """sum of count * power over levels, rounded once, as fsum rounds it.
+
+    With each power written a / d (d a power of two), the sum is an
+    integer over the largest d, and the integer true division rounds it
+    once, correctly.
+    """
+    ratios = [p.as_integer_ratio() for p in powers]
+    den = max(d for _, d in ratios)
+    return sum(n * a * (den // d) for (a, d), n in zip(ratios, counts)) / den
 
 
 @dataclass(frozen=True)
 class _DyadicBand:
-    """A dyadic cell's cover-cost solver: the levels top..bottom of a _DyadicTree."""
+    """A dyadic cell's cover-cost solver: the levels top..bottom of a _DyadicTree.
+
+    level_counts holds, by s, the per-level counts of the cover each
+    costs() call chose, so that bound can price that cover at any other s.
+    """
 
     tree: _DyadicTree
     top: int
     bottom: int
+    level_counts: dict = field(default_factory=dict, repr=False, compare=False)
 
     # Every s is a full pass, so a bisection asks for one s per call.
     batch_size = 1
 
     def costs(self, ss) -> list[list[float]]:
         """costs(*batches) of a lone cell: [its costs at the s in ss]."""
-        return [[self.tree.cost(s, self.top, self.bottom) for s in ss]]
+        out = []
+        for s in ss:
+            powers, self.level_counts[s] = self.tree.counts(s, self.top, self.bottom)
+            out.append(_level_sum(powers, self.level_counts[s]))
+        return [out]
+
+    def bound(self, s: float, at: float) -> float:
+        """The cost at s of the cover costs() chose at at: an upper bound on the cost at s.
+
+        Rounded once, as the cost is, so bound(at, at) is cost(at) bit
+        for bit; a level the cover leaves empty adds nothing, so its
+        diam**s is not computed.
+        """
+        counts = self.level_counts[at]
+        powers = [self.tree.diameter(self.top + i) ** s if n else 0.0 for i, n in enumerate(counts)]
+        return _level_sum(powers, counts)
 
 
 def dyadic_levels(size: float, lo: float, hi: float) -> tuple[int, int]:

@@ -32,6 +32,7 @@ from dimspect.covers import (
     _bbox_tree,
     _DyadicTree,
     _IntervalDP,
+    _level_sum,
     cover_cost_function,
     spanning_tree,
 )
@@ -378,7 +379,9 @@ class TestDyadicTreeMatchesUniqueBuild:
         n = cloud.dimension_n
         for s in (0.0, float(n), data.draw(st.floats(0.0, n))):
             powers, rows = tree.chosen(s)
-            assert tree.cost(s) == math.fsum(np.repeat(powers, [np.count_nonzero(r) for r in rows]))
+            assert _level_sum(*tree.counts(s)) == math.fsum(
+                np.repeat(powers, [np.count_nonzero(r) for r in rows])
+            )
 
 
 @st.composite
@@ -427,7 +430,7 @@ def assert_bands_equal_fresh_trees(cloud, cells, ss):
         assert shared.top <= top <= bottom <= shared.bottom
         fresh = _DyadicTree(cloud, cloud.bbox[0], cloud.side, top, bottom)
         (got,) = band.costs(ss)
-        assert got == [fresh.cost(s) for s in ss]
+        assert got == [_level_sum(*fresh.counts(s)) for s in ss]
         assert got == [recursive_dyadic_cover(cloud, rng, s).cost for s in ss]
     assert (shared is None) == (not levels)
     return shared, levels

@@ -90,11 +90,15 @@ class TestCriticalExponent:
 
 
 class _CountingSolver:
-    """A cell's cover-cost solver that records the s values of each costs() call."""
+    """A cell's cover-cost solver that records the s values of each costs() call.
+
+    It passes on the solver's bound, None if it has none.
+    """
 
     def __init__(self, solver, calls: list):
         self.solver, self.calls = solver, calls
         self.batch_size = solver.batch_size
+        self.bound = getattr(solver, "bound", None)
 
     def costs(self, *batches):
         self.calls.append([s for ss in batches for s in ss])
@@ -149,12 +153,39 @@ class TestSolverCalls:
         assert len(flat) == len(set(flat))
 
     def test_dyadic_cell_one_s_per_bisection_level(self, solver_calls, worked_carpet):
-        # the endpoints, one s per bisection level, then s*
-        for cloud, theta in ((fp_points(1.0, 1e-2), 0.0), (carpet_points(worked_carpet, 5), 0.5)):
+        # the endpoints, one s per bisection level the bound leaves open, then s*: the bound
+        # decides 7 of the fp cloud's 10 levels and 3 of the carpet's 11
+        cases = ((fp_points(1.0, 1e-2), 0.0, 6), (carpet_points(worked_carpet, 5), 0.5, 11))
+        for cloud, theta, asked in cases:
             solver_calls.clear()
-            critical_exponent(cloud, 0.1, theta)
+            ce = critical_exponent(cloud, 0.1, theta)
+            assert [len(call) for call in solver_calls] == [1] * asked
+            # every s asked is one the bound-free bisection asks, in its order
+            band, free = covers.cover_cost_function(cloud, ScaleRange(0.1, theta)), []
+            reference = sequential_critical_exponent(
+                lambda s: free.append(s) or band.costs([s])[0][0], cloud.dimension_n, 1.0
+            )
             levels = math.ceil(math.log2(cloud.dimension_n / BISECTION_TOL))
-            assert [len(call) for call in solver_calls] == [1] * (2 + levels + 1)
+            assert len(dict.fromkeys(free)) == 2 + levels + 1
+            flat = iter(dict.fromkeys(free))
+            assert all(s in flat for call in solver_calls for s in call)
+            assert (ce.s_star, ce.cost_at_s_star) == reference
+
+    def test_bound_settles_36_of_the_84_tree_passes_of_a_carpet_spectrum(
+        self, monkeypatch, worked_carpet
+    ):
+        # the dyadic-2d benchmark's spectrum, with and without the bound
+        cloud, passes = carpet_points(worked_carpet, 8), []
+        real = covers._DyadicTree.counts
+        monkeypatch.setattr(
+            covers._DyadicTree, "counts", lambda tree, *args: passes.append(args) or real(tree, *args)
+        )
+        spectrum = estimate_spectrum(cloud, (0.5, 1.0), (0.1, 0.03, 0.01))
+        assert len(passes) == 48
+        monkeypatch.delattr(covers._DyadicBand, "bound")
+        passes.clear()
+        assert estimate_spectrum(cloud, (0.5, 1.0), (0.1, 0.03, 0.01)) == spectrum
+        assert len(passes) == 84
 
 
 @pytest.fixture
@@ -316,6 +347,29 @@ class TestLookaheadMatchesSequentialBisection:
                 assert done.value == reference
                 break
 
+    @settings(max_examples=400, deadline=None)
+    @given(case=non_increasing_costs(), slack=st.sampled_from([0.0, 1e-9, 1e-7]))
+    def test_a_bound_within_the_margin_changes_no_comparison(self, case, slack):
+        # a bound may fall below the cost by the float sums' rounding: slack
+        # up to 1e-7 of it, against the 1e-6 margin, settles no step wrongly
+        n, threshold, cost = case
+        reference = sequential_critical_exponent(cost, n, threshold)
+        low = [n]  # the s asked whose cost was at most threshold, n first
+
+        def bound(s, at):
+            assert at == low[-1]  # the cover of the last such s prices s
+            return cost(s) * (1.0 - slack)
+
+        walk = _bisection(n, threshold, 1, bound)
+        batch = next(walk)
+        while True:
+            low += [s for s in batch if s not in (0.0, n) and cost(s) <= threshold]
+            try:
+                batch = walk.send([cost(s) for s in batch])
+            except StopIteration as done:
+                assert done.value == reference
+                break
+
     @pytest.mark.parametrize(
         "threshold, above, below",
         [(1.0, math.inf, 0.5), (1e6, math.nextafter(1e6, math.inf), 1e6), (1.0, 2.0, 0.0)],
@@ -363,6 +417,69 @@ class TestLookaheadMatchesSequentialBisection:
                     assert with_guess[0] <= without[0]
                     guided, level = guided + with_guess[0], level + without[0]
         assert guided < level
+
+
+def _dyadic_cell(cloud, delta: float, theta: float):
+    """cover_cost_function's band for the cell, or an unmet assume if the cell is not dyadic."""
+    try:
+        rng = ScaleRange(delta, theta)
+        assume(cloud.dimension_n > 1 or theta == 0.0)
+        return rng, covers.cover_cost_function(cloud, rng)
+    except (ScaleRangeTooDeepError, DepthLimitError):
+        assume(False)
+
+
+dyadic_thetas = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+
+
+class TestDyadicBound:
+    """_DyadicBand.bound prices a cover the band chose at another s, and prunes no bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cloud=st.integers(1, 3).flatmap(lambda n: point_clouds(dimension=n)),
+        delta=st.floats(1e-3, 0.9),
+        theta=dyadic_thetas,
+        where=st.one_of(st.floats(0.0, 1.0), st.sampled_from([-1.0, 2.0])),
+    )
+    def test_same_root_and_cost_as_bound_free_bisection(self, cloud, delta, theta, where):
+        rng, band = _dyadic_cell(cloud, delta, theta)
+        n = float(cloud.dimension_n)
+
+        def cost(s):
+            return band.costs([s])[0][0]
+
+        # where in [0, 1] puts the threshold log-uniformly between cost(n)
+        # and cost(0); -1 forces the clamp at 0 and 2 the clamp at n
+        try:
+            threshold = cost(n) ** where * cost(0.0) ** (1.0 - where)
+        except OverflowError:
+            threshold = sys.float_info.max
+        assume(0.0 < threshold < math.inf)
+        ce = critical_exponent(cloud, delta, theta, threshold)
+        reference = sequential_critical_exponent(cost, n, threshold)
+        assert (ce.s_star, ce.cost_at_s_star) == reference
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cloud=point_clouds(),
+        delta=st.floats(1e-3, 0.9),
+        theta=dyadic_thetas,
+        at=st.floats(0.0, 1.0),
+        ss=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    )
+    def test_bound_is_the_cost_of_the_cover_chosen_at_at(self, cloud, delta, theta, at, ss):
+        rng, band = _dyadic_cell(cloud, delta, theta)
+        n = cloud.dimension_n
+        at = at * n
+        ((c_at,),) = band.costs([at])
+        assert band.bound(at, at) == c_at
+        chosen = covers.optimal_cover_dyadic(cloud, rng, at).diameters()
+        fresh = covers.cover_cost_function(cloud, rng)
+        for s in (u * n for u in ss):
+            bound = band.bound(s, at)
+            assert bound == covers.cover_cost(chosen, s)
+            assert bound >= fresh.costs([s])[0][0] * (1.0 - 1e-8)
 
 
 class TestEstimateSpectrum:

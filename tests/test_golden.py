@@ -8,8 +8,11 @@ theta = 0 covers, critical exponents and deep cascade of an R^3 cloud
 from the per-level np.unique cell tree, the CSV bytes of the estimate on
 the interval-dp benchmark cloud from the level-walk bisection batches,
 the CSV bytes of the same estimate on an fp p = 2 and a flog cloud from
-the serial-only interval-DP groups, and the worked carpet's estimates on
-bands its depth-8 and depth-10 clouds resolve (ROADMAP item 10); any
+the serial-only interval-DP groups, the worked carpet's estimates on
+bands its depth-8 and depth-10 clouds resolve (ROADMAP item 10), and,
+from the dyadic bisection that solved every midpoint, the per-cell
+(s_star, cost_at_s_star) of dyadic cells as float.hex and the CSV bytes
+of the depth-8 carpet's estimate with a theta = 0 row; any
 change to summation order, tie-breaking, cell order or the bisection's
 midpoints shows up here as an inequality, not a tolerance.
 
@@ -239,6 +242,45 @@ def _carpet_table() -> list[dict]:
     return out
 
 
+# Dyadic cells: the worked carpet at depths 5 and 8 at every theta, and an
+# fp cloud at theta = 0, each at every delta and threshold below.
+DYADIC_THETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
+DYADIC_DELTAS = (0.1, 0.03, 0.01)
+DYADIC_THRESHOLDS = (0.5, 1.0, 3.0)
+
+
+def _critical_dyadic() -> list[list]:
+    """[cloud, theta, delta, threshold, s_star.hex(), cost_at_s_star.hex()] per dyadic cell."""
+    spec = CarpetSpec.create(2, 3, [(0, 0), (0, 2), (1, 1)])
+    clouds = [
+        *[(f"carpet{depth}", carpet_points(spec, depth), DYADIC_THETAS) for depth in (5, 8)],
+        ("fp", fp_points(1.0, 1e-3, theta_min=0.25), (0.0,)),
+    ]
+    out = []
+    for name, cloud, thetas in clouds:
+        for theta in thetas:
+            for delta in DYADIC_DELTAS:
+                for threshold in DYADIC_THRESHOLDS:
+                    ce = critical_exponent(cloud, delta, theta, threshold)
+                    hexes = [ce.s_star.hex(), ce.cost_at_s_star.hex()]
+                    out.append([name, theta, delta, threshold, *hexes])
+    return out
+
+
+# The depth-8 carpet (6,561 points) as the CLI writes it, and the estimate
+# with a theta = 0 row CI runs on it.
+CARPET8_GEN = ["gen", "--family", "carpet-points", "--depth", "8"]
+CARPET8_ARGS = ["--grid", "0,0.5,1", "--deltas", "0.1,0.03,0.01"]
+
+
+def _carpet8_csv(workdir: Path) -> bytes:
+    spec, points, out = workdir / "c.json", workdir / "c8.txt", workdir / "estimate.csv"
+    spec.write_text('{"m":2,"n":3,"digits":[[0,0],[0,2],[1,1]]}')
+    assert main([*CARPET8_GEN, "--spec", str(spec), "--out", str(points)]) == 0
+    assert main(["estimate", "--points", str(points), *CARPET8_ARGS, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
 def _run(command: str, make_points, args, workdir: Path) -> str:
     points = workdir / "points.txt"
     points.write_text(make_points())
@@ -290,6 +332,16 @@ def test_carpet_table_matches_golden():
     assert _carpet_table() == expected
 
 
+def test_critical_dyadic_match_golden():
+    expected = json.loads((GOLDEN / "critical_dyadic.json").read_text())
+    assert len(expected) == 2 * 5 * 9 + 9
+    assert _critical_dyadic() == expected
+
+
+def test_carpet8_estimate_csv_matches_golden(tmp_path):
+    assert _carpet8_csv(tmp_path) == (GOLDEN / "estimate_carpet8.csv").read_bytes()
+
+
 def test_deep_3d_matches_golden(tmp_path):
     expected = json.loads((GOLDEN / "dyadic_3d_deep.json").read_text())
     assert _deep_3d(tmp_path) == expected
@@ -308,8 +360,10 @@ def regenerate() -> None:
         (GOLDEN / "dyadic_3d_deep.json").write_text(json.dumps(doc, indent=1) + "\n")
         for name, gen in INTERVAL_DP_CLOUDS.items():
             (GOLDEN / name).write_bytes(_interval_dp_csv(workdir, gen))
+        (GOLDEN / "estimate_carpet8.csv").write_bytes(_carpet8_csv(workdir))
     (GOLDEN / "carpet_table.json").write_text(json.dumps(_carpet_table(), indent=1) + "\n")
     (GOLDEN / "critical_1d.json").write_text(json.dumps(_critical_cells(), indent=2) + "\n")
+    (GOLDEN / "critical_dyadic.json").write_text(json.dumps(_critical_dyadic(), indent=1) + "\n")
 
 
 if __name__ == "__main__":
