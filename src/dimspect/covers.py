@@ -6,15 +6,13 @@ covers (any ambient dimension) on _DyadicTree, the dyadic cell tree the
 Frostman cap cascade shares; covers anchor it at the bounding box.  Both
 return the full cover, not just its cost, so admissibility and coverage
 can be checked directly.  A cell's solver of cost(s) evaluates a batch
-of s per call: cover_cost_function gives an interval DP built for the
-cell, or the cell's band of levels in a dyadic tree, the one it is given
-(estimate_spectrum passes every dyadic cell its spanning_tree) or one
-built for the cell alone; interval_dps gives the interval DPs of many
-cells, one for each group of dense cells and one for each sparse cell.
-Every solver's costs(*batches) takes one batch of s per cell and
-returns one list of costs per nonempty batch.  A dyadic band also has
-bound(s, at), the cost at s of the cover it chose at at, which bounds
-its cost at s from above: the bisection settles some steps with it.
+of s per call, and cell_solvers builds every cell's: an interval DP for
+each group of dense cells and for each sparse cell, then for each dyadic
+cell its band of levels in one bounding-box tree.  Every solver's
+costs(*batches) takes one batch of s per cell and returns one list of
+costs per nonempty batch.  A dyadic band also has bound(s, at), the cost
+at s of the cover it chose at at, which bounds its cost at s from above:
+the bisection settles some steps with it.
 """
 
 from __future__ import annotations
@@ -194,10 +192,10 @@ class _IntervalDP:
     be shifted so each interval starts at the leftmost point it covers, so
     this explores a superset of canonical optimal covers.  Each menu is
     one cell's; a lone cell is a group of one.  The jumps are
-    s-independent and built once.  A lone menu keeps the states it
-    reaches from point 0 (every point if it is serial), so every jump of
-    a kept state lands on a kept state; a group of menus keeps every
-    point.  states[k] is the point index of kept state k (the last is the
+    s-independent and built once.  A lone menu given its reach mask (a
+    sparse cell's) keeps the states it reaches from point 0, so every
+    jump of a kept state lands on a kept state; otherwise, a group or a
+    dense cell alone, every point is kept.  states[k] is the point index of kept state k (the last is the
     terminal len(xs)), and jumps[c][k, j] is cells times the kept state
     entry j of menu c leads to from state k, plus c, the row of that
     state's menu-c costs in the pass's cost table read as (states *
@@ -210,10 +208,10 @@ class _IntervalDP:
     equal to one already there, so every minimum keeps its bits.  One
     pass (table) gives each menu's optimal cost from every state; the
     estimator reads state 0's, and optimal_cover_1d reads the cover off
-    the whole table.  columns and reach, when given, are what
-    interval_dps has computed once: each menu's _menu_jumps (None for a
-    serial menu, computed here) and, for a lone menu that is not serial,
-    its _reached mask; the build empties columns.
+    the whole table.  columns and reach are what cell_solvers has
+    computed once: each menu's _menu_jumps (None for a serial menu,
+    computed here) and, for a lone menu that keeps only the states it
+    reaches, its _reached mask; the build empties columns.
 
     A state reads only states to its right, the nearest of them its least
     entry-0 jump (the menus ascend), which is non-decreasing in k.  So the
@@ -226,7 +224,7 @@ class _IntervalDP:
     Serial cells, whose smallest diameter is below the gaps between
     points, have no blocks, and there every state is reachable: the build
     skips the walk.  Dense cells, whose own DP keeps at least half of the
-    states (every serial cell), share groups (interval_dps), one pass a
+    states (every serial cell), share groups (cell_solvers), one pass a
     round for all the cells of a group.  A state a member does not reach
     feeds none it does, so each member's costs are those of its own DP
     bit for bit, and it at most doubles its states.
@@ -253,13 +251,9 @@ class _IntervalDP:
     # 64 x 17.
     max_run = 64
 
-    def __init__(self, xs: np.ndarray, *menus: tuple[float, ...], columns=None, reach=None):
+    def __init__(self, xs: np.ndarray, *menus: tuple[float, ...], columns: list, reach=None):
         size, cells = max(map(len, menus)), len(menus)
         self.menus = tuple(menu + menu[-1:] * (size - len(menu)) for menu in menus)
-        if columns is None:
-            columns = [_menu_jumps(xs, menu) for menu in menus]
-            if cells == 1 and not _serial(xs, menus[0]):
-                reach = _reached(columns[0])
         if reach is not None:  # a lone menu's own states
             self.states = np.flatnonzero(reach)
             jumps = columns.pop().take(self.states[:-1], 0)
@@ -373,7 +367,8 @@ def optimal_cover_1d(
     state, the largest diameter whose sum cost[jump] + diameter**s equals
     the state's cost.  Those are the pass's own float sums, and the
     minimum it stored is one of them, so the test is exact; ties go to the
-    larger set, as in optimal_cover_dyadic.
+    larger set, as in optimal_cover_dyadic.  The DP is the cell's solver
+    from cell_solvers, the one critical_exponent bisects on.
     """
     if points.dimension_n != 1:
         raise ValidationError("optimal_cover_1d needs a 1-D point cloud")
@@ -381,10 +376,9 @@ def optimal_cover_1d(
     if rng.theta == 0.0:
         raise ValidationError("theta=0 has no finite menu; use optimal_cover_dyadic")
     xs = points.array[:, 0]
-    menu = geometric_menu(rng.lo, rng.hi, scale_menu_size)
-    dp = _IntervalDP(xs, menu)
+    ((_, dp),) = cell_solvers(points, [rng], scale_menu_size)
+    (menu,), (jump,) = dp.menus, dp.jumps
     cost, powers = dp.table([s])[:, 0], np.array([d**s for d in menu])
-    (jump,) = dp.jumps
     sets = []
     k = 0
     while k < len(jump):
@@ -628,31 +622,6 @@ def _bbox_tree(points: PointCloud, rng: ScaleRange) -> _DyadicTree:
     return _DyadicTree(points, points.bbox[0], points.side, *_bbox_levels(points, rng))
 
 
-def _solves_dyadic(points: PointCloud, rng: ScaleRange) -> bool:
-    """Whether cover_cost_function solves the cell on the dyadic tree (else the interval DP)."""
-    return points.dimension_n > 1 or rng.theta == 0.0
-
-
-def spanning_tree(points: PointCloud, ranges) -> _DyadicTree | None:
-    """One bounding-box tree for the dyadic cells of ranges, None if there are none.
-
-    It spans the levels of every such cell, from the coarsest top to the
-    finest bottom, and each cell solves on its own band of it; a cell
-    past MAX_DEPTH is left out, to raise DepthLimitError when it is solved.
-    """
-    levels = []
-    for rng in ranges:
-        if _solves_dyadic(points, rng):
-            try:
-                levels.append(_bbox_levels(points, rng))
-            except DepthLimitError:
-                pass
-    if not levels:
-        return None
-    tops, bottoms = zip(*levels)
-    return _DyadicTree(points, points.bbox[0], points.side, min(tops), max(bottoms))
-
-
 def _rescale(points: PointCloud):
     """The cap cascade's (origin, scale): the unit box if it holds the points, else the bbox."""
     mins, maxs = points.bbox
@@ -702,54 +671,40 @@ def optimal_cover_dyadic(
     return RestrictedCover(sets, rng, s, min(rng.lo, tree.diameter(tree.bottom)))
 
 
-def cover_cost_function(points: PointCloud, rng: ScaleRange, scale_menu_size: int = 16, tree=None):
-    """One (delta, theta) cell's cover-cost solver, its structure built once.
+def cell_solvers(points: PointCloud, ranges, scale_menu_size: int = 16):
+    """Every cell's cover-cost solver, built once: (cells, solver) for each group that shares one.
 
-    The solver's costs(ss) gives a one-entry list, the list of optimal
-    cover costs at the s in ss, and its batch_size how many s values one
-    call should carry.  1-D with theta > 0: the interval DP over the
-    geometric menu, as in optimal_cover_1d, one pass for a batch of s.
-    Otherwise the band of the cell's levels in the dyadic tree, giving
-    the cost optimal_cover_dyadic reports, one pass per s: a band of
-    tree, which must be a bounding-box tree of points spanning those
-    levels (spanning_tree), or if None of a tree built on just those
-    levels.
+    1-D cells with theta > 0 solve on interval DPs over their geometric
+    menus, and come first.  A cell is serial when its smallest diameter
+    is below every gap between points (_serial): its DP keeps every point
+    as a state.  It is dense when its own DP keeps at least half of the
+    len(xs) + 1 states, as every serial cell does.  Dense cells share
+    groups, serial ones first, each of as many cells as fit TABLE_BUDGET
+    at batch_size (17) values of s on every point, and at least one: 19
+    at 6,341 points, 3 at 40,001, 1 above 61,679.  A group keeps every
+    point as a state, so a dense cell's walk (_reached) stops once it has
+    reached half of them.  Every other cell is sparse: its walk runs to
+    the end, and it comes alone, as soon as the walk shows it, on a DP
+    over the states it reaches.  A cell's jumps (_menu_jumps) and walk are
+    computed once and serve both the decision and its DP; a serial cell
+    needs no walk, and its jumps are computed when its group's DP is
+    built.  At most one open group's jumps are held at a time, and a DP
+    is built only once the caller has let go of the last one, as
+    estimate._critical_exponents does: at most one DP is alive at a time.
+
+    Every other cell comes alone, in order, as its band of levels in one
+    bounding-box tree, giving the cost optimal_cover_dyadic reports, one
+    pass per s.  The tree is built when the first such cell is reached,
+    and spans the levels of every one not past MAX_DEPTH, from the
+    coarsest top to the finest bottom; a cell past MAX_DEPTH raises
+    DepthLimitError in its turn.
     """
-    if not _solves_dyadic(points, rng):
-        menu = geometric_menu(rng.lo, rng.hi, scale_menu_size)
-        return _IntervalDP(points.array[:, 0], menu)
-    top, bottom = _bbox_levels(points, rng)
-    if tree is None:
-        tree = _DyadicTree(points, points.bbox[0], points.side, top, bottom)
-    return _DyadicBand(tree, top, bottom)
-
-
-def interval_dps(points: PointCloud, ranges, scale_menu_size: int = 16):
-    """Every interval-DP cell among ranges, in groups: (cells, a DP over their menus).
-
-    A cell is serial when its smallest diameter is below every gap
-    between points (_serial): its DP keeps every point as a state.  It is
-    dense when its own DP keeps at least half of the len(xs) + 1 states,
-    as every serial cell does.  Dense cells share groups, serial ones
-    first, each of as many cells as fit TABLE_BUDGET at batch_size (17)
-    values of s on every point, and at least one: 19 at 6,341 points, 3
-    at 40,001, 1 above 61,679.  A group keeps every point as a state, so
-    a dense cell's walk (_reached) stops once it has reached half of
-    them.  Every other cell is sparse: its walk runs to the end, and it
-    comes alone, as soon as the walk shows it, on a DP over the states it
-    reaches.  A cell's jumps (_menu_jumps) and walk are computed once and
-    serve both the decision and its DP; a serial cell needs no walk, and
-    its jumps are computed when its group's DP is built.  At most one
-    open group's jumps are held at a time, and a DP is built only once
-    the caller has let go of the last one, as estimate_spectrum does: at
-    most one DP is alive at a time.
-    """
-    xs = points.array[:, 0]
-    menus = {
-        rng: geometric_menu(rng.lo, rng.hi, scale_menu_size)
-        for rng in ranges
-        if not _solves_dyadic(points, rng)
-    }
+    xs, menus, dyadic = points.array[:, 0], {}, []
+    for rng in ranges:
+        if points.dimension_n > 1 or rng.theta == 0.0:
+            dyadic.append(rng)
+        else:
+            menus[rng] = geometric_menu(rng.lo, rng.hi, scale_menu_size)
     serial = {rng for rng, menu in menus.items() if _serial(xs, menu)}
     half = (len(xs) + 2) // 2  # half of the len(xs) + 1 states, rounded up
     size = max(1, TABLE_BUDGET // ((len(xs) + 1) * _IntervalDP.batch_size * 8))
@@ -769,6 +724,19 @@ def interval_dps(points: PointCloud, ranges, scale_menu_size: int = 16):
             group = []
     if group:
         yield group, _IntervalDP(xs, *map(menus.get, group), columns=columns)
+    tree = None
+    for rng in dyadic:
+        top, bottom = _bbox_levels(points, rng)  # past MAX_DEPTH: DepthLimitError, in its turn
+        if tree is None:
+            levels = []
+            for other in dyadic:
+                try:
+                    levels.append(_bbox_levels(points, other))
+                except DepthLimitError:
+                    pass
+            tops, bottoms = zip(*levels)
+            tree = _DyadicTree(points, points.bbox[0], points.side, min(tops), max(bottoms))
+        yield [rng], _DyadicBand(tree, top, bottom)
 
 
 def refine_cover(cover: RestrictedCover, phi: float, new_delta: float) -> RestrictedCover:

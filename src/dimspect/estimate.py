@@ -31,13 +31,7 @@ from .core import (
     check_number,
     theta_grid,
 )
-from .covers import (
-    MAX_MENU,
-    cover_cost_function,
-    guarded_ceil,
-    interval_dps,
-    spanning_tree,
-)
+from .covers import MAX_MENU, cell_solvers, guarded_ceil
 
 BISECTION_TOL = 1e-3
 TRUNCATION_SAFETY = 4
@@ -72,30 +66,44 @@ def critical_exponent(
     interval nearest a root guess, where log cost interpolated linearly
     between the interval's ends meets log threshold.  So the interval DP,
     at 17 values, needs 2 calls where the guess holds (one more where it
-    misses) where one s per call would take about 13.  Every s and every comparison is that
-    of a one-s-at-a-time bisection, so the result is too.  This is the
-    cell driver, _exponents, on one cell; estimate_spectrum runs it on
-    every cell, where a group of dense cells shares each DP pass at 17
-    values a cell: the three serial and two dense cells of
-    fp_points(1, 1e-4, theta_min=.25) take 2 passes in all.  Here the
-    cell has its own DP, over the states its menu reaches.  The dyadic
-    tree takes one s per call, and its band's bound settles some
-    bisection steps with no call: a cover chosen at one s bounds the cost
-    at every other (_bisection).  scale_menu_size
-    (2 to covers.MAX_MENU) is read here, so a cell the dyadic tree
-    solves, which has no menu, refuses it as the interval DP does.
+    misses) where one s per call would take about 13.  Every s and every
+    comparison is that of a one-s-at-a-time bisection, so the result is
+    too.  This is estimate_spectrum's solve, _critical_exponents, on one
+    cell: its solver is the one covers.cell_solvers builds for the cell,
+    an interval DP (over every point if the cell is dense) or its band of
+    a bounding-box tree.  In a spectrum a group of dense cells shares
+    each DP pass at 17 values a cell: the three serial and two dense
+    cells of fp_points(1, 1e-4, theta_min=.25) take 2 passes in all, and
+    each gives the bits it gives here.  The dyadic tree takes one s per
+    call, and its band's bound settles some bisection steps with no call:
+    a cover chosen at one s bounds the cost at every other (_bisection).
+    threshold and then scale_menu_size (2 to covers.MAX_MENU) are read
+    before the band, so a cell the dyadic tree solves, which has no menu,
+    refuses a bad menu size as the interval DP does.
     """
-    threshold, scale_menu_size = _solve_options(threshold, scale_menu_size)
-    rng = ScaleRange(delta, theta)
-    solver = cover_cost_function(points, rng, scale_menu_size)
-    return _exponents(points, [rng], solver, threshold)[rng]
+    # map is lazy: the band is read once the options are
+    (found,) = _critical_exponents(
+        points, map(ScaleRange, [delta], [theta]), threshold, scale_menu_size
+    ).values()
+    return found
 
 
-def _solve_options(threshold, scale_menu_size) -> tuple[float, int]:
-    """threshold and scale_menu_size read by check_number, in that order."""
-    return check_number(threshold, "threshold", 0), check_number(
+def _critical_exponents(points: PointCloud, ranges, threshold, scale_menu_size) -> dict:
+    """ScaleRange -> CriticalExponent for each cell of ranges, read after the options.
+
+    threshold and then scale_menu_size are read by check_number; then
+    each group covers.cell_solvers yields bisects in _exponents, and its
+    solver is let go of before the next one is built.
+    """
+    threshold = check_number(threshold, "threshold", 0)
+    scale_menu_size = check_number(
         scale_menu_size, "entries in the scale menu", 2, MAX_MENU, "[]", integral=True
     )
+    n, found = float(points.dimension_n), {}
+    for cells, solver in cell_solvers(points, ranges, scale_menu_size):
+        found.update(_exponents(n, cells, solver, threshold))
+        del solver  # so that the next solver is built with none alive
+    return found
 
 
 def _bisection(n: float, threshold: float, width: int, bound=None):
@@ -169,16 +177,15 @@ def _root_guess(lo: float, hi: float, known: dict, threshold: float) -> float | 
     return guess if math.isfinite(guess) else None
 
 
-def _exponents(points: PointCloud, cells, solver, threshold: float) -> dict:
+def _exponents(n: float, cells, solver, threshold: float) -> dict:
     """ScaleRange -> CriticalExponent for cells that share solver, a lone cell a group of one.
 
-    Each cell runs its own _bisection at the solver's batch_size; a round
-    gathers the next batch of every cell still running and solves them
-    all in one solver call, so each round pays the per-state numpy calls
-    of an interval DP once for the whole group.  A cell leaves the rounds
-    once its root is found.
+    Each cell runs its own _bisection on [0, n], n the ambient dimension,
+    at the solver's batch_size; a round gathers the next batch of every
+    cell still running and solves them all in one solver call, so each
+    round pays the per-state numpy calls of an interval DP once for the
+    whole group.  A cell leaves the rounds once its root is found.
     """
-    n = float(points.dimension_n)
     bound = getattr(solver, "bound", None)
     walks = [_bisection(n, threshold, solver.batch_size, bound) for _ in cells]
     asks = [next(walk) for walk in walks]  # each cell's next batch, () once its root is found
@@ -246,23 +253,22 @@ def estimate_spectrum(
     """Estimated spectrum of a point cloud over a theta grid.
 
     Per theta > 0, deltas whose band would dip below MIN_SCALE are skipped;
-    at least one admissible delta is required.  Rows are solved in theta
-    order, each turned into its sample before the next starts, so a theta
-    with no admissible delta raises before later rows are solved.  The
-    theta = 0 entry uses unrestricted dyadic covers (floored at MAX_DEPTH)
-    and raw exponents: its finite-resolution bias does not follow the
-    drift model.  Its cells, like every dyadic cell (any theta in R^2 and
-    R^3), solve on their bands of levels in one bounding-box tree built
-    before the rows (covers.spanning_tree), which stores levels only down
-    to where every point is alone, however deep the bands reach.  Every
-    cell bisects in _exponents.  The interval-DP cells (1-D, theta > 0)
-    of the rows before the first empty one are solved first, as
-    covers.interval_dps yields them: the dense ones, whose DP keeps at
-    least half of the states, in groups that share one DP pass a round,
-    and the sparse ones alone, with at most one DP alive at a time.  The
-    rows then solve only their dyadic cells, in their turn.  Each cell
-    gives the bits critical_exponent gives.  threshold
-    and scale_menu_size are read once, before the first cell is solved.
+    at least one admissible delta is required.  The cells of the rows
+    before the first empty one are solved in one call of
+    _critical_exponents, which reads threshold and scale_menu_size once,
+    before the first solver is built; then the rows are folded into
+    samples in theta order, so a theta with no admissible delta raises
+    before later rows are solved, and before the options are read if it
+    is the first.  The theta = 0 entry uses unrestricted dyadic covers
+    (floored at MAX_DEPTH) and raw exponents: its finite-resolution bias
+    does not follow the drift model.  covers.cell_solvers builds every
+    cell's solver: the interval-DP cells (1-D, theta > 0) first, the
+    dense ones, whose DP keeps at least half of the states, in groups that
+    share one DP pass a round, and the sparse ones alone, with at most one
+    DP alive at a time; then every dyadic cell (theta = 0, and any theta
+    in R^2 and R^3) on its band of levels in one bounding-box tree, which
+    stores levels only down to where every point is alone, however deep
+    the bands reach.  Each cell gives the bits critical_exponent gives.
     A row whose lower or upper value falls below the running max of the
     rows before it (theta > 0) by more than TOL_MONO_ESTIMATED raises
     EstimateNotMonotoneError: the deltas are too coarse for the cloud.
@@ -285,24 +291,12 @@ def estimate_spectrum(
                 continue
     samples = []
     peaks = [-math.inf, -math.inf]  # running max of the lower and upper columns over theta > 0
-    tree = spanning_tree(points, [rng for ranges in rows for rng in ranges])
     # the cells of the rows before the first empty one
     ahead = [rng for ranges in itertools.takewhile(bool, rows) for rng in ranges]
-    found = {}
-    if ahead:  # else the first row is empty, and raises before the options are read
-        threshold, scale_menu_size = _solve_options(threshold, scale_menu_size)
-        for cells, dp in interval_dps(points, ahead, scale_menu_size):
-            found.update(_exponents(points, cells, dp, threshold))
-            del dp  # so that the next DP is built with none alive
+    # with none, the first row is empty, and raises before the options are read
+    found = _critical_exponents(points, ahead, threshold, scale_menu_size) if ahead else {}
     for theta, ranges in zip(thetas, rows):
-        row = [
-            found[rng]
-            if rng in found
-            else _exponents(
-                points, [rng], cover_cost_function(points, rng, scale_menu_size, tree), threshold
-            )[rng]
-            for rng in ranges
-        ]
+        row = [found[rng] for rng in ranges]
         if not row:
             raise ScaleRangeTooDeepError(
                 f"no admissible delta at theta={theta}: "

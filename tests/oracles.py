@@ -8,7 +8,8 @@ loop forms of vectorized or batched library code (tuple-of-tuples point
 ingestion, the per-word carpet corners, the carpet spectrum with the
 continuity envelope taken from every earlier theta, the scalar interval
 DP over every point, the walk for the DP's reachable states, the
-per-state pass of the batched interval DP, the recursive dyadic solver,
+per-state pass of the batched interval DP, the lone cell's interval DP
+over the states its menu reaches, the recursive dyadic solver,
 the per-level np.unique dyadic cell tree, the one-s-at-a-time bisection,
 the dict-grouped cap cascade, the full-scan ball mass, the all-pairs
 first-fit separation) and second closed-form routes to carpet
@@ -35,7 +36,7 @@ from dimspect import (
     upper_bound_theta,
 )
 from dimspect.carpet import UpperBoundDomainError, row_depth
-from dimspect.covers import _bbox_tree, _rescale
+from dimspect.covers import _bbox_tree, _IntervalDP, _menu_jumps, _reached, _rescale, _serial
 from dimspect.estimate import BISECTION_TOL
 
 mp.mp.dps = 60
@@ -250,6 +251,20 @@ def reachable_interval_states(xs, menu) -> tuple[list[int], list[list[int]]]:
     states = [i for i, r in enumerate(reach) if r]
     rank = {i: k for k, i in enumerate(states)}
     return states, [[rank[k] for k in jump[i]] for i in states[:-1]]
+
+
+def interval_dp(xs, *menus):
+    """A covers._IntervalDP over menus, built as a cell's own: a lone menu keeps the states it reaches.
+
+    One menu that is not serial keeps the states it reaches from point 0;
+    a serial one, or a group of menus, keeps every point.  The library
+    builds its DPs only in covers.cell_solvers, where a dense cell keeps
+    every point even alone; this DP is the reference a group's member and
+    that cell must match on the states it keeps.
+    """
+    columns = [_menu_jumps(xs, menu) for menu in menus]
+    lone = len(menus) == 1 and not _serial(xs, menus[0])
+    return _IntervalDP(xs, *menus, columns=columns, reach=_reached(columns[0]) if lone else None)
 
 
 def serial_interval_table(dp, ss) -> np.ndarray:

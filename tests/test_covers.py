@@ -33,13 +33,12 @@ from dimspect.covers import (
     _DyadicTree,
     _IntervalDP,
     _level_sum,
-    cover_cost_function,
-    spanning_tree,
 )
 from conftest import point_clouds
 from oracles import (
     ScalarIntervalDP,
     brute_force_menu_cost,
+    interval_dp,
     reachable_interval_states,
     recursive_dyadic_cover,
     serial_interval_table,
@@ -258,7 +257,8 @@ class TestDyadicTreeMatchesRecursion:
         assert cover.sets == reference.sets
         assert cover.cost == reference.cost
         if cloud.dimension_n > 1 or theta == 0.0:
-            assert cover_cost_function(cloud, rng).costs([s]) == [[reference.cost]]
+            ((_, band),) = covers.cell_solvers(cloud, [rng])
+            assert band.costs([s]) == [[reference.cost]]
         assert cover.covers(cloud)
         for c in cover.sets:
             assert cover.effective_lo <= c.diameter <= rng.hi * (1 + 1e-12)
@@ -403,37 +403,50 @@ def clouds_with_close_pairs(draw):
 
 
 def assert_bands_equal_fresh_trees(cloud, cells, ss):
-    """On the spanning_tree of cells, each dyadic cell's costs at ss are those of a fresh
-    tree over its levels and of recursive_dyadic_cover, bit for bit.  Returns the shared
-    tree and the cells' (top, bottom) levels.
+    """On the one tree cell_solvers builds for cells, each dyadic cell's costs at ss are those
+    of a fresh tree over its levels and of recursive_dyadic_cover, bit for bit, and the first
+    cell past MAX_DEPTH raises in its turn.  Returns the shared tree and the cells' (top,
+    bottom) levels.
     """
     ranges = []
-    for delta, theta in cells:
+    for delta, theta in dict.fromkeys(cells):
         try:
             ranges.append(ScaleRange(delta, theta))
         except ScaleRangeTooDeepError:
             pass
-    levels = []
-    shared = spanning_tree(cloud, ranges)
+    dp_cells = {rng for rng in ranges if cloud.dimension_n == 1 and rng.theta > 0.0}
+    levels = {}  # per dyadic cell in order, its (top, bottom), None past MAX_DEPTH
     for rng in ranges:
-        if cloud.dimension_n == 1 and rng.theta > 0.0:
-            continue  # the interval DP's cell
-        try:
-            top, bottom = _bbox_levels(cloud, rng)
-        except DepthLimitError:
-            with pytest.raises(DepthLimitError):
-                cover_cost_function(cloud, rng, 16, shared)
+        if rng not in dp_cells:
+            try:
+                levels[rng] = _bbox_levels(cloud, rng)
+            except DepthLimitError:
+                levels[rng] = None
+    if None in levels.values():  # the interval DPs first, then the dyadic cells up to it
+        solved = []
+        with pytest.raises(DepthLimitError):
+            for group, _ in covers.cell_solvers(cloud, ranges):
+                solved += group
+        ahead = list(levels)[: list(levels.values()).index(None)]
+        assert set(solved[: len(dp_cells)]) == dp_cells and solved[len(dp_cells) :] == ahead
+    shared, order = None, []
+    kept = [rng for rng in ranges if levels.get(rng, ()) is not None]
+    for group, band in covers.cell_solvers(cloud, kept):
+        if group[0] in dp_cells:
             continue
-        levels.append((top, bottom))
-        band = cover_cost_function(cloud, rng, 16, shared)
+        (rng,) = group
+        order.append(rng)
+        top, bottom = levels[rng]
+        shared = shared or band.tree
         assert band.tree is shared and (band.top, band.bottom) == (top, bottom)
         assert shared.top <= top <= bottom <= shared.bottom
         fresh = _DyadicTree(cloud, cloud.bbox[0], cloud.side, top, bottom)
         (got,) = band.costs(ss)
         assert got == [_level_sum(*fresh.counts(s)) for s in ss]
         assert got == [recursive_dyadic_cover(cloud, rng, s).cost for s in ss]
-    assert (shared is None) == (not levels)
-    return shared, levels
+    assert order == [rng for rng, lv in levels.items() if lv is not None]
+    assert (shared is None) == (not order)
+    return shared, [levels[rng] for rng in order]
 
 
 class TestSharedTree:
@@ -512,7 +525,7 @@ class TestIntervalDPMatchesOracle:
         cloud, rng, size, menu, ss = cell
         xs = cloud.array[:, 0]
         oracle = ScalarIntervalDP(xs.tolist(), menu)
-        assert _IntervalDP(xs, menu).costs(ss) == [[oracle.cost(s) for s in ss]]
+        assert interval_dp(xs, menu).costs(ss) == [[oracle.cost(s) for s in ss]]
         for s in {1.0, *ss[:3]}:
             cover = optimal_cover_1d(cloud, rng, s, scale_menu_size=size)
             picks = oracle.cover(s)
@@ -524,7 +537,7 @@ class TestIntervalDPMatchesOracle:
     def test_batched_cost_equals_brute_force(self, cell):
         cloud, _, _, menu, ss = cell
         xs = cloud.array[:, 0]
-        for s, got in zip(ss, _IntervalDP(xs, menu).costs(ss)[0]):
+        for s, got in zip(ss, interval_dp(xs, menu).costs(ss)[0]):
             expected = brute_force_menu_cost(xs.tolist(), menu, s)
             assert abs(got - expected) <= 1e-12 * max(1.0, expected)
 
@@ -535,7 +548,7 @@ class TestIntervalDPMatchesOracle:
         # to equal powers, so only well-separated pairs are compared
         cloud, _, _, menu, ss = cell
         ss = sorted(set(ss))
-        (costs,) = _IntervalDP(cloud.array[:, 0], menu).costs(ss)
+        (costs,) = interval_dp(cloud.array[:, 0], menu).costs(ss)
         for (s, a), (t, b) in zip(zip(ss, costs), zip(ss[1:], costs[1:])):
             if t - s > 1e-6:
                 assert a > b
@@ -561,7 +574,7 @@ class TestIntervalDPRuns:
     @given(cell=st.one_of(fp_dp_cells(), dp_cells().map(lambda c: (c[0].array[:, 0], c[3], c[4]))))
     def test_table_equals_serial_pass_bit_for_bit(self, cell):
         xs, menu, ss = cell
-        dp = _IntervalDP(xs, menu)
+        dp = interval_dp(xs, menu)
         expected = serial_interval_table(dp, ss)
         assert np.array_equal(dp.table(ss).view(np.int64), expected.view(np.int64))
 
@@ -569,7 +582,7 @@ class TestIntervalDPRuns:
     @given(cell=fp_dp_cells())
     def test_runs_tile_the_states_from_the_right(self, cell):
         xs, menu, _ = cell
-        dp = _IntervalDP(xs, menu)
+        dp = interval_dp(xs, menu)
         (jump,) = dp.jumps
         top = len(jump)
         for a, b in dp.blocks:  # right to left and disjoint; the states between are one-state runs
@@ -583,7 +596,7 @@ class TestIntervalDPRuns:
         lengths = {}
         for theta in (0.5, 1.0):
             rng = ScaleRange(0.03, theta)
-            dp = _IntervalDP(xs, geometric_menu(rng.lo, rng.hi, 16))
+            dp = interval_dp(xs, geometric_menu(rng.lo, rng.hi, 16))
             lengths[theta] = {b - a for a, b in dp.blocks}
         assert max(lengths[0.5]) == _IntervalDP.max_run and not lengths[1.0]
 
@@ -600,7 +613,7 @@ class TestIntervalDPStates:
     @given(cell=st.one_of(fp_dp_cells(), dp_cells().map(lambda c: (c[0].array[:, 0], c[3], c[4]))))
     def test_states_and_jump_equal_walk(self, cell):
         xs, menu, _ = cell
-        dp = _IntervalDP(xs, menu)
+        dp = interval_dp(xs, menu)
         states, jump = reachable_interval_states(xs.tolist(), menu)
         assert dp.states.tolist() == states and dp.jumps[0].tolist() == jump
 
@@ -609,7 +622,7 @@ class TestIntervalDPStates:
         xs = fp_points(1.0, 1e-4, theta_min=0.25).array[:, 0]
         rng = ScaleRange(delta, theta)
         menu = geometric_menu(rng.lo, rng.hi, 16)
-        dp = _IntervalDP(xs, menu)
+        dp = interval_dp(xs, menu)
         states, jump = reachable_interval_states(xs.tolist(), menu)
         assert dp.states.tolist() == states == list(range(len(xs) + 1))
         assert dp.jumps[0].tolist() == jump and not dp.blocks
@@ -619,9 +632,9 @@ class TestIntervalDPStates:
         # one width for every interval-DP cell, serial or not, alone or in a group
         xs = fp_points(1.0, 1e-4, theta_min=0.25).array[:, 0]
         lone = [ScaleRange(1e-2, 0.5), ScaleRange(1e-4, 1.0), ScaleRange(*SERIAL_CELLS[0])]
-        dps = [_IntervalDP(xs, geometric_menu(r.lo, r.hi, 16)) for r in lone]
+        dps = [interval_dp(xs, geometric_menu(r.lo, r.hi, 16)) for r in lone]
         assert len({len(dp.states) for dp in dps}) == 3 and dps[0].blocks
-        group = _IntervalDP(xs, *(geometric_menu(r.lo, r.hi, 16) for r in lone))
+        group = interval_dp(xs, *(geometric_menu(r.lo, r.hi, 16) for r in lone))
         assert [dp.batch_size for dp in [*dps, group]] == [_IntervalDP.batch_size] * 4 == [17] * 4
 
 
@@ -671,7 +684,7 @@ def dense_groups(draw):
         lo = ranked[draw(st.integers(0, len(ranked) // 2))] * draw(st.floats(0.5, 1.5))
         hi = lo * draw(st.floats(1.0, 30.0))
         menu = geometric_menu(lo, hi, draw(st.integers(2, 8)))
-        assume(2 * len(_IntervalDP(xs, menu).states) >= len(xs) + 1)
+        assume(2 * len(interval_dp(xs, menu).states) >= len(xs) + 1)
         menus.append(menu)
     ss = st.lists(st.floats(0.0, 1.0), max_size=_IntervalDP.batch_size)
     batches = [draw(ss) for _ in menus]
@@ -684,7 +697,7 @@ class TestIntervalDPGroups:
     @given(group=serial_groups())
     def test_joint_table_equals_each_menus_own_bit_for_bit(self, group):
         xs, menus, batches = group
-        joint = _IntervalDP(xs, *menus)
+        joint = interval_dp(xs, *menus)
         assert joint.states.tolist() == list(range(len(xs) + 1)) and not joint.blocks
         table = joint.table(*batches)
         width = max(map(len, batches))
@@ -692,11 +705,11 @@ class TestIntervalDPGroups:
         assert table.shape == (len(xs) + 1, len(live) * width)
         for c, (menu, ss) in enumerate(live):
             got = table[:, c * width : c * width + len(ss)]
-            lone = _IntervalDP(xs, menu)
+            lone = interval_dp(xs, menu)
             expected = lone.table(ss)
             assert got.tolist() == expected.tolist() == serial_interval_table(lone, ss).tolist()
             assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
-        assert joint.costs(*batches) == [_IntervalDP(xs, m).costs(ss)[0] for m, ss in live]
+        assert joint.costs(*batches) == [interval_dp(xs, m).costs(ss)[0] for m, ss in live]
 
     @pytest.mark.parametrize("menu_size", [16, 2])
     def test_serial_cells_of_the_benchmark_cloud_form_one_group(self, menu_size):
@@ -704,7 +717,7 @@ class TestIntervalDPGroups:
         cloud = fp_points(1.0, 1e-4, theta_min=0.25)
         cells = [ScaleRange(d, t) for t in (0.25, 0.5, 0.75, 1.0) for d in (1e-2, 1e-3)]
         cells += [ScaleRange(1e-4, t) for t in (0.5, 0.75, 1.0)]
-        *lone, (group, dp) = covers.interval_dps(cloud, cells, menu_size)
+        *lone, (group, dp) = covers.cell_solvers(cloud, cells, menu_size)
         dense = DENSE_CELLS if menu_size == 16 else []
         assert [(rng.delta, rng.theta) for rng in group] == SERIAL_CELLS + dense
         assert [len(cells) for cells, _ in lone] == [1] * (8 - len(dense))
@@ -716,28 +729,28 @@ class TestIntervalDPGroups:
     @given(group=dense_groups())
     def test_dense_table_equals_each_menus_own_bit_for_bit(self, group):
         xs, menus, batches = group
-        joint = _IntervalDP(xs, *menus)
+        joint = interval_dp(xs, *menus)
         table = joint.table(*batches)
         width = max(map(len, batches))
         live = [(menu, ss) for menu, ss in zip(menus, batches) if ss]
         for c, (menu, ss) in enumerate(live):
-            lone = _IntervalDP(xs, menu)
+            lone = interval_dp(xs, menu)
             # the group keeps every point; the lone DP the states its menu reaches
             got = table[lone.states, c * width : c * width + len(ss)]
             assert got.view(np.int64).tolist() == lone.table(ss).view(np.int64).tolist()
-        assert joint.costs(*batches) == [_IntervalDP(xs, m).costs(ss)[0] for m, ss in live]
+        assert joint.costs(*batches) == [interval_dp(xs, m).costs(ss)[0] for m, ss in live]
 
     @pytest.mark.parametrize("serial", [False, True])
     def test_dense_cells_of_the_benchmark_cloud_group_bit_for_bit(self, serial):
         cloud = fp_points(1.0, 1e-4, theta_min=0.25)
         xs = cloud.array[:, 0]
         cells = [ScaleRange(*c) for c in SERIAL_CELLS[:serial] + DENSE_CELLS]  # serial first
-        ((group, dp),) = covers.interval_dps(cloud, cells)
+        ((group, dp),) = covers.cell_solvers(cloud, cells)
         assert group == cells
         ss = [0.0, 0.3, 0.61, 1.0]
         table = dp.table(*[ss] * len(cells))
         for c, rng in enumerate(cells):
-            lone = _IntervalDP(xs, geometric_menu(rng.lo, rng.hi, 16))
+            lone = interval_dp(xs, geometric_menu(rng.lo, rng.hi, 16))
             assert 2 * len(lone.states) >= len(xs) + 1
             got = table[lone.states, 4 * c : 4 * c + 4]
             assert got.view(np.int64).tolist() == lone.table(ss).view(np.int64).tolist()
@@ -746,13 +759,13 @@ class TestIntervalDPGroups:
         xs = np.arange(40) / 40.0
         cells = [ScaleRange(d, 1.0) for d in (0.02, 0.015, 0.01, 0.005, 0.001)]
         small = PointCloud.from_points(xs[:, None])
-        assert [len(g) for g, _ in covers.interval_dps(small, cells)] == [5]
+        assert [len(g) for g, _ in covers.cell_solvers(small, cells)] == [5]
         two = TABLE_BUDGET // (2 * _IntervalDP.batch_size * 8)  # the most states two cells fit
         cells = [ScaleRange(d, 1.0) for d in (1e-6, 2e-6)]
         for states, sizes in ((two, [2]), (two + 1, [1, 1])):
             points = states - 1
             cloud = PointCloud.from_points((np.arange(points) / points)[:, None])
-            assert [len(g) for g, _ in covers.interval_dps(cloud, cells)] == sizes
+            assert [len(g) for g, _ in covers.cell_solvers(cloud, cells)] == sizes
 
 
 class TestRefineCover:

@@ -107,11 +107,13 @@ class _CountingSolver:
 
 @pytest.fixture
 def solved_cells(monkeypatch) -> list:
-    """The ScaleRange of each lone cell whose solver is built, in order."""
+    """The ScaleRange of each cell whose solver estimate's cell_solvers yields, in order."""
     cells = []
-    real = estimate.cover_cost_function
+    real = estimate.cell_solvers
     monkeypatch.setattr(
-        estimate, "cover_cost_function", lambda *args: cells.append(args[1]) or real(*args)
+        estimate,
+        "cell_solvers",
+        lambda *args: (cells.extend(group) or (group, solver) for group, solver in real(*args)),
     )
     return cells
 
@@ -119,11 +121,19 @@ def solved_cells(monkeypatch) -> list:
 @pytest.fixture
 def solver_calls(monkeypatch) -> list:
     calls = []
-    real = estimate.cover_cost_function
+    real = estimate.cell_solvers
     monkeypatch.setattr(
-        estimate, "cover_cost_function", lambda *args: _CountingSolver(real(*args), calls)
+        estimate,
+        "cell_solvers",
+        lambda *args: ((group, _CountingSolver(solver, calls)) for group, solver in real(*args)),
     )
     return calls
+
+
+def cell_solver(cloud, rng):
+    """The one solver covers.cell_solvers yields for the cell alone."""
+    ((_, solver),) = covers.cell_solvers(cloud, [rng])
+    return solver
 
 
 class TestSolverCalls:
@@ -161,7 +171,7 @@ class TestSolverCalls:
             ce = critical_exponent(cloud, 0.1, theta)
             assert [len(call) for call in solver_calls] == [1] * asked
             # every s asked is one the bound-free bisection asks, in its order
-            band, free = covers.cover_cost_function(cloud, ScaleRange(0.1, theta)), []
+            band, free = cell_solver(cloud, ScaleRange(0.1, theta)), []
             reference = sequential_critical_exponent(
                 lambda s: free.append(s) or band.costs([s])[0][0], cloud.dimension_n, 1.0
             )
@@ -221,44 +231,50 @@ class TestOneTreePerSpectrum:
 
     def test_too_deep_cell_raises_in_its_turn(self, built_trees, solved_cells):
         # delta=1e-7 needs level 44 on a box of side 2**20: the tree spans the
-        # other two cells, and the third raises when it is solved
+        # other two cells, and the third raises when its solver is built
         cloud = PointCloud.from_points([(0.0, 0.0), (2.0**20, 0.0), (3.0, 5.0)])
         with pytest.raises(DepthLimitError):
             estimate_spectrum(cloud, (1.0,), (0.9, 1e-3, 1e-7))
-        assert [rng.delta for rng in solved_cells] == [0.9, 1e-3, 1e-7]
+        assert [rng.delta for rng in solved_cells] == [0.9, 1e-3]
         assert len(built_trees) == 1
 
     def test_no_tree_outlives_its_cloud(self, built_trees, worked_carpet):
         cloud = carpet_points(worked_carpet, 5)
         estimate_spectrum(cloud, (0.0, 0.5, 1.0), (0.1, 0.03, 0.01))
-        with pytest.raises(ValidationError):  # a cell that raises leaves none either
+        with pytest.raises(ValidationError):  # refused before any tree is built
             estimate_spectrum(cloud, (0.0, 0.5), (0.1, 0.03, 0.01), threshold=-1.0)
-        assert len(built_trees) == 2
+        assert len(built_trees) == 1
         gc.collect()
         assert all(tree() is None for tree in built_trees)  # not even while the cloud lives
 
-    def test_dyadic_cells_match_critical_exponent(self, built_trees, worked_carpet, monkeypatch):
-        # each cell solves on its band of the spectrum's one tree, with the
-        # bits a lone critical_exponent gives on a tree of the cell's own levels
-        cloud = carpet_points(worked_carpet, 5)
-        found, bands = {}, []
+    def test_cells_match_critical_exponent(self, built_trees, worked_carpet, monkeypatch):
+        # each cell of a spectrum gives the bits a lone critical_exponent gives:
+        # a dyadic cell on its band of the spectrum's one tree, not on a tree of
+        # its own levels, and the serial and dense cells of an fp cloud in one
+        # group, not alone
+        groups = []  # (solver, found) per _exponents call
         real = estimate._exponents
 
-        def recording(points, cells, solver, threshold):
-            bands.append(solver)
-            got = real(points, cells, solver, threshold)
-            found.update(got)
+        def recording(n, cells, solver, threshold):
+            got = real(n, cells, solver, threshold)
+            groups.append((solver, got))
             return got
 
         monkeypatch.setattr(estimate, "_exponents", recording)
-        estimate_spectrum(cloud, (0.0, 0.5, 1.0), (0.1, 0.03, 0.01))
+        carpet = carpet_points(worked_carpet, 5)
+        estimate_spectrum(carpet, (0.0, 0.5, 1.0), (0.1, 0.03, 0.01))
         assert len(built_trees) == 1
-        assert all(band.tree is built_trees[0]() for band in bands)
-        assert len(bands) == len(found) == 9
+        assert all(band.tree is built_trees[0]() for band, _ in groups)
+        assert len(groups) == sum(len(found) for _, found in groups) == 9
+        fp = fp_points(1.0, 1e-3, theta_min=0.25)
+        estimate_spectrum(fp, (0.25, 0.5, 0.75, 1.0), (1e-2, 1e-3, 1e-4))
+        assert len(built_trees) == 1
+        assert sorted(len(found) for _, found in groups[9:]) == [1, 1, 1, 1, 7]
         monkeypatch.undo()
-        for rng, cell in found.items():
-            lone = critical_exponent(cloud, rng.delta, rng.theta)
-            assert (cell.s_star, cell.cost_at_s_star) == (lone.s_star, lone.cost_at_s_star)
+        for cloud, (_, found) in zip([carpet] * 9 + [fp] * 5, groups, strict=True):
+            for rng, cell in found.items():
+                lone = critical_exponent(cloud, rng.delta, rng.theta)
+                assert (cell.s_star, cell.cost_at_s_star) == (lone.s_star, lone.cost_at_s_star)
 
 
 def _passes(solver, threshold: float) -> tuple[int, tuple[float, float]]:
@@ -406,7 +422,7 @@ class TestLookaheadMatchesSequentialBisection:
                     rng = ScaleRange(delta, theta)
                 except ScaleRangeTooDeepError:
                     continue
-                solver = covers.cover_cost_function(points, rng)
+                solver = cell_solver(points, rng)
                 assert solver.batch_size == 17
                 for threshold in (0.5, 1.0, 3.0):
                     with_guess = _passes(solver, threshold)
@@ -420,11 +436,11 @@ class TestLookaheadMatchesSequentialBisection:
 
 
 def _dyadic_cell(cloud, delta: float, theta: float):
-    """cover_cost_function's band for the cell, or an unmet assume if the cell is not dyadic."""
+    """cell_solvers' band for the cell, or an unmet assume if the cell is not dyadic."""
     try:
         rng = ScaleRange(delta, theta)
         assume(cloud.dimension_n > 1 or theta == 0.0)
-        return rng, covers.cover_cost_function(cloud, rng)
+        return rng, cell_solver(cloud, rng)
     except (ScaleRangeTooDeepError, DepthLimitError):
         assume(False)
 
@@ -475,7 +491,7 @@ class TestDyadicBound:
         ((c_at,),) = band.costs([at])
         assert band.bound(at, at) == c_at
         chosen = covers.optimal_cover_dyadic(cloud, rng, at).diameters()
-        fresh = covers.cover_cost_function(cloud, rng)
+        fresh = cell_solver(cloud, rng)
         for s in (u * n for u in ss):
             bound = band.bound(s, at)
             assert bound == covers.cover_cost(chosen, s)
@@ -538,7 +554,7 @@ class TestEstimateSpectrum:
         # the rows, but only those of the rows before the first empty one
         cloud = fp_points(1.0, 1e-2)
         serial = [ScaleRange(d, 0.25) for d in (1e-2, 1e-3)]
-        assert [cells for cells, _ in covers.interval_dps(cloud, serial)] == [serial]
+        assert [cells for cells, _ in covers.cell_solvers(cloud, serial)] == [serial]
         passes = []
         real_table = covers._IntervalDP.table
         monkeypatch.setattr(

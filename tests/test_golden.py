@@ -40,6 +40,7 @@ from dimspect import (
     critical_exponent,
     estimate_spectrum,
     fp_points,
+    optimal_cover_1d,
     optimal_cover_dyadic,
 )
 from dimspect.cli import main
@@ -205,11 +206,35 @@ INTERVAL_DP_CLOUDS = {
 }
 
 
-def _interval_dp_csv(workdir: Path, gen=INTERVAL_DP_GEN) -> bytes:
+# The interval-dp cloud with a theta = 0 row: a 1-D spectrum whose dyadic
+# cells share one tree, and whose other cells solve on interval DPs.
+FP_MIXED_ARGS = ["--grid", "0,0.25,0.5,1", "--deltas", "1e-2,1e-3,1e-4"]
+
+
+def _interval_dp_csv(workdir: Path, gen=INTERVAL_DP_GEN, args=INTERVAL_DP_ARGS) -> bytes:
     points, out = workdir / "points.txt", workdir / "estimate.csv"
     assert main([*gen, "--out", str(points)]) == 0
-    assert main(["estimate", "--points", str(points), *INTERVAL_DP_ARGS, "--out", str(out)]) == 0
+    assert main(["estimate", "--points", str(points), *args, "--out", str(out)]) == 0
     return out.read_bytes()
+
+
+# (theta, delta) cells of fp_points(1, 1e-3, theta_min=0.25) (1,009 points):
+# a serial cell, a dense cell that is not serial (its menu reaches 712 of
+# the 1,010 DP states) and a sparse one (184), each covered at every s.
+COVER_1D_CELLS = [(0.25, 1e-2), (0.5, 1e-2), (0.75, 1e-2)]
+COVER_1D_S = (0.0, 0.5, 1.0)
+
+
+def _cover_1d() -> list[dict]:
+    """Per cell and s, optimal_cover_1d's cost and sets as [center, side], each float.hex."""
+    cloud = fp_points(1.0, 1e-3, theta_min=0.25)
+    out = []
+    for theta, delta in COVER_1D_CELLS:
+        for s in COVER_1D_S:
+            cover = optimal_cover_1d(cloud, ScaleRange(delta, theta), s)
+            sets = [[c.center[0].hex(), c.side.hex()] for c in cover.sets]
+            out.append({"theta": theta, "delta": delta, "s": s, "cost": cover.cost.hex(), "sets": sets})
+    return out
 
 
 # The worked carpet at depths 8 and 10 on bands its cloud resolves (the
@@ -326,6 +351,17 @@ def test_dense_cell_estimate_csv_matches_golden(name, tmp_path):
     assert _interval_dp_csv(tmp_path, INTERVAL_DP_CLOUDS[name]) == expected
 
 
+def test_fp_mixed_estimate_csv_matches_golden(tmp_path):
+    got = _interval_dp_csv(tmp_path, args=FP_MIXED_ARGS)
+    assert got == (GOLDEN / "estimate_fp_mixed.csv").read_bytes()
+
+
+def test_cover_1d_matches_golden():
+    expected = json.loads((GOLDEN / "cover_1d.json").read_text())
+    assert len(expected) == len(COVER_1D_CELLS) * len(COVER_1D_S)
+    assert _cover_1d() == expected
+
+
 def test_carpet_table_matches_golden():
     expected = json.loads((GOLDEN / "carpet_table.json").read_text())
     assert [row.get("refused") is not None for row in expected] == [False] * 4 + [True]
@@ -361,9 +397,11 @@ def regenerate() -> None:
         for name, gen in INTERVAL_DP_CLOUDS.items():
             (GOLDEN / name).write_bytes(_interval_dp_csv(workdir, gen))
         (GOLDEN / "estimate_carpet8.csv").write_bytes(_carpet8_csv(workdir))
+        (GOLDEN / "estimate_fp_mixed.csv").write_bytes(_interval_dp_csv(workdir, args=FP_MIXED_ARGS))
     (GOLDEN / "carpet_table.json").write_text(json.dumps(_carpet_table(), indent=1) + "\n")
     (GOLDEN / "critical_1d.json").write_text(json.dumps(_critical_cells(), indent=2) + "\n")
     (GOLDEN / "critical_dyadic.json").write_text(json.dumps(_critical_dyadic(), indent=1) + "\n")
+    (GOLDEN / "cover_1d.json").write_text(json.dumps(_cover_1d(), indent=1) + "\n")
 
 
 if __name__ == "__main__":
