@@ -45,7 +45,11 @@ def _fmt(x: float) -> str:
 
 
 def parse_grid(spec: str) -> list[float]:
-    """Theta grid: 'start:stop:step' (inclusive) or a comma list."""
+    """Theta grid: 'start:stop:step' (inclusive) or a comma list, read as core.theta_grid reads it.
+
+    Only a range snaps values within 1e-12 of 0 or 1 to the endpoint; a
+    comma list is read as given, so a repeated theta is refused.
+    """
     try:
         if ":" in spec:
             parts = [float(v) for v in spec.split(":")]
@@ -65,15 +69,15 @@ def parse_grid(spec: str) -> list[float]:
                 count = int(round(count))
                 values = [start + i * step for i in range(count + 1)]
                 values = [v for v in values if v <= stop + 1e-12]
-        else:
-            values = [float(v) for v in spec.split(",") if v.strip()]
+            # snap accumulated step error at the endpoints
+            values = [0.0 if abs(v) < 1e-12 else 1.0 if abs(v - 1.0) < 1e-12 else v for v in values]
+        else:  # as given, but -0 reads as 0
+            values = [float(v) + 0.0 for v in spec.split(",") if v.strip()]
     except ValueError as exc:
         raise ValidationError(f"cannot parse grid {spec!r}: {exc}") from exc
-    # snap accumulated step error at the endpoints
-    values = [0.0 if abs(v) < 1e-12 else 1.0 if abs(v - 1.0) < 1e-12 else v for v in values]
     if not values:
         raise ValidationError(f"grid {spec!r} is empty")
-    return theta_grid(set(values))
+    return theta_grid(values)
 
 
 def parse_deltas(spec: str) -> list[float]:

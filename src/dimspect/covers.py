@@ -630,10 +630,11 @@ def _rescale(points: PointCloud):
     return mins, points.side
 
 
-def _cascade_tree(points: PointCloud, lo: float, delta: float) -> _DyadicTree:
-    """The cap cascade's tree, anchored by _rescale.
+def _cascade_tree(points: PointCloud, lo: float, delta: float) -> tuple:
+    """The cap cascade's tree as _DyadicTree's arguments after points: (origin, scale, top, bottom).
 
-    Levels run from the coarsest of diameter <= delta to the finest of side >= lo.
+    The anchor is _rescale's.  Levels run from the coarsest of diameter
+    <= delta to the finest of side >= lo.
     """
     origin, scale = _rescale(points)
     stop = dyadic_levels(scale * math.sqrt(points.dimension_n), lo, delta)[0]
@@ -644,7 +645,7 @@ def _cascade_tree(points: PointCloud, lo: float, delta: float) -> _DyadicTree:
         )
     if base > MAX_DEPTH:
         raise DepthLimitError(f"the cascade needs dyadic level {base} > {MAX_DEPTH}")
-    return _DyadicTree(points, origin, scale, stop, base)
+    return origin, scale, stop, base
 
 
 def optimal_cover_dyadic(
@@ -692,17 +693,18 @@ def cell_solvers(points: PointCloud, ranges, scale_menu_size: int = 16):
     is built only once the caller has let go of the last one, as
     estimate._critical_exponents does: at most one DP is alive at a time.
 
-    Every other cell comes alone, in order, as its band of levels in one
-    bounding-box tree, giving the cost optimal_cover_dyadic reports, one
-    pass per s.  The tree is built when the first such cell is reached,
-    and spans the levels of every one not past MAX_DEPTH, from the
-    coarsest top to the finest bottom; a cell past MAX_DEPTH raises
-    DepthLimitError in its turn.
+    Every other cell is dyadic.  Its levels are read in the first loop
+    over ranges, so a cell past MAX_DEPTH raises DepthLimitError before
+    any solver is built.  After the DP groups, one bounding-box tree is
+    built over the levels of every dyadic cell, from the coarsest top to
+    the finest bottom, and each cell comes alone, in order, as its band
+    of levels in it, giving the cost optimal_cover_dyadic reports, one
+    pass per s.
     """
-    xs, menus, dyadic = points.array[:, 0], {}, []
+    xs, menus, dyadic = points.array[:, 0], {}, {}
     for rng in ranges:
         if points.dimension_n > 1 or rng.theta == 0.0:
-            dyadic.append(rng)
+            dyadic[rng] = _bbox_levels(points, rng)  # past MAX_DEPTH: DepthLimitError
         else:
             menus[rng] = geometric_menu(rng.lo, rng.hi, scale_menu_size)
     serial = {rng for rng, menu in menus.items() if _serial(xs, menu)}
@@ -724,18 +726,10 @@ def cell_solvers(points: PointCloud, ranges, scale_menu_size: int = 16):
             group = []
     if group:
         yield group, _IntervalDP(xs, *map(menus.get, group), columns=columns)
-    tree = None
-    for rng in dyadic:
-        top, bottom = _bbox_levels(points, rng)  # past MAX_DEPTH: DepthLimitError, in its turn
-        if tree is None:
-            levels = []
-            for other in dyadic:
-                try:
-                    levels.append(_bbox_levels(points, other))
-                except DepthLimitError:
-                    pass
-            tops, bottoms = zip(*levels)
-            tree = _DyadicTree(points, points.bbox[0], points.side, min(tops), max(bottoms))
+    if dyadic:
+        tops, bottoms = zip(*dyadic.values())
+        tree = _DyadicTree(points, points.bbox[0], points.side, min(tops), max(bottoms))
+    for rng, (top, bottom) in dyadic.items():
         yield [rng], _DyadicBand(tree, top, bottom)
 
 

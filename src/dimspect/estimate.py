@@ -77,9 +77,11 @@ def critical_exponent(
     each gives the bits it gives here.  The dyadic tree takes one s per
     call, and its band's bound settles some bisection steps with no call:
     a cover chosen at one s bounds the cost at every other (_bisection).
-    threshold and then scale_menu_size (2 to covers.MAX_MENU) are read
-    before the band, so a cell the dyadic tree solves, which has no menu,
-    refuses a bad menu size as the interval DP does.
+    Refuse, then solve: threshold and then scale_menu_size (2 to
+    covers.MAX_MENU) are read first, then the band, then a dyadic cell's
+    levels, all before the solver is built; so a cell the dyadic tree
+    solves, which has no menu, refuses a bad menu size as the interval
+    DP does.
     """
     # map is lazy: the band is read once the options are
     (found,) = _critical_exponents(
@@ -92,7 +94,8 @@ def _critical_exponents(points: PointCloud, ranges, threshold, scale_menu_size) 
     """ScaleRange -> CriticalExponent for each cell of ranges, read after the options.
 
     threshold and then scale_menu_size are read by check_number; then
-    each group covers.cell_solvers yields bisects in _exponents, and its
+    covers.cell_solvers reads every cell's levels before it builds the
+    first solver.  Each group it yields bisects in _exponents, and its
     solver is let go of before the next one is built.
     """
     threshold = check_number(threshold, "threshold", 0)
@@ -252,16 +255,17 @@ def estimate_spectrum(
 ) -> DimensionSpectrum:
     """Estimated spectrum of a point cloud over a theta grid.
 
-    Per theta > 0, deltas whose band would dip below MIN_SCALE are skipped;
-    at least one admissible delta is required.  The cells of the rows
-    before the first empty one are solved in one call of
-    _critical_exponents, which reads threshold and scale_menu_size once,
-    before the first solver is built; then the rows are folded into
-    samples in theta order, so a theta with no admissible delta raises
-    before later rows are solved, and before the options are read if it
-    is the first.  The theta = 0 entry uses unrestricted dyadic covers
-    (floored at MAX_DEPTH) and raw exponents: its finite-resolution bias
-    does not follow the drift model.  covers.cell_solvers builds every
+    Refuse, then solve: every refusal of an input comes before the first
+    solver is built.  The grid and the deltas are read first.  Per theta
+    > 0, deltas whose band would dip below MIN_SCALE are skipped, and a
+    theta with no admissible delta raises ScaleRangeTooDeepError as soon
+    as its row is built, wherever the row sits.  Then every cell is
+    solved in one call of _critical_exponents, which reads threshold and
+    scale_menu_size, and each dyadic cell's levels (DepthLimitError past
+    MAX_DEPTH), before the first solver is built; then the rows are
+    folded into samples in theta order.  The theta = 0 entry uses
+    unrestricted dyadic covers (floored at MAX_DEPTH) and raw exponents:
+    its finite-resolution bias does not follow the drift model.  covers.cell_solvers builds every
     cell's solver: the interval-DP cells (1-D, theta > 0) first, the
     dense ones, whose DP keeps at least half of the states, in groups that
     share one DP pass a round, and the sparse ones alone, with at most one
@@ -289,19 +293,16 @@ def estimate_spectrum(
                 rows[-1].append(ScaleRange(delta, theta))
             except ScaleRangeTooDeepError:
                 continue
-    samples = []
-    peaks = [-math.inf, -math.inf]  # running max of the lower and upper columns over theta > 0
-    # the cells of the rows before the first empty one
-    ahead = [rng for ranges in itertools.takewhile(bool, rows) for rng in ranges]
-    # with none, the first row is empty, and raises before the options are read
-    found = _critical_exponents(points, ahead, threshold, scale_menu_size) if ahead else {}
-    for theta, ranges in zip(thetas, rows):
-        row = [found[rng] for rng in ranges]
-        if not row:
+        if not rows[-1]:
             raise ScaleRangeTooDeepError(
                 f"no admissible delta at theta={theta}: "
                 f"delta**(1/theta) falls below MIN_SCALE for every delta"
             )
+    found = _critical_exponents(points, itertools.chain(*rows), threshold, scale_menu_size)
+    samples = []
+    peaks = [-math.inf, -math.inf]  # running max of the lower and upper columns over theta > 0
+    for theta, ranges in zip(thetas, rows):
+        row = [found[rng] for rng in ranges]
         values = _drift_corrected(row) if theta > 0.0 else {c.delta: c.s_star for c in row}
         picked = [values[d] for d in sorted(values)[:2]]
         lower = max(0.0, min(min(picked), n))

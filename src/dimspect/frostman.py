@@ -44,7 +44,7 @@ from .core import (
     ValidationError,
     check_number,
 )
-from .covers import _cascade_tree, _fp_witness_count
+from .covers import _DyadicTree, _cascade_tree, _fp_witness_count
 
 # Band ratios below this certify too narrow a range of scales to mean much.
 WEAK_BAND_RATIO = 10.0
@@ -349,9 +349,10 @@ def build_frostman_measure(
     delta (covers.dyadic_levels).  Each occupied base cube contributes one
     atom at its lexicographically least point.  The reported constant is
     twice the worst sampled ratio mu(B(x,r)) / r**s (radius form), a
-    safety factor over the probes.  An s for which the base mass
+    safety factor over the probes.  Refuse, then solve: every input is
+    read before the cascade tree is built, so an s for which the base mass
     2**(-m*s) or lo**s, the smallest r**s, is not a positive normal float
-    is refused before the cascade runs: with both normal, the masses keep
+    is refused from the levels alone: with both normal, the masses keep
     their ratios and every ratio, at most 1 / lo**s, and the constant stay
     finite.
     """
@@ -360,14 +361,14 @@ def build_frostman_measure(
     theta = check_number(theta, "theta", 0, 1, "(]")  # theta = 0 is classical
     rng = ScaleRange(delta, theta)
     lo = rng.lo
-    tree = _cascade_tree(points, lo, delta)
-    m, stop = tree.bottom, tree.top
+    origin, scale, stop, m = _cascade_tree(points, lo, delta)
     base_mass = 2.0 ** (-m * s)
     if min(base_mass, lo**s) < sys.float_info.min:  # 0 or subnormal
         raise ValidationError(
             f"exponent s={s} is too large for base level m={m} and band end lo={lo}: "
             f"2**(-m*s) = {base_mass} and lo**s = {lo**s} must be positive normal floats"
         )
+    tree = _DyadicTree(points, origin, scale, stop, m)
     starts = tree.leaf_starts()
     # masses of the base cubes, in tree order
     masses = np.full(len(tree.first_point), base_mass)
@@ -473,23 +474,24 @@ def check_mdp(
     would read [delta, 1], large balls only, not the diameters up to delta
     that unrestricted covers use.  So are s and c for which the smallest
     bound, c * delta**s, is not a positive normal float: a ratio over it
-    would divide by 0 or read inf.
+    would divide by 0 or read inf.  Refuse, then solve: every entry's
+    delta, then every entry's bound, is read before the first is probed.
     """
     s, a, c = (check_number(v, name, 0) for v, name in ((s, "s"), (a, "a"), (c, "c")))
     ball_samples = check_number(ball_samples, "ball_samples", 1, MAX_BALL_SAMPLES, "[]", True)
     theta = check_number(theta, "theta", 0, 1, "(]")
-    measures = list(measures)
+    measures = [(check_number(delta, "delta", 0, 1), measure) for delta, measure in measures]
     if not measures:
         raise ValidationError("empty measure list")
-    entries = []
-    for index, (delta, measure) in enumerate(measures):
-        delta = check_number(delta, "delta", 0, 1)
+    for delta, _ in measures:
         smallest = c * delta**s
         if smallest < sys.float_info.min:  # 0 or subnormal
             raise ValidationError(
                 f"exponent s={s} and constant c={c} are too far apart for delta={delta}: "
                 f"c * delta**s = {smallest}, the smallest bound, must be a positive normal float"
             )
+    entries = []
+    for index, (delta, measure) in enumerate(measures):
         diam_lo, diam_hi = delta, delta**theta
         rnd = random.Random(seed * 1000003 + index)
         worst = 0.0

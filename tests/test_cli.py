@@ -32,6 +32,19 @@ class TestParsers:
         grid = parse_grid("0:1:0.1")
         assert grid[-1] == 1.0 and len(grid) == 11
 
+    def test_grid_comma_list_read_as_given(self):
+        # only a range snaps to the endpoints; a comma list keeps its values,
+        # and its repeats, save that -0 reads as 0
+        assert parse_grid("1e-13,0.999999999999999") == [1e-13, 0.999999999999999]
+        grid = parse_grid("-0,1")
+        assert grid == [0.0, 1.0] and math.copysign(1.0, grid[0]) == 1.0
+        with pytest.raises(ValidationError, match="duplicates"):
+            parse_grid("0.5,0.5")
+        with pytest.raises(ValidationError, match="duplicates"):
+            parse_grid("0,1e-13,0")
+        grid = parse_grid("1e-13:1:0.5")
+        assert (grid[0], grid[-1]) == (0.0, 1.0)
+
     def test_grid_errors(self):
         with pytest.raises(ValidationError):
             parse_grid("0:1:0.25:9")
@@ -242,6 +255,30 @@ class TestEstimateCommand:
             "--deltas", "1e-2,1e-3,1e-4",
         )
         assert code == 4
+
+    def test_repeated_theta_exits_2(self, capsys, tmp_path):
+        points = tmp_path / "p.txt"
+        points.write_text("0.1\n0.5\n0.9\n")
+        code, out, err = run(capsys, "estimate", "--points", str(points), "--grid", "0.5,0.5")
+        assert code == 2 and out == ""
+        assert err == "dimspect: theta grid contains duplicates\n"
+
+    def test_theta_near_zero_is_not_theta_zero(self, capsys, tmp_path):
+        # theta = 1e-13 is read as given: its band lies below MIN_SCALE for every delta
+        points = tmp_path / "p.txt"
+        points.write_text("0.1\n0.5\n0.9\n")
+        code, out, err = run(capsys, "estimate", "--points", str(points), "--grid", "1e-13")
+        assert code == 4 and out == ""
+        assert err.startswith("dimspect: no admissible delta at theta=1e-13:")
+
+    def test_empty_row_exits_4_before_the_threshold_is_read(self, capsys, tmp_path):
+        points = tmp_path / "p.txt"
+        points.write_text("0.1\n0.5\n0.9\n")
+        code, out, err = run(
+            capsys, "estimate", "--points", str(points), "--grid", "0,0.05", "--threshold", "nan"
+        )
+        assert code == 4 and out == ""
+        assert err.startswith("dimspect: no admissible delta at theta=0.05:")
 
     def test_estimate_falling_in_theta_exits_4(self, capsys, tmp_path):
         # the drift fit over deltas this coarse drops theta=1 below theta=.75:

@@ -229,14 +229,20 @@ class TestOneTreePerSpectrum:
             critical_exponent(cloud, delta, 0.5)
         assert len(built_trees) == 2
 
-    def test_too_deep_cell_raises_in_its_turn(self, built_trees, solved_cells):
-        # delta=1e-7 needs level 44 on a box of side 2**20: the tree spans the
-        # other two cells, and the third raises when its solver is built
+    def test_too_deep_cell_raises_before_any_cell_is_solved(self, built_trees, solved_cells):
+        # delta=1e-7 needs level 44 on a box of side 2**20: the third cell
+        # raises when the cells' levels are read, before any tree is built
         cloud = PointCloud.from_points([(0.0, 0.0), (2.0**20, 0.0), (3.0, 5.0)])
         with pytest.raises(DepthLimitError):
             estimate_spectrum(cloud, (1.0,), (0.9, 1e-3, 1e-7))
-        assert [rng.delta for rng in solved_cells] == [0.9, 1e-3]
-        assert len(built_trees) == 1
+        assert solved_cells == []
+        assert built_trees == []
+        # the options are read before the levels, and an empty row before the options
+        with pytest.raises(ValidationError, match="threshold"):
+            estimate_spectrum(cloud, (1.0,), (0.9, 1e-3, 1e-7), threshold=math.nan)
+        with pytest.raises(ScaleRangeTooDeepError, match="theta=0.001"):
+            estimate_spectrum(cloud, (0.001, 1.0), (0.9, 1e-3, 1e-7), threshold=math.nan)
+        assert solved_cells == [] and built_trees == []
 
     def test_no_tree_outlives_its_cloud(self, built_trees, worked_carpet):
         cloud = carpet_points(worked_carpet, 5)
@@ -546,12 +552,12 @@ class TestEstimateSpectrum:
         assert spectrum.samples[0].lower == raw == spectrum.samples[0].upper
         assert 0.0 < raw < 1.0
 
-    def test_raises_before_later_rows_are_solved(self, monkeypatch, solved_cells):
+    def test_empty_row_raises_before_any_cell_is_solved(self, monkeypatch, solved_cells):
         with pytest.raises(ScaleRangeTooDeepError, match="theta=0.05"):
             estimate_spectrum(fp_points(1.0, 1e-2), [0.05, 1.0], [1e-2, 1e-3, 1e-4])
         assert solved_cells == []
         # theta=0.25 holds serial cells, which are solved together ahead of
-        # the rows, but only those of the rows before the first empty one
+        # the rows, but not while any row is empty
         cloud = fp_points(1.0, 1e-2)
         serial = [ScaleRange(d, 0.25) for d in (1e-2, 1e-3)]
         assert [cells for cells, _ in covers.cell_solvers(cloud, serial)] == [serial]
@@ -565,13 +571,13 @@ class TestEstimateSpectrum:
         assert solved_cells == [] and passes == []
         with pytest.raises(ScaleRangeTooDeepError, match="theta=0.05"):
             estimate_spectrum(cloud, [0.0, 0.05, 0.25, 1.0], [1e-2, 1e-3, 1e-4])
-        assert [rng.theta for rng in solved_cells] == [0.0] * 3 and passes == []
-        # an invalid threshold still loses to an empty first row, and wins over a later one
+        assert solved_cells == [] and passes == []
+        # an invalid threshold loses to an empty row, first or later
         with pytest.raises(ScaleRangeTooDeepError, match="theta=0.05"):
             estimate_spectrum(cloud, [0.05, 0.25], [1e-2, 1e-3, 1e-4], threshold=math.nan)
-        with pytest.raises(ValidationError, match="threshold"):
+        with pytest.raises(ScaleRangeTooDeepError, match="theta=0.05"):
             estimate_spectrum(cloud, [0.0, 0.05, 0.25], [1e-2, 1e-3, 1e-4], threshold=math.nan)
-        assert passes == []
+        assert solved_cells == [] and passes == []
 
     def test_theta_zero_entry_bounded(self):
         pts = fp_points(1.0, 1e-3, theta_min=0.25)

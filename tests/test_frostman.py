@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import warnings
 from unittest import mock
 
@@ -16,15 +17,16 @@ from dimspect import (
     ScaleRangeTooDeepError,
     ValidationError,
     build_frostman_measure,
+    carpet_points,
     check_mdp,
     fp_points,
     fp_witness_measure,
     separated_witness_measure,
 )
 from dimspect import frostman
-from dimspect.covers import _rescale
+from dimspect.covers import _cascade_tree, _DyadicTree, _level_sum, _rescale
 from dimspect.frostman import MAX_BALL_SAMPLES, _ball_masses, _cap_runs
-from conftest import point_clouds
+from conftest import point_clouds, random_carpet
 from oracles import (
     cascade_level_masses,
     full_scan_ball_mass,
@@ -218,6 +220,50 @@ class TestCascadeMatchesLoops:
         )
         assert res.measure.atoms == tuple(atoms)
         assert cascade.norm == norm
+
+
+@st.composite
+def carpet_and_fp_clouds(draw) -> PointCloud:
+    """A random carpet at a depth of at most 3,000 points, or an fp cloud."""
+    if draw(st.booleans()):
+        spec = random_carpet(random.Random(draw(st.integers(0, 2**32))))
+        deepest = max(1, int(math.log(3000) / math.log(len(spec.digits))))
+        return carpet_points(spec, draw(st.integers(1, deepest)))
+    return fp_points(draw(st.sampled_from([0.5, 1.0, 2.0])), draw(st.sampled_from([1e-2, 1e-3])))
+
+
+class TestCascadeIsDyadicMinCut:
+    """The cap cascade's total mass is the optimal dyadic cover's cost on the cascade's tree.
+
+    Capping each cube's mass at 2**(-level * s) bottom-up is the same
+    recursion as min(diam**s, sum of the children's costs), in units of
+    (scale * sqrt(n))**s; only the floats round differently.  The caps
+    round level * s before the power, which moves 2**(-level * s) by up to
+    ulp(level * s) / 2 * ln 2 relative, about 16 ulps at base level 24
+    and s = 1.7; the rest is bounded by 8 ulps.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        cloud=carpet_and_fp_clouds(),
+        u=st.floats(0.05, 1.0),
+        delta=st.floats(0.01, 0.5),
+        theta=st.floats(0.2, 1.0),
+    )
+    def test_norm_is_min_cut_within_8_ulps(self, cloud, u, delta, theta):
+        n = cloud.dimension_n
+        s = u * n
+        try:
+            res = build_frostman_measure(cloud, s, delta, theta, ball_samples=0)
+        except (RangeTooNarrowError, ScaleRangeTooDeepError):
+            assume(False)
+        origin, scale, top, bottom = _cascade_tree(cloud, res.range.lo, delta)
+        assert (top, bottom) == (res.cascade.stop_level, res.cascade.base_level)
+        tree = _DyadicTree(cloud, origin, scale, top, bottom)
+        cut = _level_sum(*tree.counts(s))
+        exponent = cut * math.ulp(bottom * s) / 2.0 * math.log(2.0)
+        norm = res.cascade.norm * (scale * math.sqrt(n)) ** s
+        assert abs(norm - cut) <= 8 * math.ulp(cut) + exponent
 
 
 def _nudged(value: float, ulps: int) -> float:

@@ -12,7 +12,8 @@ the serial-only interval-DP groups, the worked carpet's estimates on
 bands its depth-8 and depth-10 clouds resolve (ROADMAP item 10), and,
 from the dyadic bisection that solved every midpoint, the per-cell
 (s_star, cost_at_s_star) of dyadic cells as float.hex and the CSV bytes
-of the depth-8 carpet's estimate with a theta = 0 row; any
+of the depth-8 carpet's estimate with a theta = 0 row, and the sha256 of
+the frostman certificate on that carpet that the benchmark builds; any
 change to summation order, tie-breaking, cell order or the bisection's
 midpoints shows up here as an inequality, not a tolerance.
 
@@ -23,6 +24,7 @@ Regenerate (only when an output change is intended) with
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -298,12 +300,26 @@ CARPET8_GEN = ["gen", "--family", "carpet-points", "--depth", "8"]
 CARPET8_ARGS = ["--grid", "0,0.5,1", "--deltas", "0.1,0.03,0.01"]
 
 
-def _carpet8_csv(workdir: Path) -> bytes:
-    spec, points, out = workdir / "c.json", workdir / "c8.txt", workdir / "estimate.csv"
+# The certificate CI builds on the same cloud: its 385,598 bytes are pinned
+# by their sha256, in frostman_carpet8.sha256.
+CARPET8_FROSTMAN_ARGS = ["--s", "0.8", "--delta", "0.05", "--theta", "0.5"]
+
+
+def _carpet8_output(workdir: Path, command: str, args) -> bytes:
+    """The bytes of command on the depth-8 worked carpet, as the CLI writes them."""
+    spec, points, out = workdir / "c.json", workdir / "c8.txt", workdir / f"{command}.out"
     spec.write_text('{"m":2,"n":3,"digits":[[0,0],[0,2],[1,1]]}')
     assert main([*CARPET8_GEN, "--spec", str(spec), "--out", str(points)]) == 0
-    assert main(["estimate", "--points", str(points), *CARPET8_ARGS, "--out", str(out)]) == 0
+    assert main([command, "--points", str(points), *args, "--out", str(out)]) == 0
     return out.read_bytes()
+
+
+def _carpet8_csv(workdir: Path) -> bytes:
+    return _carpet8_output(workdir, "estimate", CARPET8_ARGS)
+
+
+def _carpet8_frostman_sha256(workdir: Path) -> str:
+    return hashlib.sha256(_carpet8_output(workdir, "frostman", CARPET8_FROSTMAN_ARGS)).hexdigest()
 
 
 def _run(command: str, make_points, args, workdir: Path) -> str:
@@ -378,6 +394,11 @@ def test_carpet8_estimate_csv_matches_golden(tmp_path):
     assert _carpet8_csv(tmp_path) == (GOLDEN / "estimate_carpet8.csv").read_bytes()
 
 
+def test_carpet8_certificate_matches_golden_digest(tmp_path):
+    expected = (GOLDEN / "frostman_carpet8.sha256").read_text().strip()
+    assert _carpet8_frostman_sha256(tmp_path) == expected
+
+
 def test_deep_3d_matches_golden(tmp_path):
     expected = json.loads((GOLDEN / "dyadic_3d_deep.json").read_text())
     assert _deep_3d(tmp_path) == expected
@@ -397,6 +418,7 @@ def regenerate() -> None:
         for name, gen in INTERVAL_DP_CLOUDS.items():
             (GOLDEN / name).write_bytes(_interval_dp_csv(workdir, gen))
         (GOLDEN / "estimate_carpet8.csv").write_bytes(_carpet8_csv(workdir))
+        (GOLDEN / "frostman_carpet8.sha256").write_text(_carpet8_frostman_sha256(workdir) + "\n")
         (GOLDEN / "estimate_fp_mixed.csv").write_bytes(_interval_dp_csv(workdir, args=FP_MIXED_ARGS))
     (GOLDEN / "carpet_table.json").write_text(json.dumps(_carpet_table(), indent=1) + "\n")
     (GOLDEN / "critical_1d.json").write_text(json.dumps(_critical_cells(), indent=2) + "\n")
