@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import warnings
 from unittest import mock
 
@@ -331,6 +332,78 @@ class TestCapRunsMatchLoop:
         _cap_runs(masses, begins, cap)
         assert masses.tolist() == expected.tolist()
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cap=st.one_of(st.floats(1e-30, 1.0), st.integers(-60, 0).map(lambda e: 2.0**e)),
+        data=st.data(),
+    )
+    def test_uniform_and_mixed_runs_interleaved(self, cap, data):
+        # long runs of equal masses about cap / k, runs of unequal masses
+        # about cap, and runs far below it, in any order, the last run
+        # often a suspect that ends at the last mass
+        kinds = st.sampled_from(["uniform", "mixed", "below"])
+        runs = []
+        for kind in data.draw(st.lists(kinds, min_size=1, max_size=8)):
+            if kind == "uniform":
+                k = data.draw(st.integers(1, 4096))
+                runs.append([_nudged(cap / k, data.draw(st.integers(-2, 2)))] * k)
+            elif kind == "mixed":
+                runs.append(data.draw(run_near_cap(cap).filter(lambda r: min(r) < max(r))))
+            else:
+                runs.append([cap * 1e-6] * data.draw(st.integers(1, 5)))
+        masses = np.array([m for run in runs for m in run])
+        begins = np.cumsum([0] + [len(run) for run in runs[:-1]])
+        expected = split_cap_runs(masses, begins, cap)
+        _cap_runs(masses, begins, cap)
+        assert masses.tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 1000, 4095, 4096])
+    @pytest.mark.parametrize("m", [2.0**-12, 0.1, 1.0 / 3.0, 1e-310])
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    def test_uniform_run_at_the_cap(self, k, m, ulps):
+        # a cap equal to k * m leaves the run as it is (the test is total >
+        # cap); one ulp below scales it, one ulp above does not; the run
+        # ends at the last mass, after a run far below the cap, and no
+        # uniform run is summed with fsum
+        cap = _nudged(k * m, ulps)
+        masses = np.array([m * 1e-6] * 3 + [m] * k)
+        begins = np.array([0, 3])
+        expected = split_cap_runs(masses, begins, cap)
+        with mock.patch.object(frostman.math, "fsum", side_effect=AssertionError("fsum")):
+            _cap_runs(masses, begins, cap)
+        assert masses.tolist() == expected.tolist()
+        if m >= sys.float_info.min:  # a subnormal m scaled by 1 - 1 ulp rounds back to m
+            assert (masses[3:] != m).any() == (ulps < 0)
+
+    @pytest.mark.parametrize("last", ["uniform", "mixed"])
+    def test_suspect_runs_back_to_back_up_to_the_end(self, last):
+        # every run a suspect, each begin another's end, the last ending at len(masses)
+        cap = 0.75
+        tail = [0.5, 0.5] if last == "uniform" else [0.5, 0.25 + 2**-30]
+        runs = [[0.25, 0.5 + 2**-40], [0.5] * 3, [0.8], tail]
+        masses = np.array([m for run in runs for m in run])
+        begins = np.array([0, 2, 5, 6])
+        expected = split_cap_runs(masses, begins, cap)
+        _cap_runs(masses, begins, cap)
+        assert masses.tolist() == expected.tolist()
+        assert (masses[-2:] != tail).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.one_of(
+            st.floats(sys.float_info.min, 1.0),
+            st.floats(5e-324, sys.float_info.min, exclude_max=True),  # subnormal
+        ),
+        k=st.integers(1, 10**6),
+    )
+    @example(m=0.1, k=10**6)
+    @example(m=5e-324, k=3)
+    def test_product_of_equal_masses_is_their_fsum(self, m, k):
+        # both round the exact k * m correctly, so a uniform run's total is its fsum
+        expected = math.fsum([m] * k)
+        assert float(k) * m == expected
+        assert (np.array([k]) * np.array([m]))[0] == expected
+
 
 class TestCascadeNearTheCap:
     """Cube totals a few ulps from their cap: the float pre-test must defer to fsum."""
@@ -594,14 +667,19 @@ class TestBallMassesOnRows:
             assert ball_masses(atoms, probes) == expected
 
     def test_more_candidates_than_one_group(self):
-        # probes of radius 2 read all 5,000 atoms of the unit square, more
-        # than a group holds; the others fill several groups between them
+        # probes of radius 2 read all the atoms of the unit square, a group
+        # and a quarter; the others fill several groups between them
+        group = frostman.GROUP_CANDIDATES
         rng = np.random.default_rng(19)
-        pts = [tuple(p) for p in rng.random((5000, 2)).tolist()]
+        pts = [tuple(p) for p in rng.random((group + group // 4, 2)).tolist()]
         atoms = tuple(zip(pts, rng.uniform(0.5, 1.0, len(pts)).tolist()))
-        assert len(pts) > frostman.GROUP_CANDIDATES
         radii = [2.0, *np.exp(rng.uniform(math.log(0.01), math.log(0.2), 30)).tolist(), 2.0]
         probes = [(pts[i], r) for i, r in zip(rng.integers(0, len(pts), len(radii)), radii)]
+        # the radius-2 probes make the rows as wide as the square, so each
+        # probe's candidates are the atoms its p_0 window holds: past three
+        # groups' worth, the probes take at least three rounds
+        windows = [sum(abs(p[0] - x[0]) <= r * (1 + 1e-9) for p in pts) for x, r in probes]
+        assert sum(windows[1:-1]) > 3 * group and min(windows[0], windows[-1]) > group
         expected = [full_scan_ball_mass(atoms, x, r) for x, r in probes]
         assert ball_masses(atoms, probes) == expected
 

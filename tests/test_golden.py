@@ -16,7 +16,9 @@ of the depth-8 carpet's estimate with a theta = 0 row, and the sha256 of
 the frostman certificate on that carpet that the benchmark builds, and,
 from the dyadic bisection whose bound settled steps on the hi side only,
 the CSV bytes of the same estimate on the depth-10 carpet and the samples
-and per-cell (s_star, cost_at_s_star) of the F x F spectrum; any
+and per-cell (s_star, cost_at_s_star) of the F x F spectrum, and, from the
+cascade that summed every suspect cube with fsum, the sha256 of a
+certificate on the depth-10 carpet; any
 change to summation order, tie-breaking, cell order or the bisection's
 midpoints shows up here as an inequality, not a tolerance.
 
@@ -308,6 +310,10 @@ CARPET_ARGS = ["--grid", "0,0.5,1", "--deltas", "0.1,0.03,0.01"]
 # The certificate CI builds on the same cloud: its 385,598 bytes are pinned
 # by their sha256, in frostman_carpet8.sha256.
 CARPET8_FROSTMAN_ARGS = ["--s", "0.8", "--delta", "0.05", "--theta", "0.5"]
+# The certificate CI builds on the depth-10 carpet (59,049 atoms, a 12-level
+# cascade in which the float pre-test clears every cube): its 7,872,991
+# bytes are pinned by their sha256, in frostman_carpet10.sha256.
+CARPET10_FROSTMAN_ARGS = ["--s", "0.8", "--delta", "0.05", "--theta", "0.25"]
 
 
 def _carpet_output(workdir: Path, command: str, args, depth: int = 8) -> bytes:
@@ -325,8 +331,9 @@ def _carpet_csv(workdir: Path, depth: int = 8) -> bytes:
     return _carpet_output(workdir, "estimate", CARPET_ARGS, depth)
 
 
-def _carpet8_frostman_sha256(workdir: Path) -> str:
-    return hashlib.sha256(_carpet_output(workdir, "frostman", CARPET8_FROSTMAN_ARGS)).hexdigest()
+def _carpet_frostman_sha256(workdir: Path, depth: int = 8) -> str:
+    args = CARPET8_FROSTMAN_ARGS if depth == 8 else CARPET10_FROSTMAN_ARGS
+    return hashlib.sha256(_carpet_output(workdir, "frostman", args, depth)).hexdigest()
 
 
 # The product F x F of F = fp_points(1, 3e-3, theta_min=.25) with itself
@@ -442,7 +449,12 @@ def test_fxf_spectrum_and_cells_match_golden():
 
 def test_carpet8_certificate_matches_golden_digest(tmp_path):
     expected = (GOLDEN / "frostman_carpet8.sha256").read_text().strip()
-    assert _carpet8_frostman_sha256(tmp_path) == expected
+    assert _carpet_frostman_sha256(tmp_path) == expected
+
+
+def test_carpet10_certificate_matches_golden_digest(tmp_path):
+    expected = (GOLDEN / "frostman_carpet10.sha256").read_text().strip()
+    assert _carpet_frostman_sha256(tmp_path, 10) == expected
 
 
 def test_deep_3d_matches_golden(tmp_path):
@@ -465,7 +477,9 @@ def regenerate() -> None:
             (GOLDEN / name).write_bytes(_interval_dp_csv(workdir, gen))
         (GOLDEN / "estimate_carpet8.csv").write_bytes(_carpet_csv(workdir))
         (GOLDEN / "estimate_carpet10.csv").write_bytes(_carpet_csv(workdir, 10))
-        (GOLDEN / "frostman_carpet8.sha256").write_text(_carpet8_frostman_sha256(workdir) + "\n")
+        for depth in (8, 10):
+            digest = _carpet_frostman_sha256(workdir, depth)
+            (GOLDEN / f"frostman_carpet{depth}.sha256").write_text(digest + "\n")
         (GOLDEN / "estimate_fp_mixed.csv").write_bytes(_interval_dp_csv(workdir, args=FP_MIXED_ARGS))
     (GOLDEN / "carpet_table.json").write_text(json.dumps(_carpet_table(), indent=1) + "\n")
     (GOLDEN / "critical_1d.json").write_text(json.dumps(_critical_cells(), indent=2) + "\n")
