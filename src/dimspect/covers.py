@@ -14,7 +14,10 @@ costs per nonempty batch.  A dyadic band also has bound(s, at), the cost
 at s of the cover it chose at at, which bounds its cost at s from above,
 and d_min, its least diameter, with which the cost at one s bounds the
 cost at every larger s from beneath: the bisection settles most of its
-steps with the two.
+steps with the two.  A band costs s = 0, and every s on a one-level
+band, in closed form with no tree pass, and holds a cover at s = n from
+the start, every cell of its bottom level, so that the bisection solves
+n only when that cover is priced above the threshold.
 """
 
 from __future__ import annotations
@@ -480,6 +483,10 @@ class _DyadicTree:
     def diameter(self, level: int) -> float:
         return self.scale * math.sqrt(self.n) * 2.0**-level
 
+    def width(self, level: int) -> int:
+        """How many cells a level has: below alone, one a point, as at alone."""
+        return len(self.cells[min(level, self.alone) - self.top])
+
     def level_cells(self, level: int) -> np.ndarray:
         """The cells of a level, in tree order: stored down to alone, shifted from codes below."""
         if level <= self.alone:
@@ -512,7 +519,7 @@ class _DyadicTree:
         leaf = max(top, min(bottom, self.alone))
         chain = powers[leaf - top :]
         least = min(chain)
-        count = len(self.cells[min(leaf, self.alone) - self.top])  # below alone, as at alone
+        count = self.width(leaf)
         cost = np.full(count, least)
         parents = self.parents[top - self.top : leaf - self.top]
         takes = [np.ones(count, dtype=bool)]
@@ -560,11 +567,15 @@ class _DyadicBand:
 
     level_counts holds, by s, the per-level counts of the cover each
     costs() call chose, so that bound can price that cover at any other s.
-    Every cube of the band has diameter at least d_min, so for s > s' the
-    cost at s is at least d_min**(s - s') times the cost at s'.  With
-    bound, this settles a bisection step on either side of the threshold
-    with no pass (estimate._bisection): on the dyadic-2d spectrum 59 of
-    84 steps, and all but the endpoints and s* on a one-level band.
+    A fresh band holds one cover already, at s = float(n): every cell of
+    its bottom level, a cover whatever the cost there; a pass at n
+    replaces it.  Every cube of the band has diameter at least d_min, so
+    for s > s' the cost at s is at least d_min**(s - s') times the cost at
+    s'.  With bound, this settles a bisection step on either side of the
+    threshold with no pass (estimate._bisection).  At s = 0 and on a
+    one-level band costs() takes no pass either, so the dyadic-2d
+    spectrum takes 10 tree passes where the bound-free bisection asks 84
+    s, and a one-level band (theta = 1) takes none.
     """
 
     tree: _DyadicTree
@@ -575,12 +586,27 @@ class _DyadicBand:
     # Every s is a full pass, so a bisection asks for one s per call.
     batch_size = 1
 
+    def __post_init__(self) -> None:
+        # the cover in hand at s = n before any pass: every cell of the bottom level
+        bottom_cells = [0] * (self.bottom - self.top) + [self.tree.width(self.bottom)]
+        self.level_counts[float(self.tree.n)] = bottom_cells
+
     def costs(self, ss) -> list[list[float]]:
-        """costs(*batches) of a lone cell: [its costs at the s in ss]."""
+        """costs(*batches) of a lone cell: [its costs at the s in ss].
+
+        At s = 0, and at every s on a one-level band, the optimal cover is
+        the top level's cells (ties go to the larger cube), so no tree pass
+        runs: its count is priced once, as counts and bound price it.
+        """
         out = []
         for s in ss:
-            powers, self.level_counts[s] = self.tree.counts(s, self.top, self.bottom)
-            out.append(_level_sum(powers, self.level_counts[s]))
+            if s == 0.0 or self.top == self.bottom:
+                powers = [self.tree.diameter(self.top) ** s]
+                counts = [self.tree.width(self.top)] + [0] * (self.bottom - self.top)
+            else:
+                powers, counts = self.tree.counts(s, self.top, self.bottom)
+            self.level_counts[s] = counts
+            out.append(_level_sum(powers, counts))
         return [out]
 
     def bound(self, s: float, at: float) -> float:

@@ -78,8 +78,10 @@ def critical_exponent(
     call, and its band's two bounds settle most bisection steps with no
     call: a cover chosen at one s bounds the cost at every other from
     above, and the band's least diameter bounds it from beneath
-    (_bisection).  A one-level band (theta = 1) takes 3 calls: the
-    endpoints and s*.
+    (_bisection).  The band costs s = 0, and every s on one level (theta
+    = 1), in closed form with no tree pass, and solves n only when its
+    bottom level's cells, priced at n, are above threshold: a one-level
+    band takes no tree pass at all.
     Refuse, then solve: threshold and then scale_menu_size (2 to
     covers.MAX_MENU) are read first, then the band, then a dyadic cell's
     levels, all before the solver is built; so a cell the dyadic tree
@@ -124,9 +126,13 @@ def _bisection(n: float, threshold: float, width: int, band=None):
     band, when given, is a dyadic band (_DyadicBand), whose bounds settle
     a loop midpoint with no pass on either side.  Its bound(s, at) is the
     exact cost at s of the cover the solver chose at at, rounded once.
-    Before a midpoint is asked, the cover of at, the last s asked whose
-    cost was at most threshold (n after the endpoints), prices it: if
-    that is at most threshold * (1 - 1e-6), the midpoint goes to hi.
+    n is asked only if the band's cover in hand there, every cell of its
+    bottom level, is priced at n above threshold * (1 - 1e-6); else the
+    cost at n is at most threshold, and that cover stays the cover of n.
+    Before a midpoint is asked, the cover of at, the last s whose cost
+    was at most threshold (n after the endpoints, asked or not), prices
+    it: if that is at most threshold * (1 - 1e-6), the midpoint goes to
+    hi.
     Else below, the last s asked whose cost was above threshold (0 after
     the endpoints), prices it from beneath: every cube of a cover has
     diameter at least the band's d_min, and |U|**(s - below) >=
@@ -142,9 +148,10 @@ def _bisection(n: float, threshold: float, width: int, band=None):
     and the product round by a few ulps, and so does the cost a pass
     would give.  So that cost is at most threshold on the hi side and
     above it on the lo side, and every comparison is that of the
-    bisection without bounds.  The endpoints and s* are always asked, so
-    (s*, cost(s*)) keep their bits.  An interval DP has no bounds: it
-    asks 17 s a pass, and 2 passes already find a cell's root.
+    bisection without bounds.  s = 0 and s* are always asked, and n is
+    whenever the root clamps there, so (s*, cost(s*)) keep their bits.
+    An interval DP has no bounds: it asks 17 s a pass, and 2 passes
+    already find a cell's root.
     """
     known: dict[float, float] = {}
 
@@ -160,9 +167,10 @@ def _bisection(n: float, threshold: float, width: int, band=None):
     s, c = yield from cost(0.0, n, 0.0, n)
     if c <= threshold * (1.0 + 1e-12):
         return s, c
-    s, c = yield from cost(0.0, n, n)
-    if c > threshold:
-        return s, c
+    if band is None or band.bound(n, n) > threshold * (1.0 - 1e-6):
+        s, c = yield from cost(0.0, n, n)
+        if c > threshold:
+            return s, c
     lo, hi, at, below = 0.0, n, n, 0.0
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)

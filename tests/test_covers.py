@@ -1,5 +1,7 @@
 import math
 import random
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from dimspect.covers import (
     TABLE_BUDGET,
     _bbox_levels,
     _bbox_tree,
+    _DyadicBand,
     _DyadicTree,
     _IntervalDP,
     _level_sum,
@@ -482,6 +485,39 @@ class TestSharedTree:
         shared, levels = assert_bands_equal_fresh_trees(cloud, cells, [0.0, 0.6, 1.3, 2.0])
         assert any(top >= shared.alone for top, _ in levels) == (k <= MAX_DEPTH)
         assert shared.alone == min(k, shared.bottom)
+
+
+class TestBandClosedForms:
+    """A band solves s = 0, and every s on one level, with no tree pass, as the pass would."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cloud=clouds_with_close_pairs(), data=st.data())
+    def test_closed_forms_equal_the_tree_pass(self, cloud, data):
+        n = cloud.dimension_n
+        bottom = data.draw(st.integers(0, MAX_DEPTH))
+        tree = _DyadicTree(cloud, cloud.bbox[0], cloud.side, data.draw(st.integers(0, bottom)), bottom)
+        # about half the bands start at or below alone, where the levels are derived
+        top = data.draw(
+            st.one_of(st.integers(tree.top, bottom), st.integers(min(tree.alone, bottom), bottom))
+        )
+        s = data.draw(st.one_of(st.floats(0.0, n), st.sampled_from([0.0, float(n)])))
+        for band, at in ((_DyadicBand(tree, top, bottom), 0.0), (_DyadicBand(tree, top, top), s)):
+            powers, counts = tree.counts(at, band.top, band.bottom)
+            with mock.patch.object(tree, "counts", side_effect=AssertionError("a tree pass")):
+                assert band.costs([at]) == [[_level_sum(powers, counts)]]
+            assert band.level_counts[at] == counts
+
+    @settings(max_examples=150, deadline=None)
+    @given(cloud=clouds_with_close_pairs(), data=st.data())
+    def test_fresh_band_holds_the_bottom_level_at_n(self, cloud, data):
+        n = cloud.dimension_n
+        bottom = data.draw(st.integers(0, MAX_DEPTH))
+        tree = _DyadicTree(cloud, cloud.bbox[0], cloud.side, data.draw(st.integers(0, bottom)), bottom)
+        band = _DyadicBand(tree, data.draw(st.integers(tree.top, bottom)), bottom)
+        ((cells,), _, _) = unique_dyadic_tree(cloud, cloud.bbox[0], cloud.side, bottom, bottom)
+        assert band.level_counts == {float(n): [0] * (bottom - band.top) + [len(cells)]}
+        # the count times d_min**n, rounded once
+        assert band.bound(n, n) == float(len(cells) * Fraction(band.d_min**n))
 
 
 @st.composite

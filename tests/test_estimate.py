@@ -138,6 +138,21 @@ def cell_solver(cloud, rng):
     return solver
 
 
+@pytest.fixture
+def tree_passes(monkeypatch) -> list:
+    """The (s, top, bottom) of each _DyadicTree.counts call, a tree pass, while the fixture is active."""
+    passes, counts = [], covers._DyadicTree.counts
+    monkeypatch.setattr(
+        covers._DyadicTree, "counts", lambda tree, *args: passes.append(args) or counts(tree, *args)
+    )
+    return passes
+
+
+def pass_cost(band):
+    """The band's cost(s) by a tree pass at every s, closed forms and bounds aside."""
+    return lambda s: covers._level_sum(*band.tree.counts(s, band.top, band.bottom))
+
+
 class TestSolverCalls:
     @pytest.mark.parametrize("theta", [0.0, 0.5])
     def test_clamp_at_zero_evaluates_zero_once(self, solver_calls, theta):
@@ -165,9 +180,10 @@ class TestSolverCalls:
         assert len(flat) == len(set(flat))
 
     def test_dyadic_cell_one_s_per_bisection_level(self, solver_calls, worked_carpet):
-        # the endpoints, one s per bisection level the bounds leave open, then s*: the two
-        # bounds decide 8 of the fp cloud's 10 levels and 10 of the carpet's 11
-        cases = ((fp_points(1.0, 1e-2), 0.0, 5), (carpet_points(worked_carpet, 5), 0.5, 4))
+        # s = 0, n unless the bottom level's cover settles it, one s per bisection level
+        # the bounds leave open, then s*: on both clouds that cover settles n, and the
+        # two bounds decide 8 of the fp cloud's 10 levels and 10 of the carpet's 11
+        cases = ((fp_points(1.0, 1e-2), 0.0, 4), (carpet_points(worked_carpet, 5), 0.5, 3))
         for cloud, theta, asked in cases:
             solver_calls.clear()
             ce = critical_exponent(cloud, 0.1, theta)
@@ -183,29 +199,69 @@ class TestSolverCalls:
             assert all(s in flat for call in solver_calls for s in call)
             assert (ce.s_star, ce.cost_at_s_star) == reference
 
-    def test_bounds_leave_25_of_the_84_tree_passes_of_a_carpet_spectrum(
-        self, monkeypatch, worked_carpet
+    def test_bounds_leave_10_of_the_84_tree_passes_of_a_carpet_spectrum(
+        self, monkeypatch, tree_passes, worked_carpet
     ):
         # the dyadic-2d benchmark's spectrum, with and without the bounds
-        cloud, passes = carpet_points(worked_carpet, 8), []
-        deltas = (0.1, 0.03, 0.01)
-        stars = [critical_exponent(cloud, delta, 1.0).s_star for delta in deltas]
-        real = covers._DyadicTree.counts
+        cloud, deltas = carpet_points(worked_carpet, 8), (0.1, 0.03, 0.01)
+        # a theta = 1 cell is a one-level band, whose cost N d**s takes no pass
+        bands = [cell_solver(cloud, ScaleRange(delta, 1.0)) for delta in deltas]
+        assert all(band.top == band.bottom for band in bands)
+        asked, costs = [], covers._DyadicBand.costs
         monkeypatch.setattr(
-            covers._DyadicTree, "counts", lambda tree, *args: passes.append(args) or real(tree, *args)
+            covers._DyadicBand, "costs", lambda band, ss: asked.extend(ss) or costs(band, ss)
         )
         spectrum = estimate_spectrum(cloud, (0.5, 1.0), deltas)
-        assert len(passes) == 25
-        # a theta = 1 cell is a one-level band, whose cost N d**s both bounds price:
-        # only the endpoints and s* take a pass
-        for delta, s_star in zip(deltas, stars):
-            band = cell_solver(cloud, ScaleRange(delta, 1.0))
-            assert band.top == band.bottom
-            assert [s for s, *levels in passes if levels == [band.top] * 2] == [0.0, 2.0, s_star]
+        assert len(tree_passes) == 10
+        assert all(top != bottom and s != 0.0 for s, top, bottom in tree_passes)
         monkeypatch.delattr(covers._DyadicBand, "bound")
-        passes.clear()
+        tree_passes.clear()
+        asked.clear()
         assert estimate_spectrum(cloud, (0.5, 1.0), deltas) == spectrum
-        assert len(passes) == 84
+        # the bound-free bisection solves 14 s a cell; s = 0 and the theta = 1 cells
+        # take no pass there either
+        assert len(asked) == 84
+        assert len(tree_passes) == 84 - 3 * 14 - 3
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    def test_threshold_at_the_top_count_takes_no_pass(self, tree_passes, worked_carpet, theta):
+        # cost(0) is the top level's count: at or above it the root is (0, count)
+        for cloud in (fp_points(1.0, 1e-2), carpet_points(worked_carpet, 5)):
+            if cloud.dimension_n == 1 and theta > 0.0:
+                continue
+            band = cell_solver(cloud, ScaleRange(0.1, theta))
+            count = len(band.tree.level_cells(band.top))
+            for threshold in (count, 1.5 * count):
+                reference = sequential_critical_exponent(pass_cost(band), cloud.dimension_n, threshold)
+                assert reference == (0.0, count)
+                tree_passes.clear()
+                ce = critical_exponent(cloud, 0.1, theta, threshold)
+                assert (ce.s_star, ce.cost_at_s_star) == reference
+                assert tree_passes == []
+
+    @pytest.mark.parametrize(
+        "case", ["fp at 1e-15", "carpet at 1e-15", "dense grid at 1", "fp an ulp below cost(n)"]
+    )
+    def test_finest_cover_above_threshold_runs_the_pass_at_n(self, tree_passes, worked_carpet, case):
+        # the bottom level's cover priced at n is above threshold, so n is solved, and
+        # the root clamps there with the bits of the bound-free bisection
+        grid = PointCloud.from_points([(i / 127, j / 127) for i in range(128) for j in range(128)])
+        cloud, theta, threshold = {
+            "fp at 1e-15": (fp_points(1.0, 1e-2), 0.0, 1e-15),
+            "carpet at 1e-15": (carpet_points(worked_carpet, 5), 0.5, 1e-15),
+            "dense grid at 1": (grid, 0.5, 1.0),
+            "fp an ulp below cost(n)": (fp_points(1.0, 1e-2), 0.0, None),
+        }[case]
+        band, n = cell_solver(cloud, ScaleRange(0.1, theta)), float(cloud.dimension_n)
+        threshold = threshold or math.nextafter(pass_cost(band)(n), 0.0)
+        assert band.top < band.bottom
+        assert band.bound(n, n) > threshold
+        reference = sequential_critical_exponent(pass_cost(band), n, threshold)
+        assert reference[0] == n
+        tree_passes.clear()
+        ce = critical_exponent(cloud, 0.1, theta, threshold)
+        assert (ce.s_star, ce.cost_at_s_star) == reference
+        assert [s for s, *_ in tree_passes] == [n]
 
 
 @pytest.fixture
