@@ -151,11 +151,20 @@ def _menu_jumps(xs: np.ndarray, menu: tuple[float, ...]) -> np.ndarray:
     """Each point's jumps under menu, a (len(xs), len(menu)) int32 array.
 
     [i, j] is the first point an interval of diameter menu[j] from point i
-    leaves uncovered.
+    leaves uncovered: searchsorted(xs, xs + menu[j], side="right"), found
+    by one stable argsort of xs followed by xs + menu[j], two sorted runs
+    that timsort merges in linear time.  Ties keep xs first, so the
+    position of xs[i] + menu[j] in the merge, less the i shifted points
+    before it, counts the points at or below it.  Each entry's merge
+    holds 2N floats and 2N indexes at a time.
     """
-    jumps = np.empty((len(xs), len(menu)), dtype=np.int32)
-    for j, d in enumerate(menu):  # one (N,) float temporary at a time
-        jumps[:, j] = np.searchsorted(xs, xs + d, side="right")
+    n = len(xs)
+    jumps, pair, shift = np.empty((n, len(menu)), dtype=np.int32), np.empty(2 * n), np.arange(n)
+    pair[:n] = xs
+    for j, d in enumerate(menu):
+        np.add(xs, d, out=pair[n:])
+        rank = np.flatnonzero(pair.argsort(kind="stable") >= n)
+        np.subtract(rank, shift, jumps[:, j], casting="unsafe")
     return jumps
 
 
@@ -173,19 +182,24 @@ def _reached(jumps: np.ndarray, enough: int | None = None) -> np.ndarray:
 
     With enough, the walk may stop once that many states are reached.
     It widens the jumps 64 rows at a time, as the pass does: an int32
-    index costs a conversion on every call.
+    index costs a conversion on every call.  It steps from one reached
+    state to the next, over a run of unreached ones with one argmax,
+    which stops at the first reached state: every jump lands to the right
+    of its state, so one always lies ahead.
     """
     reach = np.zeros(len(jumps) + 1, dtype=bool)
     reach[0] = True
-    base = end = 0  # wide holds rows base..end - 1, as intp
-    for i in range(len(jumps)):
-        if reach[i]:
-            if i >= end:
-                if enough and np.count_nonzero(reach) >= enough:
-                    break
-                base, end = i, i + 64
-                wide = jumps[base:end].astype(np.intp)
-            reach[wide[i - base]] = True
+    i = base = end = 0  # wide holds rows base..end - 1, as intp
+    while i < len(jumps):
+        if i >= end:
+            if enough and np.count_nonzero(reach) >= enough:
+                break
+            base, end = i, i + 64
+            wide = jumps[base:end].astype(np.intp)
+        reach[wide[i - base]] = True
+        i += 1
+        if not reach[i]:
+            i += int(reach[i:].argmax())
     return reach
 
 
@@ -234,6 +248,14 @@ class _IntervalDP:
     feeds none it does, so each member's costs are those of its own DP
     bit for bit, and it at most doubles its states.
 
+    A chain is a lone menu of one entry (theta = 1) whose every kept state
+    leads to the next kept state: a sparse cell's, whose walk keeps only
+    the states it steps on, or a serial cell's.  Its pass would add
+    menu[0]**s to one state's costs at a time, right to left; a chain
+    makes the same sums in one add.accumulate, which sums in order.  The
+    build tells a chain by its jumps, not by its menu: a dense one-entry
+    cell keeps every point, and a point it skips need not lead to the next.
+
     batch_size, the s values one table() call should carry per menu, is
     17 for every cell, alone or in a group.
     """
@@ -277,6 +299,9 @@ class _IntervalDP:
                     jumps *= cells
                     jumps += c
                 self.jumps.append(jumps)
+        # A chain: one menu of one entry, each kept state leading to the next
+        chain = self.jumps[0][:, 0] == np.arange(1, len(self.states))
+        self.chain = cells == size == 1 and bool(chain.all())
         # The run that ends at b starts at first[b], the first state whose
         # nearest jump lands at or past b, or max_run back.  first[b] ==
         # b - 1 is a run of one state; skip[b] is where a walk through such
@@ -331,6 +356,9 @@ class _IntervalDP:
             self._flat = np.empty(need)
         cost = self._flat[:need].reshape(len(self.states), -1)
         cost[-1] = 0.0  # the terminal state; the pass writes every other row
+        if self.chain:  # the pass's sums cost[k + 1] + menu[0]**s, right to left
+            np.add.accumulate(np.broadcast_to(powers, cost[:-1].shape), 0, out=cost[-2::-1])
+            return cost
         rows = cost.reshape(-1, width)  # (states * cells, width): row k * cells + c is menu c's
         by_cell = cost.reshape(len(cost), cells, width)
         one, column = np.empty_like(powers), powers.reshape(size, 1, cells, width)

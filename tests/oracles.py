@@ -234,23 +234,32 @@ class ScalarIntervalDP:
         return picks
 
 
-def reachable_interval_states(xs, menu) -> tuple[list[int], list[list[int]]]:
+def reachable_interval_states(xs, menu, enough=None) -> tuple[list[int], list[list[int]]]:
     """Reference states and jump of covers._IntervalDP: a plain walk over every point.
 
     A point's interval of diameter d ends past the points x <= x_i + d
     (bisect_right); the walk marks every state some marked state's jump
     lands on, from point 0, and renumbers the marked states in order.
+    With enough, the walk stops where covers._reached may: it reads the
+    jumps in windows of 64 rows, each opened at the first marked state
+    past the last window, and before it opens one it stops if enough
+    states are marked.  A jump to a state left unmarked renumbers as None.
     """
     xs = list(xs)
     jump = [[bisect.bisect_right(xs, x + d) for d in menu] for x in xs]
     reach = [True] + [False] * len(xs)
+    end = 0
     for i in range(len(xs)):
         if reach[i]:
+            if i >= end:
+                if enough and sum(reach) >= enough:
+                    break
+                end = i + 64
             for k in jump[i]:
                 reach[k] = True
     states = [i for i, r in enumerate(reach) if r]
     rank = {i: k for k, i in enumerate(states)}
-    return states, [[rank[k] for k in jump[i]] for i in states[:-1]]
+    return states, [[rank.get(k) for k in jump[i]] for i in states[:-1]]
 
 
 def interval_dp(xs, *menus):

@@ -36,6 +36,8 @@ from dimspect.covers import (
     _DyadicTree,
     _IntervalDP,
     _level_sum,
+    _menu_jumps,
+    _reached,
 )
 from conftest import point_clouds
 from oracles import (
@@ -671,6 +673,86 @@ class TestIntervalDPStates:
         assert len({len(dp.states) for dp in dps}) == 3 and dps[0].blocks
         group = interval_dp(xs, *(geometric_menu(r.lo, r.hi, 16) for r in lone))
         assert [dp.batch_size for dp in [*dps, group]] == [_IntervalDP.batch_size] * 4 == [17] * 4
+
+
+@st.composite
+def jump_cells(draw):
+    """Sorted xs and an ascending menu for the DP's jumps and its walk.
+
+    Coordinates are multiples of 1/8 in [-128, 128], negative ones too,
+    with -0.0 in place of 0.0 now and then, so sums are exact and an
+    entry drawn from the differences between points lands xs[i] + d
+    exactly on a point.  Other entries are below every gap or anywhere
+    up to past the whole cloud.  A cloud may end in a cluster of points
+    2**-12 apart that an entry of 1/8 or more steps over in one jump, so
+    its tail is never reached.  A cloud may hold a single point.
+    """
+    xs = sorted(draw(st.lists(st.integers(-1024, 1024), min_size=1, max_size=300, unique=True)))
+    xs = np.array(xs, dtype=float) / 8.0
+    if draw(st.booleans()):
+        xs[xs == 0.0] = -0.0
+    if draw(st.booleans()):
+        xs = np.concatenate([xs, xs[-1] + np.arange(1, draw(st.integers(1, 100)) + 1) * 2.0**-12])
+    gaps = np.diff(xs)
+    differences = (xs[None, :] - xs[:, None])[np.triu_indices(len(xs), 1)]
+    entries = [st.floats(1e-9, 300.0)]
+    if len(xs) > 1:
+        entries += [st.sampled_from(differences.tolist()), st.floats(gaps.min() * 1e-3, gaps.min() * 0.99)]
+    menu = draw(st.lists(st.one_of(entries), min_size=1, max_size=8))
+    return xs, tuple(sorted(set(menu)))
+
+
+class TestIntervalDPSetUp:
+    @settings(max_examples=150, deadline=None)
+    @given(cell=jump_cells())
+    def test_menu_jumps_equal_searchsorted(self, cell):
+        xs, menu = cell
+        jumps = _menu_jumps(xs, menu)
+        assert jumps.dtype == np.int32 and jumps.shape == (len(xs), len(menu))
+        for j, d in enumerate(menu):
+            assert jumps[:, j].tolist() == np.searchsorted(xs, xs + d, side="right").tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(cell=jump_cells(), data=st.data())
+    def test_reached_equals_walk_with_and_without_enough(self, cell, data):
+        xs, menu = cell
+        jumps = _menu_jumps(xs, menu)
+        enough = data.draw(st.integers(1, len(xs) + 1))
+        for stop in (None, enough):
+            states, _ = reachable_interval_states(xs.tolist(), menu, stop)
+            assert np.flatnonzero(_reached(jumps, stop)).tolist() == states
+
+    def test_walk_skips_an_unreached_tail(self):
+        xs = np.concatenate([np.arange(100) / 8.0, 12.375 + np.arange(1, 201) * 2.0**-12])
+        reach = _reached(_menu_jumps(xs, (0.1,)))  # below the grid's gaps, above the tail's span
+        assert reach[:100].all() and not reach[100:-1].any() and reach[-1]
+
+    # One-entry cells (theta = 1): a sparse one of the interval-dp benchmark
+    # cloud (19 states), a serial one, and a dense one that is not serial:
+    # its walk reaches 2 of the 3 states, so it keeps all 3, and state 0
+    # leads past state 1.
+    @pytest.mark.parametrize(
+        "xs, delta, size, chain",
+        [
+            (fp_points(1.0, 1e-4, theta_min=0.25).array[:, 0], 1e-2, 16, True),
+            (np.arange(40) / 40.0, 1e-3, 16, True),
+            (np.array([0.0, 0.5]), 0.5, 2, False),
+        ],
+    )
+    def test_one_entry_cells_sum_as_a_chain_bit_for_bit(self, xs, delta, size, chain):
+        cloud, rng = PointCloud.from_points(xs[:, None]), ScaleRange(delta, 1.0)
+        ((_, dp),) = covers.cell_solvers(cloud, [rng], size)
+        assert len(dp.menus[0]) == 1 and dp.chain is chain
+        assert (len(dp.states) < len(xs) + 1) is (delta == 1e-2)  # only the sparse cell drops states
+        ss = [0.0, 1e-9, 0.3, 0.61, 0.999, 1.0]
+        expected = serial_interval_table(dp, ss)
+        assert np.array_equal(dp.table(ss).view(np.int64), expected.view(np.int64))
+        oracle = ScalarIntervalDP(xs.tolist(), dp.menus[0])
+        for s in (0.0, 0.5, 1.0):
+            cover = optimal_cover_1d(cloud, rng, s, scale_menu_size=size)
+            assert [(c.center, c.diameter) for c in cover.sets] == [
+                ((x + d / 2.0,), d) for x, d in oracle.cover(s)
+            ]
 
 
 @st.composite
